@@ -27,6 +27,8 @@ from .flows import (
 from .gf128 import gf_mult, ghash
 from .modes import (
     AuthenticationError,
+    GcmContext,
+    PaddingError,
     cbc_decrypt,
     cbc_encrypt,
     cbc_hmac_decrypt,
@@ -54,8 +56,10 @@ __all__ = [
     "FlowTable",
     "FpgaCryptoConfig",
     "FpgaCryptoEngine",
+    "GcmContext",
     "HASWELL_SUITES",
     "INV_SBOX",
+    "PaddingError",
     "SBOX",
     "SoftwareCryptoModel",
     "cbc_decrypt",

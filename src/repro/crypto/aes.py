@@ -5,50 +5,60 @@ blocks.  This is the functional core behind the shell's line-rate flow
 encryption (§IV); cipher *modes* live in :mod:`repro.crypto.modes` and
 *timing* in :mod:`repro.crypto.engine` / :mod:`repro.crypto.swmodel`.
 
-The implementation favors clarity over speed (table-driven SubBytes and
-xtime-based MixColumns); correctness is pinned by the FIPS-197 and NIST
-test vectors in the test suite.
+The cipher is table-driven.  At import the S-box is built from GF(2^8)
+log/antilog tables, and from it the four Te (encryption) and four Td
+(decryption) round tables: each maps one state byte to its 32-bit
+column contribution of SubBytes plus (Inv)MixColumns, pre-rotated for
+its row.  A block then runs as four 32-bit column words per round, with
+16 table lookups per round; ShiftRows is folded into which bytes feed
+which column.  Decryption is FIPS-197's equivalent inverse cipher, on
+round keys passed through InvMixColumns once at key expansion.
+Correctness is pinned by the FIPS-197 and NIST vectors in the test suite
+and by a differential test against an independent AES implementation.
 """
 
 from __future__ import annotations
 
-from typing import List
+import struct
+from typing import List, Sequence, Tuple
 
 BLOCK_BYTES = 16
 
+_WORDS = struct.Struct(">4I")
 
-def _build_sbox() -> tuple:
-    """Generate the AES S-box from the finite-field definition."""
 
-    def gf_mul(a: int, b: int) -> int:
-        result = 0
-        for _ in range(8):
-            if b & 1:
-                result ^= a
-            high = a & 0x80
-            a = (a << 1) & 0xFF
-            if high:
-                a ^= 0x1B
-            b >>= 1
-        return result
+def _field_tables() -> Tuple[List[int], List[int]]:
+    """Antilog and log tables of GF(2^8) mod x^8 + x^4 + x^3 + x + 1,
+    on the generator 3; the antilog table is doubled so a sum of two
+    logs indexes it without a modulo."""
+    exp = [0] * 510
+    log = [0] * 256
+    x = 1
+    for i in range(255):
+        exp[i] = exp[i + 255] = x
+        log[x] = i
+        x ^= (x << 1) ^ (0x11B if x & 0x80 else 0)   # x * 3
+    return exp, log
 
-    # Multiplicative inverses in GF(2^8) by brute force (build-time only).
-    inverse = [0] * 256
-    for x in range(1, 256):
-        for y in range(1, 256):
-            if gf_mul(x, y) == 1:
-                inverse[x] = y
-                break
-    sbox = [0] * 256
+
+_EXP, _LOG = _field_tables()
+
+
+def _mul(a: int, b: int) -> int:
+    """GF(2^8) product (build-time only)."""
+    return _EXP[_LOG[a] + _LOG[b]] if a and b else 0
+
+
+def _build_sbox() -> Tuple[tuple, tuple]:
+    """The S-box: the field inverse, then the FIPS-197 affine map
+    (XOR of the byte with its four left rotations, then 0x63)."""
+    sbox = []
     for x in range(256):
-        s = inverse[x]
-        result = 0
-        for i in range(8):
-            bit = ((s >> i) & 1) ^ ((s >> ((i + 4) % 8)) & 1) \
-                ^ ((s >> ((i + 5) % 8)) & 1) ^ ((s >> ((i + 6) % 8)) & 1) \
-                ^ ((s >> ((i + 7) % 8)) & 1) ^ ((0x63 >> i) & 1)
-            result |= bit << i
-        sbox[x] = result
+        s = r = _EXP[255 - _LOG[x]] if x else 0
+        for _ in range(4):
+            r = ((r << 1) | (r >> 7)) & 0xFF
+            s ^= r
+        sbox.append(s ^ 0x63)
     inv_sbox = [0] * 256
     for x, v in enumerate(sbox):
         inv_sbox[v] = x
@@ -61,22 +71,54 @@ RCON = (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1B, 0x36,
         0x6C, 0xD8, 0xAB, 0x4D)
 
 
-def _xtime(a: int) -> int:
-    a <<= 1
-    if a & 0x100:
-        a = (a ^ 0x1B) & 0xFF
-    return a
+def _round_tables(box: Sequence[int], coefficients: Tuple[int, ...]
+                  ) -> Tuple[List[int], ...]:
+    """T0..T3 for one direction: T0[x] is the column ``coefficients *
+    box[x]`` as a big-endian word, and Tr is T0 rotated right r bytes."""
+    t0 = []
+    for x in range(256):
+        s = box[x]
+        word = 0
+        for c in coefficients:
+            word = (word << 8) | _mul(c, s)
+        t0.append(word)
+    tables = [t0]
+    for r in (8, 16, 24):
+        tables.append([((w >> r) | (w << (32 - r))) & 0xFFFFFFFF
+                       for w in t0])
+    return tuple(tables)
 
 
-def _gmul(a: int, b: int) -> int:
-    """GF(2^8) multiply used by (Inv)MixColumns."""
-    result = 0
-    for _ in range(8):
-        if b & 1:
-            result ^= a
-        b >>= 1
-        a = _xtime(a)
-    return result
+def _shifted(box: Sequence[int]) -> Tuple[List[int], ...]:
+    """A byte table as the four byte lanes of a big-endian word."""
+    return tuple([v << shift for v in box] for shift in (24, 16, 8, 0))
+
+
+#: SubBytes + MixColumns, and InvSubBytes + InvMixColumns, per row.
+_TE = _round_tables(SBOX, (2, 1, 1, 3))
+_TD = _round_tables(INV_SBOX, (14, 9, 13, 11))
+#: (Inv)SubBytes alone, per row: the final round has no MixColumns.
+_SE = _shifted(SBOX)
+_SD = _shifted(INV_SBOX)
+
+def _sub_word(w: int) -> int:
+    s3, s2, s1, s0 = _SE
+    return (s3[w >> 24] | s2[(w >> 16) & 0xFF] | s1[(w >> 8) & 0xFF]
+            | s0[w & 0xFF])
+
+
+def _inv_mix_word(w: int) -> int:
+    """InvMixColumns of one column word (Td undoes the S-box it folds
+    in, so the byte goes through SBOX first)."""
+    t0, t1, t2, t3 = _TD
+    return (t0[SBOX[w >> 24]] ^ t1[SBOX[(w >> 16) & 0xFF]]
+            ^ t2[SBOX[(w >> 8) & 0xFF]] ^ t3[SBOX[w & 0xFF]])
+
+
+def _split(words: List[int], rounds: int) -> tuple:
+    """Round keys as (first, middle rounds, last) 4-word tuples."""
+    keys = [tuple(words[4 * r:4 * r + 4]) for r in range(rounds + 1)]
+    return keys[0], tuple(keys[1:-1]), keys[-1]
 
 
 class AES:
@@ -87,124 +129,88 @@ class AES:
             raise ValueError("AES key must be 16, 24 or 32 bytes")
         self.key = bytes(key)
         self.rounds = {16: 10, 24: 12, 32: 14}[len(key)]
-        self._round_keys = self._expand_key(self.key)
+        words = self._expand_key(self.key)
+        self._enc_keys = _split(words, self.rounds)
+        # Equivalent inverse cipher: the round keys in reverse order,
+        # every middle one through InvMixColumns.
+        rounds = self.rounds
+        dec = []
+        for r in range(rounds, -1, -1):
+            column = words[4 * r:4 * r + 4]
+            if 0 < r < rounds:
+                column = [_inv_mix_word(w) for w in column]
+            dec.extend(column)
+        self._dec_keys = _split(dec, rounds)
 
     # ------------------------------------------------------------------
     # Key schedule
     # ------------------------------------------------------------------
-    def _expand_key(self, key: bytes) -> List[List[int]]:
+    def _expand_key(self, key: bytes) -> List[int]:
+        """The FIPS-197 key expansion, as big-endian 32-bit words."""
         nk = len(key) // 4
-        words: List[List[int]] = [list(key[4 * i: 4 * i + 4])
-                                  for i in range(nk)]
-        total_words = 4 * (self.rounds + 1)
-        for i in range(nk, total_words):
-            temp = list(words[i - 1])
+        words = list(struct.unpack(f">{nk}I", key))
+        for i in range(nk, 4 * (self.rounds + 1)):
+            temp = words[i - 1]
             if i % nk == 0:
-                temp = temp[1:] + temp[:1]          # RotWord
-                temp = [SBOX[b] for b in temp]      # SubWord
-                temp[0] ^= RCON[i // nk - 1]
+                rotated = ((temp << 8) | (temp >> 24)) & 0xFFFFFFFF
+                temp = _sub_word(rotated) ^ (RCON[i // nk - 1] << 24)
             elif nk > 6 and i % nk == 4:
-                temp = [SBOX[b] for b in temp]
-            words.append([words[i - nk][j] ^ temp[j] for j in range(4)])
-        # Group into round keys of 16 bytes, column-major state order.
-        round_keys = []
-        for r in range(self.rounds + 1):
-            rk = []
-            for c in range(4):
-                rk.extend(words[4 * r + c])
-            round_keys.append(rk)
-        return round_keys
+                temp = _sub_word(temp)
+            words.append(words[i - nk] ^ temp)
+        return words
 
     # ------------------------------------------------------------------
-    # Round transforms (state is a flat 16-list, column-major)
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _add_round_key(state: List[int], rk: List[int]) -> None:
-        for i in range(16):
-            state[i] ^= rk[i]
-
-    @staticmethod
-    def _sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = SBOX[state[i]]
-
-    @staticmethod
-    def _inv_sub_bytes(state: List[int]) -> None:
-        for i in range(16):
-            state[i] = INV_SBOX[state[i]]
-
-    @staticmethod
-    def _shift_rows(state: List[int]) -> None:
-        # Row r (elements r, r+4, r+8, r+12) rotates left by r.
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[r:] + row[:r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _inv_shift_rows(state: List[int]) -> None:
-        for r in range(1, 4):
-            row = [state[r + 4 * c] for c in range(4)]
-            row = row[-r:] + row[:-r]
-            for c in range(4):
-                state[r + 4 * c] = row[c]
-
-    @staticmethod
-    def _mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c: 4 * c + 4]
-            state[4 * c + 0] = (_gmul(col[0], 2) ^ _gmul(col[1], 3)
-                                ^ col[2] ^ col[3])
-            state[4 * c + 1] = (col[0] ^ _gmul(col[1], 2)
-                                ^ _gmul(col[2], 3) ^ col[3])
-            state[4 * c + 2] = (col[0] ^ col[1] ^ _gmul(col[2], 2)
-                                ^ _gmul(col[3], 3))
-            state[4 * c + 3] = (_gmul(col[0], 3) ^ col[1] ^ col[2]
-                                ^ _gmul(col[3], 2))
-
-    @staticmethod
-    def _inv_mix_columns(state: List[int]) -> None:
-        for c in range(4):
-            col = state[4 * c: 4 * c + 4]
-            state[4 * c + 0] = (_gmul(col[0], 14) ^ _gmul(col[1], 11)
-                                ^ _gmul(col[2], 13) ^ _gmul(col[3], 9))
-            state[4 * c + 1] = (_gmul(col[0], 9) ^ _gmul(col[1], 14)
-                                ^ _gmul(col[2], 11) ^ _gmul(col[3], 13))
-            state[4 * c + 2] = (_gmul(col[0], 13) ^ _gmul(col[1], 9)
-                                ^ _gmul(col[2], 14) ^ _gmul(col[3], 11))
-            state[4 * c + 3] = (_gmul(col[0], 11) ^ _gmul(col[1], 13)
-                                ^ _gmul(col[2], 9) ^ _gmul(col[3], 14))
-
-    # ------------------------------------------------------------------
-    # Block operations
+    # Block operations.  A round reads the state as 16 bytes b0..b15
+    # (column-major: column c is b[4c..4c+3]) and writes four column
+    # words; ShiftRows picks row r of output column c from input column
+    # c + r, InvShiftRows from column c - r.
     # ------------------------------------------------------------------
     def encrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_BYTES:
             raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[0])
-        for round_index in range(1, self.rounds):
-            self._sub_bytes(state)
-            self._shift_rows(state)
-            self._mix_columns(state)
-            self._add_round_key(state, self._round_keys[round_index])
-        self._sub_bytes(state)
-        self._shift_rows(state)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        return bytes(state)
+        pack = _WORDS.pack
+        t0, t1, t2, t3 = _TE
+        first, middle, last = self._enc_keys
+        w0, w1, w2, w3 = _WORDS.unpack(block)
+        k0, k1, k2, k3 = first
+        (b0, b1, b2, b3, b4, b5, b6, b7,
+         b8, b9, b10, b11, b12, b13, b14, b15) = pack(
+            w0 ^ k0, w1 ^ k1, w2 ^ k2, w3 ^ k3)
+        for k0, k1, k2, k3 in middle:
+            (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) = pack(
+                t0[b0] ^ t1[b5] ^ t2[b10] ^ t3[b15] ^ k0,
+                t0[b4] ^ t1[b9] ^ t2[b14] ^ t3[b3] ^ k1,
+                t0[b8] ^ t1[b13] ^ t2[b2] ^ t3[b7] ^ k2,
+                t0[b12] ^ t1[b1] ^ t2[b6] ^ t3[b11] ^ k3)
+        s3, s2, s1, s0 = _SE
+        k0, k1, k2, k3 = last
+        return pack(s3[b0] ^ s2[b5] ^ s1[b10] ^ s0[b15] ^ k0,
+                    s3[b4] ^ s2[b9] ^ s1[b14] ^ s0[b3] ^ k1,
+                    s3[b8] ^ s2[b13] ^ s1[b2] ^ s0[b7] ^ k2,
+                    s3[b12] ^ s2[b1] ^ s1[b6] ^ s0[b11] ^ k3)
 
     def decrypt_block(self, block: bytes) -> bytes:
         if len(block) != BLOCK_BYTES:
             raise ValueError("AES block must be 16 bytes")
-        state = list(block)
-        self._add_round_key(state, self._round_keys[self.rounds])
-        for round_index in range(self.rounds - 1, 0, -1):
-            self._inv_shift_rows(state)
-            self._inv_sub_bytes(state)
-            self._add_round_key(state, self._round_keys[round_index])
-            self._inv_mix_columns(state)
-        self._inv_shift_rows(state)
-        self._inv_sub_bytes(state)
-        self._add_round_key(state, self._round_keys[0])
-        return bytes(state)
+        pack = _WORDS.pack
+        t0, t1, t2, t3 = _TD
+        first, middle, last = self._dec_keys
+        w0, w1, w2, w3 = _WORDS.unpack(block)
+        k0, k1, k2, k3 = first
+        (b0, b1, b2, b3, b4, b5, b6, b7,
+         b8, b9, b10, b11, b12, b13, b14, b15) = pack(
+            w0 ^ k0, w1 ^ k1, w2 ^ k2, w3 ^ k3)
+        for k0, k1, k2, k3 in middle:
+            (b0, b1, b2, b3, b4, b5, b6, b7,
+             b8, b9, b10, b11, b12, b13, b14, b15) = pack(
+                t0[b0] ^ t1[b13] ^ t2[b10] ^ t3[b7] ^ k0,
+                t0[b4] ^ t1[b1] ^ t2[b14] ^ t3[b11] ^ k1,
+                t0[b8] ^ t1[b5] ^ t2[b2] ^ t3[b15] ^ k2,
+                t0[b12] ^ t1[b9] ^ t2[b6] ^ t3[b3] ^ k3)
+        s3, s2, s1, s0 = _SD
+        k0, k1, k2, k3 = last
+        return pack(s3[b0] ^ s2[b13] ^ s1[b10] ^ s0[b7] ^ k0,
+                    s3[b4] ^ s2[b1] ^ s1[b14] ^ s0[b11] ^ k1,
+                    s3[b8] ^ s2[b5] ^ s1[b2] ^ s0[b15] ^ k2,
+                    s3[b12] ^ s2[b9] ^ s1[b6] ^ s0[b3] ^ k3)

@@ -17,16 +17,17 @@ unencrypted at the end points."
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Optional
 
 from ..net.packet import Packet
 from .engine import FpgaCryptoConfig, FpgaCryptoEngine
 from .modes import (
+    AuthenticationError,
+    GcmContext,
+    PaddingError,
     cbc_hmac_decrypt,
     cbc_hmac_encrypt,
-    gcm_decrypt,
-    gcm_encrypt,
 )
 
 
@@ -71,10 +72,30 @@ class FlowEntry:
     in_sram: bool = True
     packets_encrypted: int = 0
     packets_decrypted: int = 0
+    _gcm: Optional[GcmContext] = field(default=None, init=False,
+                                       repr=False, compare=False)
+    _gcm_key: bytes = field(default=b"", init=False, repr=False,
+                            compare=False)
+
+    @property
+    def gcm(self) -> GcmContext:
+        """The flow's AES-GCM context, as the FPGA holds the flow key in
+        SRAM: built on first use, and again only when software changes
+        ``key``."""
+        if self._gcm is None or self._gcm_key != self.key:
+            self._gcm = GcmContext(self.key)
+            self._gcm_key = self.key
+        return self._gcm
 
     def next_nonce(self) -> bytes:
+        """The salt and the next packet counter.  Raises
+        :class:`OverflowError` once the 32-bit counter is spent, since a
+        wrapped counter would reuse a nonce under the same key."""
+        if self.counter >= 0xFFFFFFFF:
+            raise OverflowError("flow packet counter exhausted; re-key "
+                                "the flow")
         self.counter += 1
-        return self.salt + struct.pack("!I", self.counter & 0xFFFFFFFF)
+        return self.salt + struct.pack("!I", self.counter)
 
 
 @dataclass
@@ -167,12 +188,9 @@ class EncryptionTap:
         if entry is None or not isinstance(packet.payload,
                                            (bytes, bytearray)):
             return packet
-        if isinstance(packet.payload, EncryptedPayload):
-            return packet
         nonce = entry.next_nonce()
         if entry.suite.startswith("aes-gcm"):
-            ciphertext, tag = gcm_encrypt(
-                entry.key, nonce, bytes(packet.payload))
+            ciphertext, tag = entry.gcm.encrypt(nonce, bytes(packet.payload))
         else:
             iv = (nonce * 2)[:16]
             ciphertext, tag = cbc_hmac_encrypt(
@@ -194,15 +212,17 @@ class EncryptionTap:
         if entry is None:
             return packet  # not our flow: bridge it through encrypted
         enc: EncryptedPayload = packet.payload
+        # Only a failed check on the packet drops it; any other error is
+        # a fault in the cipher code and propagates.
         try:
             if enc.suite.startswith("aes-gcm"):
-                plaintext = gcm_decrypt(entry.key, enc.nonce,
-                                        enc.ciphertext, enc.tag)
+                plaintext = entry.gcm.decrypt(enc.nonce, enc.ciphertext,
+                                              enc.tag)
             else:
                 plaintext = cbc_hmac_decrypt(
                     entry.key, entry.mac_key, enc.nonce, enc.ciphertext,
                     enc.tag)
-        except Exception:
+        except (AuthenticationError, PaddingError):
             self.auth_failures += 1
             return None  # drop forged/corrupted packets
         packet.payload = plaintext

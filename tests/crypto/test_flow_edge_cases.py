@@ -9,6 +9,7 @@ from repro.crypto import (
     FlowKey,
     FlowTable,
     FpgaCryptoEngine,
+    GcmContext,
 )
 from repro.net.packet import make_udp_packet
 
@@ -100,6 +101,60 @@ class TestOutboundInbound:
         assert packet.payload.suite == "aes-cbc-128-sha1"
         result = tap.inbound(packet)
         assert result.payload == b"cbc payload " * 8
+
+    def test_cbc_wrong_enc_key_dropped(self):
+        """An authentic CBC packet that does not unpad under the flow's
+        encryption key is dropped, not raised."""
+        tap = EncryptionTap()
+        packet = make_flow_packet(payload=b"cbc payload " * 8)
+        entry = tap.flows.setup_flow(FlowKey.of_packet(packet), bytes(16),
+                                     mac_key=b"m", suite="aes-cbc-128-sha1")
+        tap.outbound(packet)
+        entry.key = bytes(range(16))
+        assert tap.inbound(packet) is None
+        assert tap.auth_failures == 1
+
+    def test_unexpected_cipher_error_propagates(self, monkeypatch):
+        """Only failed checks on the packet count as auth failures; a
+        fault inside the cipher must surface, not drop the packet."""
+        tap = EncryptionTap()
+        packet = make_flow_packet()
+        tap.flows.setup_flow(FlowKey.of_packet(packet), bytes(16))
+        tap.outbound(packet)
+
+        def broken(*_args):
+            raise IndexError("table lookup out of range")
+
+        monkeypatch.setattr(GcmContext, "decrypt", broken)
+        with pytest.raises(IndexError):
+            tap.inbound(packet)
+        assert tap.auth_failures == 0
+
+
+class TestFlowEntryState:
+    def test_gcm_context_reused_until_rekey(self):
+        table = FlowTable()
+        entry = table.setup_flow(FlowKey("10.0.0.1", "10.0.0.2", 1, 2),
+                                 bytes(16))
+        context = entry.gcm
+        assert entry.gcm is context
+        entry.key = bytes(range(16))
+        assert entry.gcm is not context
+
+    def test_nonce_counter_exhaustion_raises(self):
+        """A wrapped 32-bit counter would reuse nonce 1 under the same
+        key: the tap sends the last counter value, then refuses."""
+        tap = EncryptionTap()
+        last, spent = make_flow_packet(), make_flow_packet()
+        entry = tap.flows.setup_flow(FlowKey.of_packet(last), bytes(16))
+        entry.counter = 0xFFFFFFFE
+        tap.outbound(last)
+        assert last.payload.nonce[-4:] == b"\xff\xff\xff\xff"
+        assert entry.counter == 0xFFFFFFFF
+        with pytest.raises(OverflowError):
+            tap.outbound(spent)
+        assert spent.payload == b"p" * 64
+        assert tap.encrypted == 1
 
 
 class TestFlowKey:
