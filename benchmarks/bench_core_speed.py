@@ -6,9 +6,9 @@ Measures three throughput numbers that bound every experiment's runtime:
   timeout workload (no network, no LTL),
 * ``ltl_round_trips_per_sec`` — full-stack LTL message round trips
   (shell -> fabric -> shell and back) per wall-clock second,
-* ``fig10_wall_seconds`` / ``fig10_events_per_sec`` — wall clock and
-  event throughput of the Fig. 10 tier-latency workload, the paper's
-  headline experiment.
+* ``fig10_round_trips_per_sec`` — LTL round trips per wall-clock second
+  of the Fig. 10 tier-latency workload, the paper's headline experiment
+  (its wall clock, event count and events/sec are recorded beside it).
 
 Run standalone to append a run to the committed trajectory file::
 
@@ -47,8 +47,10 @@ from repro.core.cloud import ConfigurableCloud  # noqa: E402
 from repro.experiments.fig10 import DEFAULT_TIER_PAIRS  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
-#: Metrics guarded by ``--check`` (higher is better).
-GUARDED_METRICS = ("kernel_events_per_sec", "fig10_events_per_sec",
+#: Metrics guarded by ``--check`` (higher is better).  Fig. 10 is
+#: guarded by round trips, not events: its event count depends on how
+#: the datapath schedules work, so it is not a fixed unit of progress.
+GUARDED_METRICS = ("kernel_events_per_sec", "fig10_round_trips_per_sec",
                    "ltl_round_trips_per_sec")
 
 HISTORY_LIMIT = 50
@@ -87,19 +89,23 @@ def bench_ltl_rtt(messages: int) -> Dict[str, float]:
 
 
 def bench_fig10(messages_per_pair: int) -> Dict[str, float]:
-    """The Fig. 10 workload, instrumented for event throughput."""
+    """The Fig. 10 workload, instrumented for round-trip and event
+    throughput."""
     cloud = ConfigurableCloud(seed=10)
+    round_trips = 0
     t0 = time.perf_counter()
     for _tier, (_reach, pairs) in DEFAULT_TIER_PAIRS.items():
         for src, dst in pairs:
             for host in (src, dst):
                 if host not in cloud.servers:
                     cloud.add_server(host, enroll=False)
-            cloud.measure_ltl_rtt(src, dst, messages=messages_per_pair)
+            round_trips += len(cloud.measure_ltl_rtt(
+                src, dst, messages=messages_per_pair))
     wall = time.perf_counter() - t0
     events = cloud.env.events_processed
     return {"wall_seconds": wall, "events": events,
-            "events_per_sec": events / wall}
+            "events_per_sec": events / wall,
+            "round_trips_per_sec": round_trips / wall}
 
 
 def run_suite(quick: bool) -> Dict[str, object]:
@@ -130,6 +136,8 @@ def run_suite(quick: bool) -> Dict[str, object]:
             "ltl_round_trips_per_sec": round(
                 ltl["round_trips_per_sec"], 1),
             "fig10_wall_seconds": round(fig10["wall_seconds"], 4),
+            "fig10_round_trips_per_sec": round(
+                fig10["round_trips_per_sec"], 1),
             "fig10_events": fig10["events"],
             "fig10_events_per_sec": round(fig10["events_per_sec"], 1),
         },
@@ -208,7 +216,7 @@ def check_regression(current_path: Path, baseline_path: Path,
               f"({ratio:.2f}x) {verdict}")
         failed |= verdict == "REGRESSION"
     if failed:
-        print(f"FAIL: events/sec regressed more than "
+        print(f"FAIL: throughput regressed more than "
               f"{tolerance:.0%} vs {baseline_path}")
         return 1
     print("benchmark check passed")
@@ -228,7 +236,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--baseline", type=Path,
                         default=REPO_ROOT / "BENCH_core.json")
     parser.add_argument("--tolerance", type=float, default=0.20,
-                        help="allowed fractional events/sec drop")
+                        help="allowed fractional throughput drop")
     parser.add_argument("--baseline-mode", choices=("best", "latest"),
                         default="best",
                         help="compare against the best full-mode run in "
@@ -256,7 +264,7 @@ def test_core_speed_smoke():
     metrics = result["metrics"]
     assert metrics["kernel_events_per_sec"] > 0
     assert metrics["ltl_round_trips_per_sec"] > 0
-    assert metrics["fig10_events_per_sec"] > 0
+    assert metrics["fig10_round_trips_per_sec"] > 0
     # The Fig. 10 event count is seed-deterministic: a blow-up here means
     # the kernel started scheduling busywork (e.g. idle polling returned).
     assert metrics["fig10_events"] < 500_000

@@ -478,12 +478,6 @@ class SloTracker:
             return 0.0
         return self.good / elapsed
 
-    def goodput_fraction(self) -> float:
-        """Good completions as a fraction of offered load."""
-        if self.offered == 0:
-            return 0.0
-        return self.good / self.offered
-
     def snapshot(self) -> Dict[str, int]:
         """Running counters, for phase diffing in benchmarks."""
         return {

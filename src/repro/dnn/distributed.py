@@ -187,7 +187,3 @@ class DistributedMlp:
             handler = self._stage_handler(0)
             handler(message, input_bytes)
         return request_id
-
-    def reference_forward(self, x: np.ndarray) -> np.ndarray:
-        """The same computation on one device, for verification."""
-        return self.model.forward(x)

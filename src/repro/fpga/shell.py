@@ -221,29 +221,18 @@ class Shell:
     def _receive_from_tor(self, packet: Packet) -> None:
         """All traffic from the TOR lands here (it is a bump in the wire).
 
-        The MAC/PHY rx traversal is a macro-event: two chained Deferreds
-        stand in for the Process (bootstrap + timeout + terminal success
-        event) the old code spawned per packet.  The terminal event had no
-        waiters, so dropping it is compensated in ``events_processed`` to
-        keep seeded event counts bit-identical.
+        The packet crosses the MAC/PHY rx pipeline before it is handled.
         """
         trace = packet.trace
         if trace is not None:
             # Close the last wire hop (TOR -> this host's QSFP).
             trace.tap(_STAGE_LINK_WIRE, self.env.now)
-        self.env.call_later(0.0, self._rx_mac, packet)
-
-    def _rx_mac(self, packet: Packet) -> None:
         self.env.call_later(self.config.mac_rx_latency,
                             self._rx_deliver, packet)
 
     def _rx_deliver(self, packet: Packet) -> None:
-        env = self.env
         if packet.trace is not None:
-            packet.trace.tap(_STAGE_SHELL_MAC_RX, env.now)
-        # Macro-event compensation: the retired rx Process's terminal
-        # success event (one schedule + one no-op pop).
-        env.events_processed += 1
+            packet.trace.tap(_STAGE_SHELL_MAC_RX, self.env.now)
         if self._is_local_ltl(packet):
             if self.ltl is not None:
                 self.ltl.receive_frame(packet.payload,
@@ -258,26 +247,17 @@ class Shell:
                 and packet.eth.dst_mac == self.attachment.mac)
 
     def _mac_to_tor(self, packet: Packet) -> None:
-        """Bridge/injection output toward the TOR port.
-
-        Macro-event twin of :meth:`_receive_from_tor`: Deferred chain in
-        place of a per-packet Process, with the terminal success event
-        compensated in ``events_processed``.
-        """
-        self.env.call_later(0.0, self._tx_mac, packet)
-
-    def _tx_mac(self, packet: Packet) -> None:
+        """Bridge/injection output toward the TOR port, through the
+        MAC/PHY tx pipeline."""
         self.env.call_later(self.config.mac_tx_latency,
                             self._tx_send, packet)
 
     def _tx_send(self, packet: Packet) -> None:
-        env = self.env
         if packet.trace is not None:
             # Everything since the LTL tx mark — transport + MAC/PHY
             # pipeline — is shell transmit time; the wire hop starts
             # here at the QSFP.
-            packet.trace.tap(_STAGE_SHELL_MAC_TX, env.now)
-        env.events_processed += 1
+            packet.trace.tap(_STAGE_SHELL_MAC_TX, self.env.now)
         self.attachment.send(packet)
 
     # ------------------------------------------------------------------

@@ -161,9 +161,6 @@ class RpcChannel:
         self.partition_until = max(self.partition_until,
                                    self.env.now + duration)
 
-    def heal_partition(self) -> None:
-        self.partition_until = 0.0
-
     # ------------------------------------------------------------------
     # Client -> server request/response
     # ------------------------------------------------------------------

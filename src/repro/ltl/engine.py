@@ -6,7 +6,7 @@ One engine lives in each FPGA shell.  Its blocks map to Fig. 9:
   fragments messages into MTU-sized DATA frames onto a per-connection
   send frame queue.
 * **Send/Receive Connection Tables** — :mod:`repro.ltl.connection`.
-* **Unack'd Frame Store + Ack Receiver** — outgoing frames are buffered
+* **Unack'd frame store + Ack Receiver** — outgoing frames are buffered
   and tracked until cumulatively ACKed; timeouts (default 50 µs,
   configurable, exactly as the paper states) trigger retransmission, and
   repeated timeouts identify failing nodes.
@@ -185,20 +185,16 @@ class LtlEngine:
                                             dropper=dropper,
                                             start_time=env.now)
         self._cnp = CnpGenerator(self.config.dcqcn)
-        # Send-pump state machine (macro-event form of the old generator
-        # parked on a Store; see _kick for the draw correspondence).
-        self._pump_parked = False
-        self._pump_stored = False
+        # Send pump (see _kick): parked until there is something to send.
+        self._pump_parked = True
         self._pump_ready: List[SendConnectionState] = []
         self._pump_idx = 0
         self._pump_frame: Optional[Tuple[SendConnectionState,
                                          LtlFrame]] = None
         #: Set while the retransmit timer is parked with nothing unacked;
-        #: :meth:`_transmit` reschedules the periodic scan.
-        self._timer_parked = False
+        #: :meth:`_transmit` restarts the periodic scan.
+        self._timer_parked = True
         self._nack_outstanding: Dict[int, int] = {}
-        env.call_later(0.0, self._pump_cycle)
-        env.call_later(0.0, self._timer_boot)
 
     # ------------------------------------------------------------------
     # Connection management (static allocation, per the paper)
@@ -213,16 +209,6 @@ class LtlEngine:
             remote_connection_id=remote_connection_id, vc=vc,
             dcqcn=DcqcnRateController(self.config.dcqcn))
         self.send_table.install(connection_id, state)
-        return connection_id
-
-    def open_receive_connection(self, remote_host: int,
-                                remote_connection_id: int) -> int:
-        """Allocate a receive-table entry for a remote sender."""
-        connection_id = self.recv_table.allocate()
-        state = ReceiveConnectionState(
-            connection_id=connection_id, remote_host=remote_host,
-            remote_connection_id=remote_connection_id)
-        self.recv_table.install(connection_id, state)
         return connection_id
 
     def close_send_connection(self, connection_id: int) -> None:
@@ -289,29 +275,15 @@ class LtlEngine:
         self._kick()
         return message_id
 
-    # The send pump used to be a generator parked on a one-slot Store.
-    # It is now a chain of Deferred callbacks (macro-events): each frame
-    # costs one scheduled entry instead of a Timeout plus a Process
-    # resume, and each wake costs one entry instead of a StorePut +
-    # StoreGet pair.  Eliminated entries were no-op pops; they are
-    # compensated in ``events_processed`` so seeded counts stay
-    # bit-identical with the old machine.
+    # The send pump is a chain of Deferred callbacks, one scheduled entry
+    # per frame.  It parks when nothing is sendable; a kick (new message,
+    # or an ACK that opens the window) starts it again.  A running pump
+    # ignores kicks: it re-snapshots the sendable connections whenever
+    # it finishes a pass.
     def _kick(self) -> None:
-        if self._pump_stored:
-            return
-        env = self.env
         if self._pump_parked:
-            # Wake: one Deferred where the Store drew StorePut (no-op)
-            # + StoreGet (resume) back to back.
             self._pump_parked = False
-            env.events_processed += 1
-            env.call_later(0.0, self._pump_cycle)
-        else:
-            # Pump mid-boot or mid-cycle: the Store stashed the kick (one
-            # no-op StorePut event) and replayed it as a spurious wake at
-            # the next park attempt.
-            self._pump_stored = True
-            env.events_processed += 1
+            self._pump_cycle()
 
     def _sendable(self) -> List[SendConnectionState]:
         return [
@@ -323,13 +295,7 @@ class LtlEngine:
         """Pump loop top: snapshot sendable connections or park."""
         ready = self._sendable()
         if not ready:
-            if self._pump_stored:
-                # Replay a stashed kick: the old machine's get() found
-                # the stored item and immediately re-entered the loop.
-                self._pump_stored = False
-                self.env.call_later(0.0, self._pump_cycle)
-            else:
-                self._pump_parked = True
+            self._pump_parked = True
             return
         self._pump_ready = ready
         self._pump_idx = 0
@@ -384,11 +350,9 @@ class LtlEngine:
                   retransmission: bool) -> None:
         now = self.env.now
         if self._timer_parked:
-            # Restart the periodic retransmit scan (one Deferred where
-            # the old machine succeeded the park event and resumed the
-            # timer process).
+            # Restart the periodic retransmit scan.
             self._timer_parked = False
-            self.env.call_later(0.0, self._timer_wake)
+            self.env.call_later(self.config.timer_period, self._timer_tick)
         entry = state.unacked.get(frame.seq)
         trace = frame.trace
         if entry is None:
@@ -446,21 +410,13 @@ class LtlEngine:
                 return True
         return False
 
-    def _timer_boot(self) -> None:
-        """First scheduling decision of the retransmit timer."""
-        if self._timer_has_work():
-            self.env.call_later(self.config.timer_period, self._timer_tick)
-        else:
-            # Park until the next transmission instead of polling an
-            # idle engine every timer_period — on quiet engines this
-            # removes the dominant source of simulator events.
-            self._timer_parked = True
-
-    def _timer_wake(self) -> None:
-        self.env.call_later(self.config.timer_period, self._timer_tick)
-
     def _timer_tick(self) -> None:
-        """One timer-wheel scan pass (the old timer process's loop body)."""
+        """One timer-wheel scan pass.
+
+        The timer parks once nothing needs scanning instead of polling an
+        idle engine every ``timer_period`` — on quiet engines that removes
+        the dominant source of simulator events.
+        """
         cfg = self.config
         now = self.env.now
         for state in list(self.send_table.values()):

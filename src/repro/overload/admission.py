@@ -90,7 +90,6 @@ class CoDelController:
         #: When delays first went above target (None = currently below).
         self._first_above: Optional[float] = None
         self._engaged = False
-        self._engaged_at: Optional[float] = None
         #: Minimum delay seen in the current observation interval.
         self._interval_min: Optional[float] = None
         self._interval_started = start_time
@@ -101,10 +100,6 @@ class CoDelController:
     def engaged(self) -> bool:
         """True while a standing queue (min delay > target) persists."""
         return self._engaged
-
-    @property
-    def engaged_since(self) -> Optional[float]:
-        return self._engaged_at
 
     def min_delay(self) -> float:
         """Minimum queue delay observed in the current interval."""
@@ -132,12 +127,9 @@ class CoDelController:
             elif not self._engaged and \
                     now - self._first_above >= cfg.interval:
                 self._engaged = True
-                self._engaged_at = now
         else:
             self._first_above = None
-            if self._engaged:
-                self._engaged = False
-                self._engaged_at = None
+            self._engaged = False
         self._interval_min = None
         self._interval_started = now
 

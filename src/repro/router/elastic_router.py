@@ -98,15 +98,12 @@ class ElasticRouter:
             [None] * num_ports
         # Round-robin arbitration pointer per output port.
         self._rr: List[int] = [0] * num_ports
-        # Clock state machine (macro-event form of the old Store-parked
-        # clock process; see _kick for the state/draw correspondence).
+        # True while a _tick is scheduled: the clock runs only while
+        # flits are pending or buffered.
         self._running = False
-        self._parked = False
-        self._stored = False
         # Running flit count across all input buffers, so _step need not
         # re-sum every queue per cycle.
         self._occupancy = 0
-        env.call_later(0.0, self._boot)
 
     # ------------------------------------------------------------------
     # Public API
@@ -156,70 +153,22 @@ class ElasticRouter:
         # The message object is reachable through the queued flits.
         return self._pending[src_port][-1][0].message
 
-    def buffer_occupancy(self, port: int) -> int:
-        """Flits currently buffered at ``port`` across all VCs."""
-        return sum(len(q) for q in self._buffers[port])
-
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    # The clock used to be a generator parked on a one-slot Store; every
-    # wake cost a Process resume plus two Store events.  It is now a
-    # macro-event state machine of chained Deferreds.  Determinism note:
-    # each transition schedules exactly as many queue entries, at the
-    # same instants, as the Store machine did — wakes collapse the old
-    # consecutive StorePut+StoreGet pair into one Deferred, and stashed
-    # kicks drop the StorePut entirely; both eliminations are no-op pops
-    # compensated in ``events_processed`` so seeded event counts stay
-    # bit-identical.
     def _kick(self) -> None:
-        if self._running or self._stored:
-            return
-        env = self.env
-        if self._parked:
-            # Wake the parked clock: one Deferred where the Store drew
-            # StorePut (no-op) + StoreGet (resume) back to back.
-            self._parked = False
-            env.events_processed += 1
-            env.call_later(0.0, self._wake)
-        else:
-            # Clock mid-boot, mid-wake, or bootstrap-running: the Store
-            # stashed the kick as an item (one no-op StorePut event) and
-            # replayed it as a spurious wake at the next park attempt.
-            self._stored = True
-            env.events_processed += 1
-
-    def _has_work(self) -> bool:
-        return any(self._pending) or self._occupancy > 0
-
-    def _boot(self) -> None:
-        """First scheduling decision (the old process bootstrap)."""
-        if self._has_work():
+        """Start the clock: the first cycle runs one cycle from now."""
+        if not self._running:
+            self._running = True
             self.env.call_later(self.cycle_time, self._tick)
-        elif self._stored:
-            self._stored = False
-            self.env.call_later(0.0, self._wake)
-        else:
-            self._parked = True
-
-    def _wake(self) -> None:
-        self._running = True
-        self.env.call_later(self.cycle_time, self._tick)
 
     def _tick(self) -> None:
+        """One router cycle; stop the clock once the router is idle."""
         self._step()
-        if self._has_work():
+        if self._occupancy or any(self._pending):
             self.env.call_later(self.cycle_time, self._tick)
-        elif self._stored:
-            # Replay a kick stashed while the clock was running: the old
-            # machine's get() found the stored item and span one more
-            # (idle) cycle before parking for real.
-            self._stored = False
-            self._running = False
-            self.env.call_later(0.0, self._wake)
         else:
             self._running = False
-            self._parked = True
 
     def _step(self) -> None:
         """One router cycle: buffer injections, then switch allocation."""

@@ -26,29 +26,23 @@ from .events import (
 )
 from .kernel import NORMAL, URGENT, EmptySchedule, Environment
 from .randomness import RandomStreams, percentile
-from .resources import Container, PriorityStore, Resource, Store
-from .trace import TraceRecord, Tracer
+from .resources import Resource
 from . import units
 
 __all__ = [
     "AllOf",
     "AnyOf",
-    "Container",
     "EmptySchedule",
     "Environment",
     "Event",
     "Interrupt",
     "NORMAL",
     "URGENT",
-    "PriorityStore",
     "Process",
     "RandomStreams",
     "Resource",
     "SimulationError",
-    "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "percentile",
     "units",
 ]

@@ -1,9 +1,10 @@
 """Event primitives for the discrete-event simulation kernel.
 
 The kernel (:mod:`repro.sim.kernel`) advances virtual time by popping the
-earliest scheduled :class:`Event` from its calendar queue and running its
-callbacks.  Processes — Python generators that ``yield`` events — are
-resumed whenever the event they are waiting on succeeds or fails.
+earliest scheduled :class:`Event` from its schedule (a head slot plus one
+binary heap) and running its callbacks.  Processes — Python generators
+that ``yield`` events — are resumed whenever the event they are waiting
+on succeeds or fails.
 
 The design intentionally mirrors a minimal SimPy: ``Environment.process``
 wraps a generator into a :class:`Process`, ``Environment.timeout`` creates a
@@ -17,7 +18,7 @@ implementation trades a little elegance for constant-factor speed:
 
 * every event class uses ``__slots__`` (no per-event ``__dict__``),
 * trigger paths call ``env._push(time, priority, event)`` — the kernel's
-  raw calendar-queue insert — instead of going through
+  raw schedule insert — instead of going through
   ``Environment.schedule``,
 * :class:`Deferred` is a two-slot pseudo-event carrying a bare callback for
   one-shot "run ``fn(*args)`` after ``delay``" work, so subsystems don't
@@ -274,7 +275,6 @@ class Process(Event):
         behavioral change here must be made there too.
         """
         env = self.env
-        env._active_process = self
         self._target = None
         try:
             if event._ok:
@@ -283,18 +283,15 @@ class Process(Event):
                 event._defused = True
                 result = self.generator.throw(event._value)
         except StopIteration as stop:
-            env._active_process = None
             self._ok = True
             self._value = stop.value
             env._push(env._now, NORMAL, self)
             return
         except BaseException as exc:
-            env._active_process = None
             self._ok = False
             self._value = exc
             env._push(env._now, NORMAL, self)
             return
-        env._active_process = None
 
         try:
             callbacks = result.callbacks

@@ -8,31 +8,22 @@ library; helpers for microseconds/nanoseconds live in
 
 Scheduler
 ---------
-The schedule is a *calendar queue* specialized for the dominant
-short-horizon timers (serialization delays, LTL retransmits, jitter),
-with three layers ordered cheapest-first:
+Every scheduled entry is a ``(time, priority, seq, event)`` tuple, and
+entries dispatch in exactly that tuple order: earliest time first,
+URGENT before NORMAL at the same instant, then FIFO by ``seq``.  The
+schedule has two parts:
 
-* a one-entry **head slot** holding the global minimum.  In chain-style
-  workloads (an event's handler schedules the very next event) pushes
-  and pops never touch a heap at all: arming the slot is one compare,
-  popping it is one load.
-* a dict of **calendar buckets** keyed by ``int(time / bucket_width)``
-  for entries due within ``horizon`` seconds.  Future buckets are plain
-  appended lists; a bucket is lazily ``heapify``-ed when it becomes the
-  *active* (earliest) bucket, so out-of-order inserts into a future
-  bucket cost one ``list.append``.  A small heap of bucket ids finds
-  the earliest non-empty bucket without scanning.
-* an **overflow heap** for entries beyond the horizon (reconnect
-  backoffs, coarse experiment phases).  Overflow entries never migrate;
-  extraction min-merges the active bucket head against the overflow
-  head.
+* a one-entry **head slot** holding an entry that sorts before
+  everything else queued.  In chain-style workloads (an event's handler
+  schedules the very next event) pushes and pops never touch the heap:
+  arming the slot is one compare, popping it is one load.
+* one binary **heap** (:mod:`heapq`) for everything else.
 
-Every entry is a ``(time, priority, seq, event)`` tuple and every layer
-orders entries by exactly that tuple, so FIFO determinism at equal
-timestamps is preserved no matter which layer an entry lands in —
-seeded runs are bit-identical to the historical single-``heapq``
-scheduler (``Environment(scheduler="heapq")`` keeps that fallback alive:
-it routes everything to the overflow heap).
+Determinism contract: a seeded run is bit-identical to itself — across
+repeated runs, across any split into bounded ``run(until=...)``
+windows, and across shards — and every EXPERIMENTS.md row holds within
+its tolerance.  ``tests/sim/test_scheduler_determinism.py`` checks the
+dispatch order against a plain-``heapq`` reference scheduler.
 
 Performance
 -----------
@@ -46,11 +37,6 @@ names bound locally, plus two dispatch fast paths:
   (the common ``while True: yield timeout(d)`` shape), the loop chains
   straight into the next resume without re-entering the generic
   dispatcher.
-
-The inlined loop is only used while ``step`` has not been replaced —
-:class:`~repro.sim.trace.Tracer` installs an instance-level ``step``
-wrapper, and subclasses may override it; both fall back to the
-semantically identical ``step()``-per-event loop.
 
 One-shot latency callbacks (apply delay *d*, then call ``fn``) should
 use :meth:`Environment.call_later` rather than spawning a process: a
@@ -107,59 +93,27 @@ class EmptySchedule(SimulationError):
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    The environment keeps a calendar queue of ``(time, priority, seq,
-    event)`` tuples (see the module docstring for the layer layout).
-    ``seq`` is a monotonically increasing tie-breaker so that events
-    scheduled at the same instant are processed in FIFO order, which
-    keeps runs deterministic.
-
-    ``bucket_width`` (seconds) sets the calendar resolution and
-    ``horizon`` (seconds) how far ahead of *now* an entry may land in a
-    bucket before spilling to the overflow heap.  ``scheduler="heapq"``
-    disables the calendar (every entry goes to the overflow heap) — a
-    pure binary-heap fallback used to cross-check determinism.
+    The schedule holds ``(time, priority, seq, event)`` tuples in a head
+    slot plus one binary heap (see the module docstring).  ``seq`` is a
+    monotonically increasing tie-breaker so that events scheduled at the
+    same instant are processed in FIFO order, which keeps runs
+    deterministic.
     """
 
-    def __init__(self, initial_time: float = 0.0, *,
-                 bucket_width: float = 4e-6,
-                 horizon: float = 512e-6,
-                 scheduler: str = "calendar"):
-        if scheduler not in ("calendar", "heapq"):
-            raise ValueError(f"unknown scheduler {scheduler!r}")
-        if bucket_width <= 0:
-            raise ValueError("bucket_width must be positive")
+    def __init__(self, initial_time: float = 0.0):
         self._now = float(initial_time)
         self._seq = 0
-        #: Head slot: the single earliest entry, or None.
+        #: Head slot: an entry that sorts before everything in the heap,
+        #: or None.
         self._head: Optional[Tuple] = None
-        #: Calendar buckets: bucket id -> list of entries.
-        self._cal: dict = {}
-        #: Heap of non-empty bucket ids.
-        self._cal_ids: list = []
-        #: Bucket id currently maintained as a heap (-1: none).
-        self._active_bid = -1
-        #: Binary heap for beyond-horizon (and pre-epoch) entries.
-        self._overflow: list = []
-        #: Entries in buckets + overflow (the head slot not included).
-        self._ssize = 0
-        #: Cached min entry of buckets + overflow (None: recompute).
-        self._smin: Optional[Tuple] = None
-        self.scheduler = scheduler
-        self.bucket_width = bucket_width
-        self._width_inv = 1.0 / bucket_width
-        # horizon < 0 makes every entry overflow: plain-heapq fallback.
-        self._horizon = -1.0 if scheduler == "heapq" else float(horizon)
+        #: Every other scheduled entry.
+        self._heap: list = []
         #: Identity token of the currently armed bounded-run sentinel
         #: (None outside a bounded run).  A sentinel left behind by a
         #: run that terminated with an exception no-ops on mismatch.
         self._stop_token: Optional[object] = None
-        self._active_process: Optional[Process] = None
-        #: Total events (including deferred callbacks) processed so far —
-        #: the numerator of every events/sec benchmark.  Macro-event
-        #: sites that collapse several formerly scheduled hops into one
-        #: callback add the subsumed count here so the metric (and the
-        #: seed-pinned Fig. 10 event count) stays comparable across
-        #: kernel generations.
+        #: Total events (including deferred callbacks) dispatched so far
+        #: — the numerator of every events/sec benchmark.
         self.events_processed: int = 0
 
     # ------------------------------------------------------------------
@@ -170,42 +124,17 @@ class Environment:
         """Current simulation time in seconds."""
         return self._now
 
-    @property
-    def active_process(self) -> Optional[Process]:
-        """The process currently being resumed (None between steps)."""
-        return self._active_process
-
     def __len__(self) -> int:
-        """Number of scheduled entries (all layers)."""
-        return self._ssize + (self._head is not None)
+        """Number of scheduled entries."""
+        return len(self._heap) + (self._head is not None)
 
     def peek(self) -> float:
         """Return the time of the next scheduled event, or ``inf``."""
         head = self._head
         if head is not None:
             return head[0]
-        if self._ssize:
-            smin = self._smin
-            if smin is None:
-                smin = self._structure_min()
-            return smin[0]
-        return _INF
-
-    def peek_entry(self) -> Optional[Tuple]:
-        """The next ``(time, priority, seq, event)`` entry, or None.
-
-        Read-only introspection for instruments (e.g. the kernel
-        :class:`~repro.sim.trace.Tracer`); does not consume the entry.
-        """
-        head = self._head
-        if head is not None:
-            return head
-        if self._ssize:
-            smin = self._smin
-            if smin is None:
-                smin = self._structure_min()
-            return smin
-        return None
+        heap = self._heap
+        return heap[0][0] if heap else _INF
 
     # ------------------------------------------------------------------
     # Event creation
@@ -227,21 +156,20 @@ class Environment:
         t._ok = True
         t._defused = False
         t.delay = delay
-        when = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        entry = (when, NORMAL, seq, t)
+        entry = (self._now + delay, NORMAL, seq, t)
         head = self._head
         if head is None:
-            if self._ssize == 0 or \
-                    entry < (self._smin or self._structure_min()):
+            heap = self._heap
+            if not heap or entry < heap[0]:
                 self._head = entry
                 return t
         elif entry < head:
-            self._insert(head)
+            heappush(self._heap, head)
             self._head = entry
             return t
-        self._insert(entry)
+        heappush(self._heap, entry)
         return t
 
     def process(self, generator: ProcessGenerator,
@@ -260,140 +188,38 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push(self, when: float, priority: int, event: Any) -> None:
-        """Schedule ``event`` at absolute time ``when`` (no validation)."""
+    def _push(self, when: float, priority: int, event: Any) -> Tuple:
+        """Schedule ``event`` at absolute time ``when`` (no validation);
+        return its schedule entry."""
         seq = self._seq
         self._seq = seq + 1
         entry = (when, priority, seq, event)
         head = self._head
         if head is None:
             # Arm the head slot only when the new entry provably beats
-            # everything queued, so `head <= structure min` stays true.
-            if self._ssize == 0 or \
-                    entry < (self._smin or self._structure_min()):
+            # everything queued, so `head <= heap min` stays true.
+            heap = self._heap
+            if not heap or entry < heap[0]:
                 self._head = entry
-                return
+                return entry
         elif entry < head:
-            self._insert(head)
+            heappush(self._heap, head)
             self._head = entry
-            return
-        self._insert(entry)
-
-    def _insert(self, entry: Tuple) -> None:
-        """Place ``entry`` in a calendar bucket or the overflow heap."""
-        self._ssize += 1
-        smin = self._smin
-        if smin is not None and entry < smin:
-            self._smin = entry
-        when = entry[0]
-        if when - self._now > self._horizon or when < 0.0:
-            heappush(self._overflow, entry)
-            return
-        bid = int(when * self._width_inv)
-        bucket = self._cal.get(bid)
-        if bucket is None:
-            self._cal[bid] = [entry]
-            heappush(self._cal_ids, bid)
-        elif bid == self._active_bid:
-            heappush(bucket, entry)
-        else:
-            bucket.append(entry)
-
-    def _structure_min(self) -> Optional[Tuple]:
-        """Compute and cache the min entry of buckets + overflow."""
-        cand = None
-        cal_ids = self._cal_ids
-        cal = self._cal
-        while cal_ids:
-            bid = cal_ids[0]
-            bucket = cal.get(bid)
-            if not bucket:
-                heappop(cal_ids)
-                cal.pop(bid, None)
-                continue
-            if bid != self._active_bid:
-                # Earliest bucket changed (possibly backwards: a new
-                # near-term entry may land before a bucket that was
-                # already activated).  Re-heapify: appends since the
-                # last activation may have broken the heap invariant.
-                heapify(bucket)
-                self._active_bid = bid
-            cand = bucket[0]
-            break
-        overflow = self._overflow
-        if overflow:
-            other = overflow[0]
-            if cand is None or other < cand:
-                cand = other
-        self._smin = cand
-        return cand
-
-    def _extract(self) -> Tuple:
-        """Pop the min entry of buckets + overflow (``_ssize`` > 0)."""
-        cand = None
-        bid = -1
-        bucket = None
-        cal_ids = self._cal_ids
-        cal = self._cal
-        while cal_ids:
-            bid = cal_ids[0]
-            bucket = cal.get(bid)
-            if not bucket:
-                heappop(cal_ids)
-                cal.pop(bid, None)
-                continue
-            if bid != self._active_bid:
-                heapify(bucket)
-                self._active_bid = bid
-            cand = bucket[0]
-            break
-        overflow = self._overflow
-        if overflow and (cand is None or overflow[0] < cand):
-            entry = heappop(overflow)
-        else:
-            entry = heappop(bucket)
-            if not bucket:
-                heappop(cal_ids)
-                del cal[bid]
-                self._active_bid = -1
-        self._ssize -= 1
-        self._smin = None
+            return entry
+        heappush(self._heap, entry)
         return entry
 
     def _remove_entry(self, entry: Tuple) -> None:
-        """Remove a specific scheduled ``entry`` from whichever layer
-        holds it (the entry is known to be queued).
+        """Remove a specific queued ``entry``.
 
-        ``seq`` values are unique, so tuple equality implies identity.
-        Only the bounded-run sentinel cleanup uses this — it is O(bucket)
-        and never on the hot path.
+        Only the bounded-run sentinel cleanup uses this — it is O(n) and
+        never on the hot path.
         """
         if self._head is entry:
             self._head = None
             return
-        when = entry[0]
-        bid = int(when * self._width_inv)
-        bucket = self._cal.get(bid)
-        if bucket is not None:
-            try:
-                bucket.remove(entry)
-            except ValueError:
-                bucket = None  # not in its natural bucket: overflow
-            else:
-                if not bucket:
-                    del self._cal[bid]
-                    # A stale id may linger in _cal_ids; _extract and
-                    # _structure_min skip ids with missing buckets.
-                # list.remove broke the heap invariant if this bucket
-                # was the active (heapified) one; force a re-heapify on
-                # next access.
-                if self._active_bid == bid:
-                    self._active_bid = -1
-        if bucket is None:
-            self._overflow.remove(entry)
-            heapify(self._overflow)
-        self._ssize -= 1
-        self._smin = None
+        self._heap.remove(entry)
+        heapify(self._heap)
 
     def schedule(self, event: Event, priority: int = NORMAL,
                  delay: float = 0.0) -> None:
@@ -407,26 +233,25 @@ class Environment:
         The fast path for one-shot latency modeling: one slotted
         schedule entry, no :class:`Event` machinery, nothing to wait on.
         Use a process (or ``timeout``) when something must be able to
-        wait on the result.  (``_push`` is inlined: with macro-events
-        this is the kernel's most-trafficked insert path.)
+        wait on the result.  (``_push`` is inlined: this is the kernel's
+        most-trafficked insert path.)
         """
         if delay < 0:
             raise ValueError(f"negative call_later delay: {delay}")
-        when = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        entry = (when, NORMAL, seq, Deferred(fn, args))
+        entry = (self._now + delay, NORMAL, seq, Deferred(fn, args))
         head = self._head
         if head is None:
-            if self._ssize == 0 or \
-                    entry < (self._smin or self._structure_min()):
+            heap = self._heap
+            if not heap or entry < heap[0]:
                 self._head = entry
                 return
         elif entry < head:
-            self._insert(head)
+            heappush(self._heap, head)
             self._head = entry
             return
-        self._insert(entry)
+        heappush(self._heap, entry)
 
     def call_at(self, when: float, fn: Callable[..., None],
                 *args: Any) -> None:
@@ -444,8 +269,8 @@ class Environment:
         entry = self._head
         if entry is not None:
             self._head = None
-        elif self._ssize:
-            entry = self._extract()
+        elif self._heap:
+            entry = heappop(self._heap)
         else:
             raise EmptySchedule("no scheduled events remain")
         when = entry[0]
@@ -472,111 +297,50 @@ class Environment:
         return its value).
         """
         if until is None:
-            stop_event = None
             stop_time = _INF
         elif isinstance(until, Event):
-            stop_event = until
-            stop_time = _INF
-            if stop_event.callbacks is None:
-                # Already processed.
-                if stop_event._ok:
-                    return stop_event._value
-                # Re-raising counts as handling: defuse so teardown (or a
-                # later run) doesn't surface the same failure twice.
-                stop_event._defused = True
-                raise stop_event._value
+            return self._run_until_event(until)
         else:
-            stop_event = None
             stop_time = float(until)
             if stop_time < self._now:
                 raise ValueError(
                     f"until ({stop_time}) is in the past (now={self._now})")
 
-        if stop_event is not None:
-            done = []
-
-            def _mark(ev: Event) -> None:
-                done.append(ev)
-
-            stop_event.callbacks.append(_mark)
-            while not done:
-                try:
-                    self.step()
-                except EmptySchedule:
-                    raise SimulationError(
-                        "simulation ended before the awaited event triggered"
-                    ) from None
-            if stop_event._ok:
-                return stop_event._value
-            stop_event._defused = True
-            raise stop_event._value
-
-        # Fallback: step() has been wrapped (Tracer assigns an instance
-        # attribute) or overridden by a subclass — run it per event.
-        # The probe reads ``self.step`` rather than ``self.__dict__``:
-        # merely touching ``__dict__`` materializes the managed dict on
-        # CPython 3.11+, permanently de-specializing every attribute
-        # access on this instance (measured: -35% run() throughput).
-        if getattr(self.step, "__func__", None) is not Environment.step:
-            while (self._head is not None or self._ssize) and \
-                    self.peek() <= stop_time:
-                self.step()
-            if stop_time != _INF:
-                self._now = stop_time
-            return None
-
-        # Tight loop: inline step() with all hot names bound locally.
-        extract = self._extract
+        heap = self._heap
         push = self._push
         # Processed-event count via sequence accounting: every seq
         # draw enters the schedule exactly once, so pops = draws
         # minus the change in queued entries.  Saves an interpreted
         # increment per event in the hottest loop of the repo.
         seq0 = self._seq
-        size0 = self._ssize + (self._head is not None)
+        size0 = len(heap) + (self._head is not None)
         sentinel: Optional[Tuple] = None
         if stop_time != _INF:
             # Bounded run.  Comparing ``entry[0] > stop_time`` on every
-            # pop costs ~40% of loop throughput (measured: 1.25M vs
-            # 2.0M events/s on the timer chain benchmark), so instead a
-            # sentinel is scheduled *at* the stop time with a priority
-            # that sorts after every simulation event due at that
-            # instant; dispatching it raises :class:`_StopRun`, ending
-            # the run.  The head-slot invariant (head <= structure min)
-            # guarantees the chain fast path below can never overtake
-            # the sentinel.  The entry tuple is kept so a run that
-            # terminates with an exception can remove its own sentinel
-            # in the ``finally`` below — left behind, it would be a
-            # phantom schedule entry (``len``/``peek`` would report a
+            # pop costs ~40% of loop throughput, so instead a sentinel is
+            # scheduled *at* the stop time with a priority that sorts
+            # after every simulation event due at that instant;
+            # dispatching it raises :class:`_StopRun`, ending the run.
+            # The head-slot invariant (head <= heap min) guarantees the
+            # chain fast path below can never overtake the sentinel.  A
+            # run that terminates with an exception removes its own
+            # sentinel in the ``finally`` below — left behind, it would
+            # be a phantom entry (``len``/``peek`` would report a
             # nonexistent event at ``stop_time``) that the next bounded
             # run would pop and miscount.  The identity token
             # additionally keeps any stale sentinel from stopping a
             # later run.
             token = self._stop_token = object()
-            seq = self._seq
-            self._seq = seq + 1
-            sentinel = (stop_time, _LAST, seq,
-                        Deferred(self._raise_stop, (token,)))
-            head = self._head
-            if head is None:
-                if self._ssize == 0 or \
-                        sentinel < (self._smin or self._structure_min()):
-                    self._head = sentinel
-                else:
-                    self._insert(sentinel)
-            elif sentinel < head:
-                self._insert(head)
-                self._head = sentinel
-            else:
-                self._insert(sentinel)
+            sentinel = push(stop_time, _LAST,
+                            Deferred(self._raise_stop, (token,)))
         consumed = False
         try:
             while True:
                 entry = self._head
                 if entry is not None:
                     self._head = None
-                elif self._ssize:
-                    entry = extract()
+                elif heap:
+                    entry = heappop(heap)
                 else:
                     break
                 self._now = entry[0]
@@ -594,7 +358,6 @@ class Environment:
                     # dispatch, and the inline saves a bound-method
                     # allocation plus a frame per event.
                     while True:
-                        self._active_process = proc
                         proc._target = None
                         try:
                             if event._ok:
@@ -604,18 +367,15 @@ class Environment:
                                 result = proc.generator.throw(
                                     event._value)
                         except StopIteration as stop:
-                            self._active_process = None
                             proc._ok = True
                             proc._value = stop.value
                             push(self._now, NORMAL, proc)
                             break
                         except BaseException as exc:
-                            self._active_process = None
                             proc._ok = False
                             proc._value = exc
                             push(self._now, NORMAL, proc)
                             break
-                        self._active_process = None
                         try:
                             rcb = result.callbacks
                         except AttributeError:
@@ -662,10 +422,30 @@ class Environment:
                 # (whether it was dispatched or surgically removed).
                 seq0 += 1
             self.events_processed += (self._seq - seq0) - (
-                self._ssize + (self._head is not None) - size0)
+                len(heap) + (self._head is not None) - size0)
         if stop_time != _INF:
             self._now = stop_time
         return None
+
+    def _run_until_event(self, stop_event: Event) -> Any:
+        """``run(until=event)``: step until ``stop_event`` is processed,
+        then return its value (or raise its failure)."""
+        if stop_event.callbacks is not None:
+            done = []
+            stop_event.callbacks.append(done.append)
+            while not done:
+                try:
+                    self.step()
+                except EmptySchedule:
+                    raise SimulationError(
+                        "simulation ended before the awaited event triggered"
+                    ) from None
+        if stop_event._ok:
+            return stop_event._value
+        # Re-raising counts as handling: defuse so teardown (or a later
+        # run) doesn't surface the same failure twice.
+        stop_event._defused = True
+        raise stop_event._value
 
     def _raise_stop(self, token: object) -> None:
         """Dispatch target of the bounded-run stop sentinel."""

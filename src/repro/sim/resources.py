@@ -1,124 +1,18 @@
 """Shared resources for simulation processes.
 
-* :class:`Store` — an unbounded/bounded FIFO of items; ``put``/``get`` return
-  events a process can yield on.
-* :class:`PriorityStore` — a Store whose ``get`` returns the smallest item.
-* :class:`Resource` — counted resource with FIFO request queue (models a CPU
-  core pool, an FPGA role slot, a DMA channel, ...).
-* :class:`Container` — continuous quantity (credits, bytes of buffer).
+:class:`Resource` is a counted resource with a FIFO request queue (models
+a CPU core pool, an FPGA role slot, a DMA channel, ...).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
-from typing import Any, Deque, List, Optional, TYPE_CHECKING
+from typing import Any, Deque, List, TYPE_CHECKING
 
-from .events import Event, SimulationError
+from .events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Environment
-
-
-class StorePut(Event):
-    """Pending ``put`` into a :class:`Store`; succeeds when space exists."""
-
-    __slots__ = ("item",)
-
-    def __init__(self, env: "Environment", item: Any):
-        super().__init__(env)
-        self.item = item
-
-
-class StoreGet(Event):
-    """Pending ``get`` from a :class:`Store`; succeeds with the item."""
-    __slots__ = ()
-
-
-class Store:
-    """FIFO item store with optional capacity.
-
-    ``put(item)`` and ``get()`` both return events.  A ``put`` on a full
-    store blocks until a ``get`` frees a slot; a ``get`` on an empty store
-    blocks until an item arrives.
-    """
-
-    def __init__(self, env: "Environment",
-                 capacity: float = float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self.capacity = capacity
-        self.items: Deque[Any] = deque()
-        self._put_waiters: Deque[StorePut] = deque()
-        self._get_waiters: Deque[StoreGet] = deque()
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.items) >= self.capacity
-
-    def put(self, item: Any) -> StorePut:
-        """Queue ``item``; returns an event that succeeds on acceptance."""
-        event = StorePut(self.env, item)
-        self._put_waiters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self) -> StoreGet:
-        """Request an item; returns an event succeeding with the item."""
-        event = StoreGet(self.env)
-        self._get_waiters.append(event)
-        self._dispatch()
-        return event
-
-    def try_get(self) -> Optional[Any]:
-        """Non-blocking get: pop an item immediately or return None."""
-        if not self.items:
-            return None
-        item = self._pop_item()
-        self._dispatch()
-        return item
-
-    # -- internals -----------------------------------------------------
-    def _store_item(self, item: Any) -> None:
-        self.items.append(item)
-
-    def _pop_item(self) -> Any:
-        return self.items.popleft()
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            # Admit puts while there is capacity.
-            while self._put_waiters and len(self.items) < self.capacity:
-                put = self._put_waiters.popleft()
-                self._store_item(put.item)
-                put.succeed()
-                progress = True
-            # Satisfy gets while items exist.
-            while self._get_waiters and self.items:
-                get = self._get_waiters.popleft()
-                get.succeed(self._pop_item())
-                progress = True
-
-
-class PriorityStore(Store):
-    """A store whose ``get`` always yields the smallest item (heap order)."""
-
-    def __init__(self, env: "Environment",
-                 capacity: float = float("inf")):
-        super().__init__(env, capacity)
-        self.items: List[Any] = []  # type: ignore[assignment]
-
-    def _store_item(self, item: Any) -> None:
-        heapq.heappush(self.items, item)
-
-    def _pop_item(self) -> Any:
-        return heapq.heappop(self.items)
 
 
 class ResourceRequest(Event):
@@ -190,81 +84,3 @@ class Resource:
             request = self.queue.popleft()
             self.users.append(request)
             request.succeed()
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: "Environment", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(env)
-        self.amount = amount
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount",)
-
-    def __init__(self, env: "Environment", amount: float):
-        if amount <= 0:
-            raise ValueError("amount must be positive")
-        super().__init__(env)
-        self.amount = amount
-
-
-class Container:
-    """A continuous quantity with blocking put/get.
-
-    Used for credit pools and byte-counted buffers.  ``get(n)`` blocks until
-    at least ``n`` units are present; ``put(n)`` blocks until the level would
-    not exceed capacity.
-    """
-
-    def __init__(self, env: "Environment", capacity: float = float("inf"),
-                 init: float = 0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self.capacity = capacity
-        self._level = float(init)
-        self._put_waiters: Deque[ContainerPut] = deque()
-        self._get_waiters: Deque[ContainerGet] = deque()
-
-    @property
-    def level(self) -> float:
-        return self._level
-
-    def put(self, amount: float) -> ContainerPut:
-        event = ContainerPut(self.env, amount)
-        if amount > self.capacity:
-            event.fail(SimulationError(
-                f"put of {amount} exceeds container capacity {self.capacity}"))
-            return event
-        self._put_waiters.append(event)
-        self._dispatch()
-        return event
-
-    def get(self, amount: float) -> ContainerGet:
-        event = ContainerGet(self.env, amount)
-        self._get_waiters.append(event)
-        self._dispatch()
-        return event
-
-    def _dispatch(self) -> None:
-        progress = True
-        while progress:
-            progress = False
-            if self._put_waiters and \
-                    self._level + self._put_waiters[0].amount <= self.capacity:
-                put = self._put_waiters.popleft()
-                self._level += put.amount
-                put.succeed()
-                progress = True
-            if self._get_waiters and \
-                    self._get_waiters[0].amount <= self._level:
-                get = self._get_waiters.popleft()
-                self._level -= get.amount
-                get.succeed(get.amount)
-                progress = True

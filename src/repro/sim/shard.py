@@ -1,11 +1,11 @@
 """Sharded multi-process simulation (conservative time windows).
 
 Runs one logical datacenter simulation as N shard processes, each owning
-a disjoint set of racks (TORs) with its own :class:`Environment`,
-calendar-queue schedule and SHA-256-derived child RNG streams.  Shards
-synchronize with a conservative window protocol: every shard simulates
-the same time window, then all exchange the boundary frames produced in
-it, then the next window starts.
+a disjoint set of racks (TORs) with its own :class:`Environment` and
+SHA-256-derived child RNG streams.  Shards synchronize with a
+conservative window protocol: every shard simulates the same time
+window, then all exchange the boundary frames produced in it, then the
+next window starts.
 
 **Partitioning.** Hosts are partitioned by TOR: all hosts under one TOR
 land in the same shard, so same-rack traffic never crosses a shard seam

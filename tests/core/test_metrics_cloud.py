@@ -198,8 +198,8 @@ class TestThroughputMeterWindow:
 def test_cloud_uses_caller_supplied_env():
     """Environment defines __len__, so an empty env is falsy — the cloud
     must None-check rather than `env or ...`, which silently discarded
-    a caller's env (and with it any scheduler/backend choice)."""
+    a caller's env."""
     from repro.sim import Environment
-    env = Environment(scheduler="heapq")
+    env = Environment()
     cloud = ConfigurableCloud(env=env, seed=3)
     assert cloud.env is env

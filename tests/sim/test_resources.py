@@ -1,113 +1,8 @@
-"""Tests for Store, PriorityStore, Resource and Container."""
+"""Tests for Resource."""
 
 import pytest
 
-from repro.sim import Container, Environment, PriorityStore, Resource, Store
-
-
-class TestStore:
-    def test_put_then_get(self):
-        env = Environment()
-        store = Store(env)
-        results = []
-
-        def consumer(env):
-            item = yield store.get()
-            results.append(item)
-
-        env.process(consumer(env))
-        store.put("x")
-        env.run()
-        assert results == ["x"]
-
-    def test_fifo_order(self):
-        env = Environment()
-        store = Store(env)
-        for item in (1, 2, 3):
-            store.put(item)
-        got = []
-
-        def consumer(env):
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [1, 2, 3]
-
-    def test_get_blocks_until_put(self):
-        env = Environment()
-        store = Store(env)
-        got = []
-
-        def consumer(env):
-            item = yield store.get()
-            got.append((env.now, item))
-
-        def producer(env):
-            yield env.timeout(3.0)
-            yield store.put("late")
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [(3.0, "late")]
-
-    def test_capacity_blocks_put(self):
-        env = Environment()
-        store = Store(env, capacity=1)
-        events = []
-
-        def producer(env):
-            yield store.put("a")
-            events.append(("a-in", env.now))
-            yield store.put("b")
-            events.append(("b-in", env.now))
-
-        def consumer(env):
-            yield env.timeout(2.0)
-            yield store.get()
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert events == [("a-in", 0.0), ("b-in", 2.0)]
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            Store(Environment(), capacity=0)
-
-    def test_try_get_nonblocking(self):
-        env = Environment()
-        store = Store(env)
-        assert store.try_get() is None
-        store.put("item")
-        env.run()
-        assert store.try_get() == "item"
-
-    def test_len(self):
-        env = Environment()
-        store = Store(env)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-
-
-class TestPriorityStore:
-    def test_returns_smallest_first(self):
-        env = Environment()
-        store = PriorityStore(env)
-        for item in (3, 1, 2):
-            store.put(item)
-        got = []
-
-        def consumer(env):
-            for _ in range(3):
-                got.append((yield store.get()))
-
-        env.process(consumer(env))
-        env.run()
-        assert got == [1, 2, 3]
+from repro.sim import Environment, Resource
 
 
 class TestResource:
@@ -177,61 +72,3 @@ class TestResource:
         env.process(holder(env))
         env.run(until=1.0)
         assert resource.count == 2
-
-
-class TestContainer:
-    def test_get_blocks_until_level(self):
-        env = Environment()
-        container = Container(env, capacity=100, init=0)
-        got = []
-
-        def consumer(env):
-            yield container.get(10)
-            got.append(env.now)
-
-        def producer(env):
-            yield env.timeout(5.0)
-            yield container.put(10)
-
-        env.process(consumer(env))
-        env.process(producer(env))
-        env.run()
-        assert got == [5.0]
-        assert container.level == 0
-
-    def test_put_blocks_at_capacity(self):
-        env = Environment()
-        container = Container(env, capacity=10, init=10)
-        times = []
-
-        def producer(env):
-            yield container.put(5)
-            times.append(env.now)
-
-        def consumer(env):
-            yield env.timeout(2.0)
-            yield container.get(5)
-
-        env.process(producer(env))
-        env.process(consumer(env))
-        env.run()
-        assert times == [2.0]
-
-    def test_oversized_put_fails(self):
-        env = Environment()
-        container = Container(env, capacity=5)
-        event = container.put(10)
-        assert event.triggered and not event.ok
-        event._defused = True
-
-    def test_invalid_amounts(self):
-        env = Environment()
-        container = Container(env, capacity=5)
-        with pytest.raises(ValueError):
-            container.put(0)
-        with pytest.raises(ValueError):
-            container.get(-1)
-
-    def test_init_bounds(self):
-        with pytest.raises(ValueError):
-            Container(Environment(), capacity=5, init=6)

@@ -1,19 +1,21 @@
-"""Determinism guarantees of the calendar-queue scheduler.
+"""Determinism guarantees of the kernel scheduler.
 
-The kernel orders every entry by ``(time, priority, seq)`` no matter
-which layer (head slot, calendar bucket, overflow heap) it lands in.
-These tests pin the observable contract: same-instant FIFO, URGENT
-before NORMAL, ``call_at``/``call_later`` interleaving, and — the
-integration-level check — a bit-identical Fig. 10 digest whether the
-calendar queue or the pure-heapq fallback runs the simulation.
+The kernel orders every entry by ``(time, priority, seq)`` whether it
+sits in the head slot or the heap.  The fixed tests pin the observable
+contract: same-instant FIFO, URGENT before NORMAL, ``call_at`` /
+``call_later`` interleaving.  The differential test runs random programs
+on :class:`~repro.sim.Environment` and on a plain-``heapq`` reference
+scheduler (:mod:`tests.sim.reference_scheduler`) and requires the same
+dispatch order, clock, queue length and event count after every window.
 """
 
-import hashlib
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.cloud import ConfigurableCloud
-from repro.experiments.fig10 import DEFAULT_TIER_PAIRS
 from repro.sim import Environment
 from repro.sim.events import NORMAL, URGENT, Event
+
+from .reference_scheduler import ReferenceScheduler
 
 
 class TestSameInstantFifo:
@@ -27,32 +29,24 @@ class TestSameInstantFifo:
 
     def test_fifo_across_layers(self):
         """FIFO holds even when same-instant entries straddle the head
-        slot, a calendar bucket and the overflow heap."""
-        env = Environment(bucket_width=4e-6, horizon=512e-6)
+        slot and the heap."""
+        env = Environment()
         order = []
-        when = 1e-3  # beyond the horizon: first entries overflow
+        when = 1e-3
         for i in range(10):
             env.call_at(when, order.append, i)
-        # Drag *now* forward so the same instant is now bucketable and
-        # later entries take the calendar/head path instead.
+        # An earlier entry takes the head slot and pushes the first
+        # same-instant entry into the heap.
         env.call_later(when / 2, lambda: None)
         for i in range(10, 20):
             env.call_at(when, order.append, i)
         env.run()
         assert order == list(range(20))
 
-    def test_fifo_under_heapq_fallback(self):
-        env = Environment(scheduler="heapq")
-        order = []
-        for i in range(50):
-            env.call_later(1e-6, order.append, i)
-        env.run()
-        assert order == list(range(50))
-
 
 class TestPriorities:
-    def _run_with_priorities(self, **env_kwargs):
-        env = Environment(**env_kwargs)
+    def test_urgent_before_normal_same_instant(self):
+        env = Environment()
         order = []
 
         def make(tag):
@@ -68,72 +62,232 @@ class TestPriorities:
         env.schedule(make("normal-1"), NORMAL, delay=1e-6)
         env.schedule(make("urgent-1"), URGENT, delay=1e-6)
         env.run()
-        return order
-
-    def test_urgent_before_normal_same_instant(self):
-        assert self._run_with_priorities() == [
-            "urgent-0", "urgent-1", "normal-0", "normal-1"]
-
-    def test_urgent_before_normal_heapq(self):
-        assert self._run_with_priorities(scheduler="heapq") == [
-            "urgent-0", "urgent-1", "normal-0", "normal-1"]
+        assert order == ["urgent-0", "urgent-1", "normal-0", "normal-1"]
 
 
 class TestCallAtCallLaterInterleaving:
-    def _interleave(self, **env_kwargs):
-        env = Environment(**env_kwargs)
+    def test_interleaved_global_order(self):
+        env = Environment()
         order = []
         # Mixed absolute/relative scheduling landing on shared instants,
-        # inserted out of time order, spanning bucket and overflow ranges.
+        # inserted out of time order.
         env.call_at(3e-6, order.append, "at-3us")
         env.call_later(1e-6, order.append, "later-1us")
         env.call_at(1e-6, order.append, "at-1us")       # ties later-1us
         env.call_later(3e-6, order.append, "later-3us")  # ties at-3us
-        env.call_at(2e-3, order.append, "at-2ms")        # overflow range
+        env.call_at(2e-3, order.append, "at-2ms")
         env.call_later(0.0, order.append, "later-0")
         env.call_later(2e-3, order.append, "later-2ms")  # ties at-2ms
         env.run()
-        return order
-
-    def test_interleaved_global_order(self):
-        expected = ["later-0", "later-1us", "at-1us", "at-3us",
-                    "later-3us", "at-2ms", "later-2ms"]
-        assert self._interleave() == expected
-        assert self._interleave(scheduler="heapq") == expected
-
-    def test_calendar_matches_heapq_on_dense_schedule(self):
-        def run(scheduler):
-            env = Environment(scheduler=scheduler)
-            order = []
-            # Deterministic pseudo-random delays via integer hashing —
-            # dense ties plus a spread wider than the calendar horizon.
-            for i in range(400):
-                delay = ((i * 2654435761) % 1024) * 1e-6
-                env.call_later(delay, order.append, (i, round(delay, 9)))
-            env.run()
-            return order
-
-        assert run("calendar") == run("heapq")
+        assert order == ["later-0", "later-1us", "at-1us", "at-3us",
+                         "later-3us", "at-2ms", "later-2ms"]
 
 
-class TestFig10Digest:
-    @staticmethod
-    def _digest(scheduler):
-        env = Environment(scheduler=scheduler)
-        cloud = ConfigurableCloud(env=env, seed=10)
-        samples = []
-        for _tier, (_reach, pairs) in DEFAULT_TIER_PAIRS.items():
-            for src, dst in pairs:
-                for host in (src, dst):
-                    if host not in cloud.servers:
-                        cloud.add_server(host, enroll=False)
-                samples.extend(
-                    cloud.measure_ltl_rtt(src, dst, messages=8))
-        payload = repr((samples, env.events_processed, env.now))
-        return hashlib.sha256(payload.encode()).hexdigest()
+# ----------------------------------------------------------------------
+# Differential test against the reference scheduler
+# ----------------------------------------------------------------------
+#: Exactly representable tick: sums of DT never drift, so equal delays
+#: produce exact ties.
+DT = 2.0 ** -20
 
-    def test_fig10_bit_identical_calendar_vs_heapq(self):
-        """The paper-headline workload must not care which scheduler
-        backend ran it: every RTT sample, the event count and the final
-        clock must agree to the bit."""
-        assert self._digest("calendar") == self._digest("heapq")
+
+class Bomb(Exception):
+    """Raised by a program's bomb to abort the window it fires in."""
+
+
+class _Node:
+    """One scheduled action of a random program."""
+
+    def __init__(self, ident, kind, delays, children):
+        self.ident = ident
+        self.kind = kind        # later | urgent | timeout | proc
+        self.delays = delays    # proc: one delay per step, else one
+        self.children = children
+
+
+_KINDS = st.sampled_from(["later", "urgent", "timeout", "proc"])
+_DELAYS = st.lists(st.integers(0, 3), min_size=1, max_size=4)
+_TREES = st.recursive(
+    st.tuples(_KINDS, _DELAYS, st.just(())),
+    lambda kids: st.tuples(_KINDS, _DELAYS,
+                           st.lists(kids, max_size=3).map(tuple)),
+    max_leaves=16)
+
+
+def _build(tree, counter):
+    kind, delays, children = tree
+    ident = next(counter)
+    if kind != "proc":
+        delays = delays[:1]
+    return _Node(ident, kind, [d * DT for d in delays],
+                 [_build(child, counter) for child in children])
+
+
+class _EnvDriver:
+    """Interprets a program on the kernel."""
+
+    def __init__(self, log):
+        self.env = self.sched = Environment()
+        self.log = log
+
+    def dispatched(self):
+        return self.env.events_processed
+
+    def fire(self, node):
+        self.log.append((self.env.now, node.ident))
+        for child in node.children:
+            self.start(child)
+
+    def start(self, node):
+        env = self.env
+        if node.kind == "later":
+            env.call_later(node.delays[0], self.fire, node)
+        elif node.kind == "urgent":
+            event = Event(env)
+            event._ok = True
+            event._value = None
+            event.callbacks.append(lambda _e: self.fire(node))
+            env.schedule(event, URGENT, delay=node.delays[0])
+        elif node.kind == "timeout":
+            env.timeout(node.delays[0]).callbacks.append(
+                lambda _e: self.fire(node))
+        else:
+            proc = env.process(self._steps(node))
+            proc.callbacks.append(
+                lambda _e: self.log.append((env.now, node.ident, "done")))
+
+    def _steps(self, node):
+        env = self.env
+        self.log.append((env.now, node.ident, 0))
+        for step, delay in enumerate(node.delays, 1):
+            yield env.timeout(delay)
+            self.log.append((env.now, node.ident, step))
+        for child in node.children:
+            self.start(child)
+
+    def bomb(self, in_process, delay):
+        env = self.env
+
+        def explode():
+            raise Bomb()
+
+        def failing(env):
+            yield env.timeout(delay)
+            raise Bomb()
+
+        if in_process:
+            proc = env.process(failing(env))
+            proc.callbacks.append(
+                lambda _e: self.log.append((env.now, "bomb", "done")))
+        else:
+            env.call_later(delay, explode)
+
+
+class _RefDriver:
+    """Interprets the same program on the reference scheduler, drawing
+    one entry wherever the kernel draws one: a process is its bootstrap,
+    one entry per timeout, and its termination event."""
+
+    def __init__(self, log):
+        self.ref = self.sched = ReferenceScheduler()
+        self.log = log
+
+    def dispatched(self):
+        return self.ref.dispatched
+
+    def fire(self, node):
+        self.log.append((self.ref.now, node.ident))
+        for child in node.children:
+            self.start(child)
+
+    def start(self, node):
+        ref = self.ref
+        if node.kind == "proc":
+            ref.push(0.0, self._step, node, 0)
+        else:
+            priority = URGENT if node.kind == "urgent" else NORMAL
+            ref.push(node.delays[0], self.fire, node, priority=priority)
+
+    def _step(self, node, step):
+        ref = self.ref
+        self.log.append((ref.now, node.ident, step))
+        if step < len(node.delays):
+            ref.push(node.delays[step], self._step, node, step + 1)
+            return
+        for child in node.children:
+            self.start(child)
+        ref.push(0.0, lambda: self.log.append(
+            (ref.now, node.ident, "done")))
+
+    def bomb(self, in_process, delay):
+        ref = self.ref
+
+        def explode():
+            raise Bomb()
+
+        # The failing process: bootstrap, one timeout, then its failed
+        # termination event, which runs its callback and raises.
+        def boot():
+            ref.push(delay, resume)
+
+        def resume():
+            ref.push(0.0, fail)
+
+        def fail():
+            self.log.append((ref.now, "bomb", "done"))
+            raise Bomb()
+
+        if in_process:
+            ref.push(0.0, boot)
+        else:
+            ref.push(delay, explode)
+
+
+def _execute(driver, roots, bomb, windows):
+    """Start the program, run each window, then drain (twice, in case
+    the bomb aborts the first drain); return the observable state after
+    every run call."""
+    position, in_process, delay = bomb
+    position = min(position, len(roots))
+    for node in roots[:position]:
+        driver.start(node)
+    driver.bomb(in_process, delay * DT)
+    for node in roots[position:]:
+        driver.start(node)
+    sched = driver.sched
+    states = []
+    for until in windows + [None, None]:
+        try:
+            if until is None:
+                sched.run()
+            else:
+                sched.run(until=until)
+            outcome = "ok"
+        except Bomb:
+            outcome = "bomb"
+        states.append((outcome, sched.now, len(sched), sched.peek(),
+                       driver.dispatched()))
+    return states
+
+
+@given(trees=st.lists(_TREES, min_size=1, max_size=6),
+       bomb=st.tuples(st.integers(0, 5), st.booleans(), st.integers(0, 12)),
+       windows=st.lists(st.integers(0, 14), max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_dispatch_order_matches_reference(trees, bomb, windows):
+    """Random programs — zero and tied delays, URGENT/NORMAL, nested
+    scheduling, process timeout chains, bounded windows, one bomb that
+    aborts the window it fires in — dispatch identically on the kernel
+    and on the reference heap."""
+    windows = [w * DT for w in sorted(set(windows))]
+    counter = iter(range(10_000))
+    roots = [_build(tree, counter) for tree in trees]
+
+    env_log, ref_log = [], []
+    env_driver, ref_driver = _EnvDriver(env_log), _RefDriver(ref_log)
+    env_states = _execute(env_driver, roots, bomb, windows)
+    ref_states = _execute(ref_driver, roots, bomb, windows)
+
+    assert env_log == ref_log
+    assert env_states == ref_states
+    assert [s[0] for s in env_states].count("bomb") == 1

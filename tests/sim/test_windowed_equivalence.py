@@ -11,8 +11,8 @@ that safe:
   window (the stop sentinel sorts after every same-instant URGENT and
   NORMAL event);
 * a run terminated by an exception removes its own stop sentinel —
-  the regression fixed here left a phantom entry in the calendar queue
-  that corrupted ``len``/``peek`` and the next run's event accounting.
+  the regression fixed here left a phantom entry in the schedule that
+  corrupted ``len``/``peek`` and the next run's event accounting.
 """
 
 import pytest
@@ -33,14 +33,9 @@ def _exact_boundaries(horizon, windows):
     return bounds
 
 
-def _kernel_digest(windows, scheduler="calendar", wrap_step=False):
+def _kernel_digest(windows):
     """Run a same-instant-heavy workload windowed; digest all state."""
-    env = Environment(scheduler=scheduler)
-    if wrap_step:
-        # Mimic Tracer: an instance-level step wrapper forces run() off
-        # the inlined fast path onto the step()-per-event fallback.
-        inner = env.step
-        env.step = lambda: inner()
+    env = Environment()
     log = []
 
     def ticker(env, tag, period):
@@ -75,19 +70,6 @@ class TestWindowedEquivalence:
     @pytest.mark.parametrize("windows", [2, 7, 50, 200, 400])
     def test_windowed_matches_one_shot(self, windows):
         assert _kernel_digest(windows) == _kernel_digest(None)
-
-    @pytest.mark.parametrize("windows", [2, 50, 400])
-    def test_windowed_matches_one_shot_heapq(self, windows):
-        one = _kernel_digest(None, scheduler="heapq")
-        many = _kernel_digest(windows, scheduler="heapq")
-        assert many == one
-        # Scheduler backends agree with each other too.
-        assert one == _kernel_digest(None)
-
-    @pytest.mark.parametrize("windows", [2, 50])
-    def test_windowed_matches_one_shot_wrapped_step(self, windows):
-        one = _kernel_digest(None, wrap_step=True)
-        assert _kernel_digest(windows, wrap_step=True) == one
 
     def test_zero_width_windows_are_noops(self):
         env = Environment()
@@ -156,8 +138,8 @@ DT = 2.0 ** -20
 
 
 class TestStopSentinelCleanup:
-    def _env_with_bomb(self, scheduler="calendar"):
-        env = Environment(scheduler=scheduler)
+    def _env_with_bomb(self):
+        env = Environment()
 
         def boom(env):
             yield env.timeout(5 * DT)
@@ -171,9 +153,8 @@ class TestStopSentinelCleanup:
         env.process(drip(env))
         return env
 
-    @pytest.mark.parametrize("scheduler", ["calendar", "heapq"])
-    def test_exception_leaves_no_sentinel(self, scheduler):
-        env = self._env_with_bomb(scheduler)
+    def test_exception_leaves_no_sentinel(self):
+        env = self._env_with_bomb()
         with pytest.raises(RuntimeError):
             env.run(until=100 * DT)
         # The drip process is still scheduled; the sentinel must not be.
@@ -192,11 +173,11 @@ class TestStopSentinelCleanup:
         assert env.events_processed - processed == 95
 
     def test_exception_far_before_horizon_overflow_sentinel(self):
-        """Sentinel beyond the calendar horizon lives in the overflow
-        heap; removal must find it there."""
+        """A sentinel far beyond the pending events lives in the heap,
+        not the head slot; removal must find it there."""
         env = self._env_with_bomb()
         with pytest.raises(RuntimeError):
-            env.run(until=10.0)  # far past the 512us calendar horizon
+            env.run(until=10.0)  # far past every pending event
         assert len(env) == 1
         assert env.peek() == 6 * DT
         env.run(until=64 * DT)
