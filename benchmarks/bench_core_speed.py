@@ -47,13 +47,13 @@ from repro.core.cloud import ConfigurableCloud  # noqa: E402
 from repro.experiments.fig10 import DEFAULT_TIER_PAIRS  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
+from _harness import write_result  # noqa: E402
+
 #: Metrics guarded by ``--check`` (higher is better).  Fig. 10 is
 #: guarded by round trips, not events: its event count depends on how
 #: the datapath schedules work, so it is not a fixed unit of progress.
 GUARDED_METRICS = ("kernel_events_per_sec", "fig10_round_trips_per_sec",
                    "ltl_round_trips_per_sec")
-
-HISTORY_LIMIT = 50
 
 
 # ----------------------------------------------------------------------
@@ -145,26 +145,8 @@ def run_suite(quick: bool) -> Dict[str, object]:
 
 
 # ----------------------------------------------------------------------
-# Trajectory file + regression check
+# Regression check
 # ----------------------------------------------------------------------
-def write_result(result: Dict[str, object], path: Path) -> None:
-    """Write ``result`` to ``path``, carrying forward the run history."""
-    history: List[Dict[str, object]] = []
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = None
-        if isinstance(previous, dict) and "metrics" in previous:
-            history = list(previous.get("history", []))
-            history.append({k: previous[k] for k in
-                            ("quick", "python", "timestamp", "metrics")
-                            if k in previous})
-    result = dict(result)
-    result["history"] = history[-HISTORY_LIMIT:]
-    path.write_text(json.dumps(result, indent=1) + "\n")
-
-
 def _baseline_values(baseline: Dict[str, object]) -> Dict[str, float]:
     """Best committed value per guarded metric across the trajectory.
 

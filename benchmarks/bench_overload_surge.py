@@ -25,7 +25,6 @@ trajectory across PRs stays in the repo, not in CI logs.
 from __future__ import annotations
 
 import argparse
-import json
 import platform
 import random
 import sys
@@ -49,7 +48,7 @@ from repro.ranking.service import (  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 from repro.workloads import FlashCrowdProfile  # noqa: E402
 
-HISTORY_LIMIT = 50
+from _harness import write_result  # noqa: E402
 
 #: The acceptance gates (see module docstring / ISSUE 6).
 GOODPUT_RATIO_MIN = 0.85
@@ -195,27 +194,6 @@ def check_gates(metrics: Dict[str, float]) -> List[str]:
             f"collapse (guard: < {UNPROTECTED_COLLAPSE_MAX}) — the "
             f"protected gates are vacuous")
     return failures
-
-
-# ----------------------------------------------------------------------
-# Trajectory file
-# ----------------------------------------------------------------------
-def write_result(result: Dict[str, object], path: Path) -> None:
-    """Write ``result`` to ``path``, carrying forward the run history."""
-    history: List[Dict[str, object]] = []
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = None
-        if isinstance(previous, dict) and "metrics" in previous:
-            history = list(previous.get("history", []))
-            history.append({k: previous[k] for k in
-                            ("quick", "python", "timestamp", "metrics")
-                            if k in previous})
-    result = dict(result)
-    result["history"] = history[-HISTORY_LIMIT:]
-    path.write_text(json.dumps(result, indent=1) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -30,7 +30,6 @@ trajectory across PRs stays in the repo, not in CI logs.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import platform
 import sys
@@ -49,7 +48,7 @@ from repro.sim.shard import (  # noqa: E402
     run_reference,
 )
 
-HISTORY_LIMIT = 50
+from _harness import write_result  # noqa: E402
 
 #: Documented merge tolerance vs the single-process reference.
 P50_TOLERANCE = 0.05
@@ -203,27 +202,6 @@ def check_gates(metrics: Dict[str, object]) -> List[str]:
         failures.append("per-shard digests changed between identical "
                         "runs — shard determinism is broken")
     return failures
-
-
-# ----------------------------------------------------------------------
-# Trajectory file
-# ----------------------------------------------------------------------
-def write_result(result: Dict[str, object], path: Path) -> None:
-    """Write ``result`` to ``path``, carrying forward the run history."""
-    history: List[Dict[str, object]] = []
-    if path.exists():
-        try:
-            previous = json.loads(path.read_text())
-        except (OSError, ValueError):
-            previous = None
-        if isinstance(previous, dict) and "metrics" in previous:
-            history = list(previous.get("history", []))
-            history.append({k: previous[k] for k in
-                            ("quick", "python", "timestamp", "metrics")
-                            if k in previous})
-    result = dict(result)
-    result["history"] = history[-HISTORY_LIMIT:]
-    path.write_text(json.dumps(result, indent=1) + "\n")
 
 
 def main(argv: Optional[List[str]] = None) -> int:

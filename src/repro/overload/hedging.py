@@ -18,19 +18,21 @@ Two disciplines keep hedging from becoming its own overload source:
   started service, so a hedge that loses the race while still queued
   costs nothing downstream.
 
-The hedge delay adapts: it is the observed P95 of recent remote
-latencies (a :class:`~repro.core.metrics.StreamingQuantile`, O(1)
-memory), floored at ``min_delay``.  Until ``min_samples`` responses
-have been seen the controller refuses to hedge — guessing a delay
-from no data hedges either far too eagerly or never.
+The hedge delay adapts: it is the exact P95 of every remote latency
+observed so far (kept in one sorted list, so each new observation is a
+``bisect.insort`` and each delay read is an index lookup), floored at
+``min_delay``.  Until ``min_samples`` responses have been seen the
+controller refuses to hedge — guessing a delay from no data hedges
+either far too eagerly or never.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-from ..core.metrics import StreamingQuantile
+from ..sim.randomness import percentile
 
 
 @dataclass
@@ -40,8 +42,8 @@ class HedgeConfig:
     #: Issue the hedge after this latency percentile of observed
     #: responses (Dean & Barroso's "defer to the 95th percentile").
     quantile: float = 95.0
-    #: Never hedge earlier than this (guards against a quantile
-    #: estimate collapsing toward zero at light load).
+    #: Never hedge earlier than this (guards against the observed
+    #: quantile collapsing toward zero at light load).
     min_delay: float = 20e-6
     #: Hedges may not exceed this fraction of primary requests.
     budget_fraction: float = 0.05
@@ -74,18 +76,20 @@ class HedgeController:
     def __init__(self, config: Optional[HedgeConfig] = None):
         self.config = config or HedgeConfig()
         self.stats = HedgeStats()
-        self._latency = StreamingQuantile(self.config.quantile)
+        #: Every observed latency, kept sorted.
+        self._latencies: List[float] = []
 
     def observe(self, latency: float) -> None:
         """Feed one completed remote-request latency."""
-        self._latency.record(latency)
+        bisect.insort(self._latencies, latency)
 
     def hedge_delay(self) -> Optional[float]:
         """Delay after which the primary should be hedged, or ``None``
         while too little has been observed to pick one."""
-        if self._latency.count < self.config.min_samples:
+        if len(self._latencies) < self.config.min_samples:
             return None
-        return max(self.config.min_delay, self._latency.value)
+        return max(self.config.min_delay,
+                   percentile(self._latencies, self.config.quantile))
 
     def on_primary(self) -> None:
         """Account one primary request being issued."""

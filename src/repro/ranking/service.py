@@ -30,8 +30,6 @@ from ..overload import (
     AdmissionController,
     Deadline,
     DeadlineStats,
-    HedgeConfig,
-    HedgeController,
     ServiceLevel,
 )
 from ..sim import Environment, Resource
@@ -53,13 +51,6 @@ class RemoteAccessConfig:
     round_trip: float = 2.9e-6           # same-TOR pool locality
     ltl_bandwidth_bps: float = 38e9      # LTL goodput on the 40G port
     per_message_overhead: float = 2.0e-6  # ER + packetization both ends
-    #: Tail variability of the remote hop: with this probability a
-    #: request lands on a momentarily slow pool FPGA (limplocked peer,
-    #: SEU scrub pass, contended DRAM) and takes ``slow_factor`` times
-    #: the nominal service time.  Default 0 = the classic deterministic
-    #: model; hedging only matters when a tail exists.
-    slow_probability: float = 0.0
-    slow_factor: float = 1.0
 
 
 @dataclass
@@ -80,8 +71,6 @@ class OverloadConfig:
     default_budget: float = 8e-3
     #: Candidate-set fraction kept at the DEGRADED rung.
     degraded_fraction: float = 0.25
-    #: Hedged remote requests (remote mode only); ``None`` disables.
-    hedge: Optional[HedgeConfig] = None
     #: Master switch for the shed/degrade ladder.
     admission_enabled: bool = True
     #: Master switch for dropping expired work mid-path.
@@ -128,7 +117,6 @@ class RankingServer:
         # Overload protection (None unless configured).
         ov = config.overload
         self.admission: Optional[AdmissionController] = None
-        self.hedge: Optional[HedgeController] = None
         self.slo: Optional[SloTracker] = None
         self.deadline_stats = DeadlineStats()
         self.degraded_queries = 0
@@ -137,8 +125,6 @@ class RankingServer:
             self.admission = AdmissionController(ov.admission,
                                                  start_time=env.now)
             self.slo = SloTracker()
-            if ov.hedge is not None:
-                self.hedge = HedgeController(ov.hedge)
         #: EWMA of per-grant core hold time, seeding the door-side
         #: queue-delay prediction before any query has been measured.
         self._core_hold_ewma = config.software.pre_seconds
@@ -190,51 +176,11 @@ class RankingServer:
             return self.config.software.feature_time(work)
         if mode is AccelerationMode.LOCAL_FPGA:
             return self.role.local_service_time(work)
-        return self._remote_base_time(work)
-
-    def _remote_base_time(self, work: QueryWork) -> float:
         remote = self.config.remote
         network = (remote.round_trip
                    + work.document_bytes * 8 / remote.ltl_bandwidth_bps
                    + remote.per_message_overhead)
         return network + self.role.compute_time(work)
-
-    def _remote_sample(self, work: QueryWork) -> float:
-        """One draw of the remote hop, including the slow-peer tail."""
-        remote = self.config.remote
-        base = self._remote_base_time(work)
-        if remote.slow_probability > 0.0 and \
-                self.rng.random() < remote.slow_probability:
-            return base * remote.slow_factor
-        return base
-
-    def _remote_feature_time(self, work: QueryWork) -> float:
-        """Remote feature extraction, hedged when configured.
-
-        Hedging is modeled at the latency level: the primary and hedge
-        are independent draws (different pool FPGAs), the hedge starts
-        after the P95-derived delay, and the faster leg wins.  The
-        duplicated backend load is bounded by the hedge budget — the
-        controller refuses hedges past ``budget_fraction`` of primaries.
-        """
-        if self.config.mode is not AccelerationMode.REMOTE_FPGA:
-            return self.feature_stage_time(work)
-        primary = self._remote_sample(work)
-        hc = self.hedge
-        if hc is None:
-            return primary
-        hc.on_primary()
-        effective = primary
-        delay = hc.hedge_delay()
-        if delay is not None and primary > delay and hc.try_acquire_hedge():
-            hedged = delay + self._remote_sample(work)
-            if hedged < primary:
-                effective = hedged
-                hc.on_win(True)
-            else:
-                hc.on_win(False)
-        hc.observe(effective)
-        return effective
 
     def _expire(self, stage: Stage) -> None:
         self.deadline_stats.drop(stage)
@@ -335,10 +281,7 @@ class RankingServer:
                         and deadline.expired(self.env.now):
                     self._expire(Stage.FPGA_QUEUE)
                     return None
-                yield self.env.timeout(self._remote_feature_time(work)
-                                       if self.config.mode
-                                       is AccelerationMode.REMOTE_FPGA
-                                       else self.feature_stage_time(work))
+                yield self.env.timeout(self.feature_stage_time(work))
                 if trace is not None:
                     trace.tap(Stage.ROLE_SERVICE, self.env.now)
             with self.cores.request() as core:
@@ -485,8 +428,6 @@ class SurgeResult:
         out["rejected"] = float(self.server.rejected)
         out["degraded"] = float(self.server.degraded_queries)
         out["deadline_drops"] = float(self.server.deadline_stats.total)
-        if self.server.hedge is not None:
-            out["hedge_fraction"] = self.server.hedge.stats.hedge_fraction
         return out
 
 

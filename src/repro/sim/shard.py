@@ -315,7 +315,6 @@ class ShardSpec:
     #: across the seam without any control-plane exchange.
     connections: List[Tuple[int, int, int]]
     workload: List[PingTask]
-    streaming: bool = False
 
 
 class ShardWorld:
@@ -504,8 +503,7 @@ class ShardWorld:
             tier = topo.tier_between(task.src, task.dst)
             recorder = tiers.get(tier)
             if recorder is None:
-                recorder = tiers[tier] = LatencyRecorder(
-                    tier, streaming=self.spec.streaming)
+                recorder = tiers[tier] = LatencyRecorder(tier)
             recorder.extend(samples)
             sample_count += len(samples)
             digest.update(struct.pack("!II", task.src, task.dst))
@@ -584,15 +582,14 @@ class ShardResult:
         }
 
 
-def _merge_tiers(per_shard: List[Dict[str, Any]],
-                 streaming: bool) -> Dict[str, LatencyRecorder]:
+def _merge_tiers(per_shard: List[Dict[str, Any]]
+                 ) -> Dict[str, LatencyRecorder]:
     merged: Dict[str, LatencyRecorder] = {}
     for result in per_shard:
         for tier, recorder in result["tiers"].items():
             into = merged.get(tier)
             if into is None:
-                into = merged[tier] = LatencyRecorder(
-                    tier, streaming=streaming)
+                into = merged[tier] = LatencyRecorder(tier)
             into.merge(recorder)
     return merged
 
@@ -612,12 +609,10 @@ class ShardDriver:
     """Launch shard workers, run the window protocol, merge metrics."""
 
     def __init__(self, topology: Optional[TopologyConfig] = None,
-                 seed: int = 0, num_shards: int = 4,
-                 streaming: bool = False):
+                 seed: int = 0, num_shards: int = 4):
         self.topology = topology
         self.seed = seed
         self.num_shards = num_shards
-        self.streaming = streaming
 
     def _specs(self, plan: ShardPlan,
                connections: List[Tuple[int, int, int]],
@@ -627,8 +622,8 @@ class ShardDriver:
             shard_id=shard, seed=self.seed, topology=self.topology,
             local_hosts=plan.hosts[shard],
             host_to_shard=plan.host_to_shard,
-            connections=connections, workload=list(workload),
-            streaming=self.streaming) for shard in range(plan.num_shards)]
+            connections=connections, workload=list(workload))
+            for shard in range(plan.num_shards)]
 
     def run(self, workload: Sequence[PingTask],
             connections: Optional[List[Tuple[int, int, int]]] = None,
@@ -654,7 +649,7 @@ class ShardDriver:
             world.run_window(horizon)
             per_shard = [world.collect()]
             return ShardResult(
-                tiers=_merge_tiers(per_shard, self.streaming),
+                tiers=_merge_tiers(per_shard),
                 per_shard=per_shard, plan=plan, lookahead=lookahead,
                 windows=1, horizon=horizon)
 
@@ -721,7 +716,7 @@ class ShardDriver:
                     worker.join()
 
         return ShardResult(
-            tiers=_merge_tiers(per_shard, self.streaming),
+            tiers=_merge_tiers(per_shard),
             per_shard=per_shard, plan=plan, lookahead=lookahead,
             windows=windows, horizon=horizon,
             boundary_records=boundary_records)
@@ -751,8 +746,8 @@ def validate_workload(workload: Sequence[PingTask]) -> None:
 def run_reference(workload: Sequence[PingTask],
                   connections: Optional[List[Tuple[int, int, int]]] = None,
                   topology: Optional[TopologyConfig] = None,
-                  seed: int = 0, horizon: Optional[float] = None,
-                  streaming: bool = False) -> Dict[str, LatencyRecorder]:
+                  seed: int = 0, horizon: Optional[float] = None
+                  ) -> Dict[str, LatencyRecorder]:
     """The same workload in one process, on the real fabric end to end.
 
     The comparison baseline for sharded runs: identical topology, seed
@@ -795,7 +790,6 @@ def run_reference(workload: Sequence[PingTask],
         tier = topo.tier_between(task.src, task.dst)
         recorder = tiers.get(tier)
         if recorder is None:
-            recorder = tiers[tier] = LatencyRecorder(
-                tier, streaming=streaming)
+            recorder = tiers[tier] = LatencyRecorder(tier)
         recorder.extend(cloud.shell(task.src).ltl.rtt_samples())
     return tiers

@@ -11,8 +11,8 @@ TOR -> L1 -> remote role).  This subsystem provides:
   packets and LTL frames end to end, collecting timestamp taps at every
   datapath stage,
 * :class:`~repro.trace.recorder.TraceRecorder` /
-  :class:`~repro.trace.recorder.TraceReport` — per-hop P50/P99/P99.9
-  digests (P² streaming quantiles) and a decomposition whose hops are
+  :class:`~repro.trace.recorder.TraceReport` — exact per-hop
+  P50/P99/P99.9 and a decomposition whose hops are
   *guaranteed* to sum to the measured end-to-end latency (any
   uninstrumented interval is reported as an explicit residual, gated at
   < 1%),

@@ -52,7 +52,7 @@ class TraceContext:
         Opaque identifier used when the span is captured for forensics.
     sampled:
         When True, the recorder keeps the full per-hop span (not just
-        the streaming digests) on completion.
+        the per-hop quantiles) on completion.
     """
 
     __slots__ = ("t0", "request_id", "sampled", "marks", "meta",

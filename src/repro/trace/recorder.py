@@ -1,11 +1,12 @@
-"""TraceRecorder — streaming per-hop digests and honest decomposition.
+"""TraceRecorder — exact per-hop latency quantiles and honest decomposition.
 
 The recorder owns the aggregation side of tracing: spans are opened with
 :meth:`TraceRecorder.start`, ride the datapath as
 :class:`~repro.trace.context.TraceContext` objects, and are closed with
-:meth:`TraceRecorder.complete`, which folds the span's per-stage
-durations into constant-memory P² digests
-(:class:`repro.core.metrics.StreamingQuantile`, P50/P99/P99.9 per hop).
+:meth:`TraceRecorder.complete`, which records the span's per-stage
+durations into one exact :class:`repro.core.metrics.LatencyRecorder` per
+hop (and one for end-to-end), so the reported P50/P99/P99.9 are the
+exact order statistics of the recorded durations.
 
 Honest accounting: for every completed span,
 
@@ -18,7 +19,7 @@ the end-to-end latency" is an enforced property, not a hope.
 
 Span forensics: a seeded, deterministic sampler keeps the full mark
 trail for a bounded number of spans (tail debugging wants the exact
-sequence of taps for a slow request, not just digests).  The sampler
+sequence of taps for a slow request, not just quantiles).  The sampler
 draws from its own private RNG stream — never the simulation's — so
 enabling capture cannot perturb seeded runs.
 """
@@ -29,14 +30,20 @@ import random
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..core.metrics import StreamingQuantile
+from ..core.metrics import LatencyRecorder
 from .context import TraceContext
 from .stages import stage_name
 
 __all__ = ["SpanRecord", "TraceRecorder", "TraceReport"]
 
-#: Per-hop quantiles every recorder tracks (Fig. 10-style P50/P99 + P99.9).
+#: Per-hop quantiles every report carries (Fig. 10-style P50/P99 + P99.9).
 TRACE_QUANTILES: Tuple[float, ...] = (50.0, 99.0, 99.9)
+
+
+def _quantiles(recorder: LatencyRecorder) -> Dict[str, float]:
+    """``TRACE_QUANTILES`` of ``recorder`` keyed ``p50``/``p99``/``p99_9``."""
+    return {f"p{q:g}".replace(".", "_"): recorder.percentile(q)
+            for q in TRACE_QUANTILES}
 
 
 @dataclass
@@ -61,23 +68,6 @@ class SpanRecord:
         return out
 
 
-class _HopStats:
-    """Streaming aggregate for one stage: count, sum and P² quantiles."""
-
-    __slots__ = ("count", "total", "quantiles")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.quantiles = {q: StreamingQuantile(q) for q in TRACE_QUANTILES}
-
-    def record(self, duration: float) -> None:
-        self.count += 1
-        self.total += duration
-        for estimator in self.quantiles.values():
-            estimator.record(duration)
-
-
 class TraceRecorder:
     """Opens, closes and aggregates request spans.
 
@@ -91,7 +81,7 @@ class TraceRecorder:
         order => same captured spans.
     max_spans:
         Upper bound on retained :class:`SpanRecord` objects (oldest
-        kept; once full, further samples only update digests).
+        kept; once full, further samples only update the quantiles).
     """
 
     def __init__(self, sample_rate: float = 0.0, seed: int = 0,
@@ -101,8 +91,8 @@ class TraceRecorder:
         self.sample_rate = sample_rate
         self.max_spans = max_spans
         self._rng = random.Random(seed)
-        self._hops: Dict[str, _HopStats] = {}
-        self._e2e = _HopStats()
+        self._hops: Dict[str, LatencyRecorder] = {}
+        self._e2e = LatencyRecorder("end-to-end")
         self._residual_total = 0.0
         self._e2e_total = 0.0
         self._spans: List[SpanRecord] = []
@@ -110,7 +100,7 @@ class TraceRecorder:
         self.completed = 0
         #: Spans closed at a drop point (queue overflow, expired
         #: deadline) instead of delivery.  Their attributed hop time is
-        #: folded into the digests — the time was really spent — but
+        #: recorded per hop — the time was really spent — but
         #: they do not contribute to the end-to-end latency quantiles.
         self.abandoned = 0
 
@@ -144,12 +134,12 @@ class TraceRecorder:
             name = stage_name(stage)
             hop = self._hops.get(name)
             if hop is None:
-                hop = self._hops[name] = _HopStats()
+                hop = self._hops[name] = LatencyRecorder(name)
             hop.record(duration)
         self._residual_total += now - ctx.last_time
 
     def complete(self, ctx: TraceContext, now: float) -> None:
-        """Close a span at ``now`` and fold it into the digests.
+        """Close a span at ``now`` and record it per hop and end to end.
 
         The mark trail is reduced *here*, once, after the request is
         done — never on the datapath.  Marks are copied into any
@@ -168,7 +158,7 @@ class TraceRecorder:
             name = stage_name(stage)
             hop = self._hops.get(name)
             if hop is None:
-                hop = self._hops[name] = _HopStats()
+                hop = self._hops[name] = LatencyRecorder(name)
             hop.record(duration)
         # Residual: the tail between the last tap and the observed end.
         self._residual_total += now - ctx.last_time
@@ -188,21 +178,16 @@ class TraceRecorder:
             entry: Dict[str, float] = {
                 "count": float(stats.count),
                 "total": stats.total,
-                "mean": stats.total / stats.count,
+                "mean": stats.mean,
                 "share": (stats.total / self._e2e_total
                           if self._e2e_total > 0 else 0.0),
             }
-            for q, estimator in stats.quantiles.items():
-                entry[f"p{q:g}".replace(".", "_")] = estimator.value
+            entry.update(_quantiles(stats))
             hops[name] = entry
         e2e: Dict[str, float] = {}
         if self._e2e.count:
-            e2e = {
-                "count": float(self._e2e.count),
-                "mean": self._e2e.total / self._e2e.count,
-            }
-            for q, estimator in self._e2e.quantiles.items():
-                e2e[f"p{q:g}".replace(".", "_")] = estimator.value
+            e2e = {"count": float(self._e2e.count), "mean": self._e2e.mean}
+            e2e.update(_quantiles(self._e2e))
         hop_sum = sum(s.total for s in self._hops.values())
         return TraceReport(
             spans=self.completed,

@@ -136,41 +136,6 @@ class TestLatencyRecorderCachedView:
         assert summary["count"] == 601.0
 
 
-class TestStreamingRecorder:
-    def test_tracked_quantiles_close_to_exact(self):
-        import random as _random
-
-        rng = _random.Random(11)
-        data = [rng.expovariate(1.0) for _ in range(20_000)]
-        streaming = LatencyRecorder(streaming=True)
-        exact = LatencyRecorder()
-        for x in data:
-            streaming.record(x)
-            exact.record(x)
-        assert streaming.p50 == pytest.approx(exact.p50, rel=0.05)
-        assert streaming.p95 == pytest.approx(exact.p95, rel=0.05)
-        assert streaming.p99 == pytest.approx(exact.p99, rel=0.10)
-        assert streaming.p999 == pytest.approx(exact.p999, rel=0.30)
-        assert streaming.max == exact.max
-        assert streaming.mean == pytest.approx(exact.mean)
-        # Constant memory: streaming mode retains no samples.
-        assert streaming.samples == []
-
-    def test_untracked_quantile_raises(self):
-        recorder = LatencyRecorder(streaming=True)
-        recorder.record(1.0)
-        with pytest.raises(ValueError):
-            recorder.percentile(75)
-
-    def test_summary_keys_match_exact_mode(self):
-        streaming = LatencyRecorder(streaming=True)
-        exact = LatencyRecorder()
-        for x in (1.0, 2.0, 3.0, 4.0, 5.0, 6.0):
-            streaming.record(x)
-            exact.record(x)
-        assert set(streaming.summary()) == set(exact.summary())
-
-
 class TestThroughputMeterWindow:
     def test_first_record_opens_window(self):
         meter = ThroughputMeter()

@@ -102,15 +102,3 @@ class TestDegenerateCases:
     def test_empty_workload_rejected(self):
         with pytest.raises(ValueError, match="empty workload"):
             ShardDriver(num_shards=2).run([])
-
-    def test_streaming_mode_merges_digests(self):
-        result = ShardDriver(seed=2, num_shards=2, streaming=True).run(
-            [PingTask(src=0, dst=30, messages=40),
-             PingTask(src=25, dst=5_000, messages=40)])
-        exact = ShardDriver(seed=2, num_shards=2).run(
-            [PingTask(src=0, dst=30, messages=40),
-             PingTask(src=25, dst=5_000, messages=40)])
-        for tier, recorder in result.tiers.items():
-            assert recorder.count == exact.tiers[tier].count
-            assert recorder.percentile(99.0) == pytest.approx(
-                exact.tiers[tier].p99, rel=0.15)

@@ -1,7 +1,10 @@
 """TraceContext / TraceRecorder invariants: honest accounting by construction."""
 
+import random
+
 import pytest
 
+from repro.sim.randomness import percentile
 from repro.trace import Stage, TraceContext, TraceRecorder
 
 
@@ -157,6 +160,31 @@ def test_report_format_table_and_to_dict():
     for entry in payload["hops"].values():
         assert {"count", "total", "mean", "share",
                 "p50", "p99", "p99_9"} <= set(entry)
+
+
+def test_report_quantiles_are_exact_on_drifting_durations():
+    """Non-stationary durations (a queue that builds up, then a late
+    burst of slow service) must not bias the report: every hop and
+    end-to-end quantile is the exact percentile of what was recorded."""
+    rng = random.Random(7)
+    recorder = TraceRecorder()
+    durations = {"ltl.tx": [], "role.service": [], "end-to-end": []}
+    for i in range(1500):
+        t0 = i * 1e-3
+        tx = t0 + 1e-6 * (1.0 + i / 150.0) * rng.uniform(0.9, 1.1)
+        slow = 40e-6 if i >= 1300 and i % 3 else 0.0
+        end = tx + 5e-6 * rng.uniform(0.8, 1.2) + slow
+        ctx = _span(recorder, t0,
+                    [(Stage.LTL_TX, tx), (Stage.ROLE_SERVICE, end)])
+        for stage, duration in ctx.totals().items():
+            durations[stage.value].append(duration)
+        durations["end-to-end"].append(end - t0)
+    report = recorder.report()
+    rows = dict(report.hops, **{"end-to-end": report.e2e})
+    for name, values in durations.items():
+        exact = sorted(values)
+        for key, q in (("p50", 50.0), ("p99", 99.0), ("p99_9", 99.9)):
+            assert rows[name][key] == percentile(exact, q), (name, key)
 
 
 # ----------------------------------------------------------------------
