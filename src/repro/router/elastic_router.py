@@ -15,6 +15,30 @@ Architecture per the paper (Section V-B):
 
 In the production image the ER runs at 175 MHz (Fig. 5); the default
 frequency matches.
+
+Two paths produce the same cycle-accurate result:
+
+* **Stream.** While only one input port holds traffic nothing contends:
+  every flit is admitted and switched in the cycle it reaches the front,
+  so each message costs one kernel event, at its tail flit's exit.  Its
+  head exits one cycle after ``max(send time, previous tail)``, and the
+  tail time adds the cycle once per flit, so the floats equal the
+  per-cycle clock's.  At the exit the message's cycles, flits, peak
+  occupancy (1) and round-robin pointer are applied in closed form;
+  ``RouterStats`` therefore covers a streamed message from its exit on.
+* **Per-cycle clock.** When a second input port sends mid-stream, the
+  stream is handed over: flits on cycle edges strictly before now count
+  as switched (wormhole lock and reassembly list set), the rest of the
+  message and the queued messages go to the pending queues, the stale
+  exit events are voided, and ``_tick`` restarts on the stream's own
+  edge grid.  The clock runs one event per cycle, with explicit buffers and
+  round-robin arbitration, until the router is idle; the next send
+  starts a new stream.
+
+Latch rule, on both paths: a flit sent at instant T is admitted no
+earlier than the first cycle edge strictly after T, so a send that lands
+exactly on a running clock's edge does not depend on the order of
+same-instant dispatch.
 """
 
 from __future__ import annotations
@@ -70,6 +94,8 @@ class ElasticRouter:
             raise ValueError("router needs at least one port")
         if num_vcs < 1:
             raise ValueError("router needs at least one VC")
+        if flit_bytes <= 0:
+            raise ValueError("flit size must be positive")
         self.env = env
         self.name = name
         self.num_ports = num_ports
@@ -86,7 +112,7 @@ class ElasticRouter:
         # Input buffers: [port][vc] -> deque of flits.
         self._buffers: List[List[Deque[Flit]]] = [
             [deque() for _ in range(num_vcs)] for _ in range(num_ports)]
-        # Pending injections: [port] -> deque of (flit, done_event, remaining)
+        # Pending injections: [port] -> deque of (flit, done_event).
         self._pending: List[Deque[Tuple[Flit, Event]]] = [
             deque() for _ in range(num_ports)]
         # Output (port, vc) -> (in_port, vc) holding the wormhole lock.
@@ -98,12 +124,19 @@ class ElasticRouter:
             [None] * num_ports
         # Round-robin arbitration pointer per output port.
         self._rr: List[int] = [0] * num_ports
-        # True while a _tick is scheduled: the clock runs only while
-        # flits are pending or buffered.
+        # True while a _tick is scheduled: the per-cycle clock runs from
+        # a handover until no flit is pending or buffered.
         self._running = False
         # Running flit count across all input buffers, so _step need not
         # re-sum every queue per cycle.
         self._occupancy = 0
+        # The stream: messages of the one active input port, in exit
+        # order, as (message, flits, done_event, head_exit, tail_exit).
+        self._stream: Deque[Tuple[Message, int, Event, float, float]] = \
+            deque()
+        # Bumped by a handover; exit events carrying an older epoch are
+        # void.
+        self._epoch = 0
 
     # ------------------------------------------------------------------
     # Public API
@@ -123,45 +156,120 @@ class ElasticRouter:
         staging space).  ``deadline`` is an absolute expiry instant; a
         message still in flight past it is dropped at delivery and
         counted in ``stats.deadline_drops``.  ``trace`` is an optional
-        :class:`~repro.trace.TraceContext`: ``er.ingress`` is tapped when
-        the head flit wins a buffer credit, ``er.switch`` when the tail
-        flit exits the crossbar."""
-        self._check_port(src_port)
-        self._check_port(dst_port)
-        if not 0 <= vc < self.num_vcs:
-            raise ValueError(f"vc {vc} out of range")
-        message = Message(src_port=src_port, dst_port=dst_port, vc=vc,
-                          payload=payload, length_bytes=length_bytes,
-                          injected_at=self.env.now, deadline=deadline,
-                          trace=trace)
-        flits = packetize(message, self.flit_bytes)
-        done = self.env.event()
-        for flit in flits:
-            self._pending[src_port].append((flit, done))
-        self.stats.messages_injected += 1
-        self._kick()
-        return done
+        :class:`~repro.trace.TraceContext`: ``er.ingress`` marks the
+        instant the head flit wins a buffer credit, ``er.switch`` the
+        instant the tail flit exits the crossbar."""
+        return self._submit(src_port, dst_port, payload, length_bytes, vc,
+                            deadline, trace)[1]
 
     def inject(self, src_port: int, dst_port: int, payload: Any,
                length_bytes: int, vc: int = 0,
                deadline: Optional[float] = None,
                trace: Any = None) -> Message:
         """Fire-and-forget variant of :meth:`send`."""
-        event = self.send(src_port, dst_port, payload, length_bytes, vc,
-                          deadline=deadline, trace=trace)
-        event._defused = True
-        # The message object is reachable through the queued flits.
-        return self._pending[src_port][-1][0].message
+        message, done = self._submit(src_port, dst_port, payload,
+                                     length_bytes, vc, deadline, trace)
+        done._defused = True
+        return message
+
+    def _submit(self, src_port: int, dst_port: int, payload: Any,
+                length_bytes: int, vc: int, deadline: Optional[float],
+                trace: Any) -> Tuple[Message, Event]:
+        self._check_port(src_port)
+        self._check_port(dst_port)
+        if not 0 <= vc < self.num_vcs:
+            raise ValueError(f"vc {vc} out of range")
+        now = self.env.now
+        message = Message(src_port=src_port, dst_port=dst_port, vc=vc,
+                          payload=payload, length_bytes=length_bytes,
+                          injected_at=now, deadline=deadline,
+                          trace=trace)
+        done = self.env.event()
+        self.stats.messages_injected += 1
+        stream = self._stream
+        if not self._running and (not stream
+                                  or src_port == stream[0][0].src_port):
+            self._stream_message(message, done,
+                                 stream[-1][4] if stream else now)
+            return message, done
+        if stream:
+            self._handover()
+        pending = self._pending[src_port]
+        for flit in packetize(message, self.flit_bytes):
+            pending.append((flit, done))
+        return message, done
 
     # ------------------------------------------------------------------
-    # Clock
+    # Stream: one event per message while one input port is active
     # ------------------------------------------------------------------
-    def _kick(self) -> None:
-        """Start the clock: the first cycle runs one cycle from now."""
-        if not self._running:
-            self._running = True
-            self.env.call_later(self.cycle_time, self._tick)
+    def _stream_message(self, message: Message, done: Event,
+                        start: float) -> None:
+        """Queue ``message`` behind the stream, whose last tail exits at
+        ``start`` (or the port is idle and ``start`` is now)."""
+        cycle = self.cycle_time
+        flits = -(-message.length_bytes // self.flit_bytes)
+        head = tail = start + cycle
+        for _ in range(flits - 1):
+            tail += cycle
+        self._stream.append((message, flits, done, head, tail))
+        self.env.call_at(tail, self._exit, self._epoch)
 
+    def _exit(self, epoch: int) -> None:
+        """A streamed message's tail flit exits the crossbar."""
+        if epoch != self._epoch:
+            return  # voided by a handover
+        message, flits, done, head, _tail = self._stream.popleft()
+        self._streamed(message, flits, head)
+        done.succeed()
+        self._deliver(message)
+
+    def _streamed(self, message: Message, flits: int, head: float) -> None:
+        """Account ``flits`` uncontended cycles of ``message``, whose head
+        flit was admitted and switched at ``head``."""
+        stats = self.stats
+        stats.cycles += flits
+        stats.flits_switched += flits
+        if stats.peak_buffer_occupancy < 1:
+            stats.peak_buffer_occupancy = 1
+        self._rr[message.dst_port] = \
+            message.src_port * self.num_vcs + message.vc + 1
+        if message.trace is not None:
+            message.trace.insert(_STAGE_ER_INGRESS, head)
+
+    def _handover(self) -> None:
+        """A second input port sends mid-stream: rebuild the per-cycle
+        state at this instant and restart the clock on the stream's edge
+        grid."""
+        now = self.env.now
+        cycle = self.cycle_time
+        stream = self._stream
+        self._epoch += 1
+        message, _flits, done, head, _tail = stream.popleft()
+        pending = self._pending[message.src_port]
+        flits = packetize(message, self.flit_bytes)
+        # Flits on edges strictly before now have crossed; the tail edge
+        # is not before now, or the exit would have fired.
+        edge, switched = head, 0
+        while edge < now:
+            edge += cycle
+            switched += 1
+        if switched:
+            self._streamed(message, switched, head)
+            vc = message.vc
+            self._output_locks[(message.dst_port, vc)] = \
+                (message.src_port, vc)
+            self._reassembly[(message.dst_port, vc)] = flits[:switched]
+        pending.extend((flit, done) for flit in flits[switched:])
+        for message, _flits, done, _head, _tail in stream:
+            pending.extend((flit, done)
+                           for flit in packetize(message, self.flit_bytes))
+        stream.clear()
+        self._running = True
+        self.env.call_at(edge, self._tick)
+
+    # ------------------------------------------------------------------
+    # Per-cycle clock: the contended path
+    # ------------------------------------------------------------------
     def _tick(self) -> None:
         """One router cycle; stop the clock once the router is idle."""
         self._step()
@@ -182,18 +290,21 @@ class ElasticRouter:
 
     def _admit_pending(self) -> None:
         """Move at most one pending flit per port into its input buffer."""
+        now = self.env.now
         for port in range(self.num_ports):
             pending = self._pending[port]
             if not pending:
                 continue
             flit, done = pending[0]
+            if flit.message.injected_at >= now:
+                continue  # latch rule: sent this instant
             if self._credits[port].try_acquire(flit.vc):
                 pending.popleft()
                 self._buffers[port][flit.vc].append(flit)
                 self._occupancy += 1
                 if flit.is_head and flit.message.trace is not None:
                     # Pending wait + credit stalls up to buffer entry.
-                    flit.message.trace.tap(_STAGE_ER_INGRESS, self.env.now)
+                    flit.message.trace.tap(_STAGE_ER_INGRESS, now)
                 if flit.is_tail and not done.triggered:
                     done.succeed()
             else:
@@ -253,32 +364,35 @@ class ElasticRouter:
         if flit.is_tail:
             self._output_locks[(out_port, vc)] = None
             flits = self._reassembly.pop((out_port, vc))
-            self._deliver(out_port, vc, flits)
+            message = flits[0].message
+            if any(f.message is not message for f in flits):
+                raise RuntimeError(
+                    f"{self.name}: interleaved messages on output "
+                    f"({out_port}, vc {vc})")
+            self._deliver(message)
 
-    def _deliver(self, out_port: int, vc: int, flits: List[Flit]) -> None:
-        message = flits[0].message
-        if any(f.message is not message for f in flits):
-            raise RuntimeError(
-                f"{self.name}: interleaved messages on output "
-                f"({out_port}, vc {vc})")
-        message.delivered_at = self.env.now
+    def _deliver(self, message: Message) -> None:
+        """The tail flit exited: hand the message to its output port."""
+        now = self.env.now
+        message.delivered_at = now
         if message.trace is not None:
             # Crossbar residency: buffer entry through tail-flit exit.
-            message.trace.tap(_STAGE_ER_SWITCH, self.env.now)
+            message.trace.tap(_STAGE_ER_SWITCH, now)
         # Deadline check at the output port: an expired message has
         # already consumed its crossbar bandwidth, but the endpoint's
         # time is still worth saving (drop-and-account).
-        if message.deadline is not None and self.env.now > message.deadline:
+        if message.deadline is not None and now > message.deadline:
             self.stats.deadline_drops += 1
             if message.trace is not None:
                 # Terminal drop: close the span so the recorder counts
                 # the deadline-expired request instead of leaking it.
-                message.trace.abandon(self.env.now)
+                message.trace.abandon(now)
             return
+        vc = message.vc
         self.stats.messages_delivered += 1
         self.stats.per_vc_delivered[vc] = \
             self.stats.per_vc_delivered.get(vc, 0) + 1
-        endpoint = self._endpoints[out_port]
+        endpoint = self._endpoints[message.dst_port]
         if endpoint is not None:
             endpoint(message)
 

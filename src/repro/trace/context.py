@@ -80,6 +80,17 @@ class TraceContext:
         """Attribute the interval since the previous mark to ``stage``."""
         self.marks.append((stage, now))
 
+    def insert(self, stage, at: float) -> None:
+        """Record a mark for instant ``at`` that is written late: it goes
+        after every mark taken at or before ``at``, so a tap made in the
+        meantime (e.g. by a duplicate go-back-N frame) stays in time
+        order."""
+        marks = self.marks
+        index = len(marks)
+        while index and marks[index - 1][1] > at:
+            index -= 1
+        marks.insert(index, (stage, at))
+
     # -- drop handling -----------------------------------------------------
 
     def abandon(self, now: float) -> None:

@@ -15,7 +15,11 @@ Honest accounting: for every completed span,
 where the residual is the uninstrumented interval between the last tap
 and the externally observed completion.  :meth:`TraceReport.check`
 gates the aggregate residual fraction below 1%, so "the hops explain
-the end-to-end latency" is an enforced property, not a hope.
+the end-to-end latency" is an enforced property, not a hope.  Because
+stage durations telescope, that sum holds whatever order the taps came
+in; a tap out of time order shows up instead as a negative stage
+duration, which the recorder counts and :meth:`TraceReport.check`
+rejects.
 
 Span forensics: a seeded, deterministic sampler keeps the full mark
 trail for a bounded number of spans (tail debugging wants the exact
@@ -103,6 +107,9 @@ class TraceRecorder:
         #: recorded per hop — the time was really spent — but
         #: they do not contribute to the end-to-end latency quantiles.
         self.abandoned = 0
+        #: Closed spans with a negative stage duration: a mark earlier
+        #: than the one before it.
+        self.non_monotonic = 0
 
     # -- span lifecycle ---------------------------------------------------
 
@@ -128,15 +135,8 @@ class TraceRecorder:
             return
         ctx.closed = True
         self.abandoned += 1
-        e2e = now - ctx.t0
-        self._e2e_total += e2e
-        for stage, duration in ctx.totals().items():
-            name = stage_name(stage)
-            hop = self._hops.get(name)
-            if hop is None:
-                hop = self._hops[name] = LatencyRecorder(name)
-            hop.record(duration)
-        self._residual_total += now - ctx.last_time
+        self._e2e_total += now - ctx.t0
+        self._record_hops(ctx, now)
 
     def complete(self, ctx: TraceContext, now: float) -> None:
         """Close a span at ``now`` and record it per hop and end to end.
@@ -153,15 +153,7 @@ class TraceRecorder:
         e2e = now - ctx.t0
         self._e2e_total += e2e
         self._e2e.record(e2e)
-        totals = ctx.totals()
-        for stage, duration in totals.items():
-            name = stage_name(stage)
-            hop = self._hops.get(name)
-            if hop is None:
-                hop = self._hops[name] = LatencyRecorder(name)
-            hop.record(duration)
-        # Residual: the tail between the last tap and the observed end.
-        self._residual_total += now - ctx.last_time
+        self._record_hops(ctx, now)
         if ctx.sampled and len(self._spans) < self.max_spans:
             self._spans.append(SpanRecord(
                 request_id=ctx.request_id,
@@ -169,6 +161,24 @@ class TraceRecorder:
                 end=now,
                 marks=tuple((stage_name(s), t) for s, t in ctx.marks),
             ))
+
+    def _record_hops(self, ctx: TraceContext, now: float) -> None:
+        """Fold a closing span's per-stage durations and its residual
+        into the totals, counting the span if a duration is negative."""
+        prev = ctx.t0
+        for _stage, at in ctx.marks:
+            if at < prev:
+                self.non_monotonic += 1
+                break
+            prev = at
+        for stage, duration in ctx.totals().items():
+            name = stage_name(stage)
+            hop = self._hops.get(name)
+            if hop is None:
+                hop = self._hops[name] = LatencyRecorder(name)
+            hop.record(duration)
+        # Residual: the tail between the last tap and the observed end.
+        self._residual_total += now - ctx.last_time
 
     # -- reporting --------------------------------------------------------
 
@@ -198,6 +208,7 @@ class TraceRecorder:
             residual_total=self._residual_total,
             sampled_spans=tuple(self._spans),
             abandoned_spans=self.abandoned,
+            non_monotonic_spans=self.non_monotonic,
         )
 
 
@@ -219,6 +230,9 @@ class TraceReport:
     sampled_spans: Tuple[SpanRecord, ...] = ()
     #: Spans closed at a drop point (see :meth:`TraceRecorder.abandon`).
     abandoned_spans: int = 0
+    #: Spans with a negative stage duration (see
+    #: :attr:`TraceRecorder.non_monotonic`).
+    non_monotonic_spans: int = 0
 
     @property
     def residual_fraction(self) -> float:
@@ -229,12 +243,19 @@ class TraceReport:
     def check(self, max_residual: float = 0.01, min_hops: int = 5) -> None:
         """Raise if the decomposition is not honest enough.
 
+        * no span may have a negative stage duration (a tap out of time
+          order),
         * hop sums + residual must reconstruct end-to-end time within
-          float tolerance (structural invariant — a failure means a tap
-          produced a non-monotonic timestamp),
+          float tolerance (a bookkeeping identity: stage durations
+          telescope, so it holds whatever the tap order and a failure
+          means the recorder's own accounting broke),
         * the residual must stay below ``max_residual`` of e2e time,
         * at least ``min_hops`` distinct stages must carry attribution.
         """
+        if self.non_monotonic_spans:
+            raise AssertionError(
+                f"{self.non_monotonic_spans} spans have a negative stage "
+                f"duration (a tap out of time order)")
         recon = self.hop_sum_total + self.residual_total
         if abs(recon - self.e2e_total) > 1e-9 * max(1.0, self.e2e_total):
             raise AssertionError(

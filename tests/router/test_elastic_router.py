@@ -249,3 +249,87 @@ class TestDeadlineDropAbandonsSpan:
         assert router.stats.deadline_drops == 1
         assert recorder.abandoned == 1
         assert ctx.closed
+
+
+class TestStreamAndHandover:
+    """The streamed path, its handover to the per-cycle clock, and the
+    latch rule, against the per-cycle reference router."""
+
+    CYCLE = 1.0 / 175e6
+
+    def edge(self, k):
+        """The k-th edge of a clock started at time zero."""
+        t = 0.0
+        for _ in range(k):
+            t += self.CYCLE
+        return t
+
+    def handover_mid_message(self, router_cls):
+        env = Environment()
+        router = router_cls(env, num_ports=4, num_vcs=2, credits_per_port=8)
+        got = []
+        router.set_endpoint(2, lambda m: got.append((m.payload, env.now)))
+        router.inject(0, 2, "long", 320, vc=0)   # 10 flits of 32 B
+        # A second port cuts in at 4.5 cycles, to the same output and VC.
+        env.call_at(4.5 * self.CYCLE, router.inject, 1, 2, "cut-in", 64, 0)
+        env.run()
+        return got, router.stats, router._rr
+
+    def test_handover_mid_message_keeps_wormhole_and_times(self):
+        from .reference_router import ReferenceRouter
+        got, stats, rr = self.handover_mid_message(make_router)
+        # The wormhole lock holds the output for the streamed message.
+        assert [payload for payload, _ in got] == ["long", "cut-in"]
+        assert got[0][1] == self.edge(10)
+        assert (got, stats, rr) == self.handover_mid_message(ReferenceRouter)
+
+    def chained_on_edge(self, router_cls):
+        env = Environment()
+        router = router_cls(env, num_ports=4, num_vcs=2, credits_per_port=8)
+        got = {}
+        for port in (2, 3):
+            router.set_endpoint(
+                port, lambda m: got.__setitem__(m.payload, env.now))
+        router.inject(0, 2, "long", 320)  # keeps the clock running
+
+        def chained(env):
+            yield router.send(1, 3, "a", 32)              # done at edge 1
+            yield env.timeout(2 * self.CYCLE)             # wakes on edge 3
+            assert env.now == self.edge(3)
+            router.inject(1, 3, "b", 32)
+
+        env.process(chained(env))
+        env.run()
+        return got
+
+    def test_chained_sender_on_an_edge_is_latched_to_the_next(self):
+        from .reference_router import ReferenceRouter
+        got = self.chained_on_edge(make_router)
+        # The sender wakes before the clock's edge-3 event, yet "b" is
+        # admitted and switched no earlier than the edge after its send.
+        assert got["b"] == self.edge(4)
+        assert got == self.chained_on_edge(ReferenceRouter)
+
+    def test_inject_returns_the_message_on_both_paths(self):
+        env = Environment()
+        router = make_router(env)
+        router.set_endpoint(2, lambda m: None)
+        streamed = router.inject(0, 2, "streamed", 96)
+        clocked = router.inject(1, 2, "clocked", 96)  # hands over
+        assert (streamed.payload, streamed.src_port) == ("streamed", 0)
+        assert (clocked.payload, clocked.src_port) == ("clocked", 1)
+        env.run()
+        assert 0 < streamed.delivered_at < clocked.delivered_at
+
+    def test_one_event_per_streamed_message(self):
+        env = Environment()
+        router = make_router(env)
+        router.set_endpoint(1, lambda m: None)
+        for _ in range(5):
+            router.inject(0, 1, "x", 320)
+        env.run()
+        # One exit and one send() completion per message.
+        assert env.events_processed == 10
+        assert router.stats.cycles == router.stats.flits_switched == 50
+        assert router.stats.peak_buffer_occupancy == 1
+        assert env.now == self.edge(50)

@@ -53,6 +53,20 @@ def test_checkpoint_rewind_discards_doomed_marks():
     assert ctx.totals()[Stage.LTL_RETX] == pytest.approx(4.0)
 
 
+def test_insert_places_a_late_mark_in_time_order():
+    ctx = TraceContext(t0=0.0)
+    ctx.tap(Stage.LTL_RX, 1.0)
+    ctx.tap(Stage.LINK_WIRE, 2.0)   # a duplicate frame's tap
+    ctx.insert(Stage.ER_INGRESS, 1.5)
+    ctx.insert(Stage.SWITCH_TOR, 2.0)  # ties go after the existing mark
+    ctx.tap(Stage.ER_SWITCH, 3.0)
+    assert ctx.marks == [
+        (Stage.LTL_RX, 1.0), (Stage.ER_INGRESS, 1.5),
+        (Stage.LINK_WIRE, 2.0), (Stage.SWITCH_TOR, 2.0),
+        (Stage.ER_SWITCH, 3.0)]
+    assert all(d >= 0 for _, d in ctx.durations())
+
+
 def test_empty_context_last_time_is_t0():
     ctx = TraceContext(t0=7.0)
     assert ctx.last_time == 7.0
@@ -101,6 +115,36 @@ def test_recorder_min_hops_gate():
     _span(recorder, 0.0, [(Stage.ROLE_SERVICE, 1.0)])
     with pytest.raises(AssertionError, match="hops"):
         recorder.report().check(min_hops=5)
+
+
+def test_check_rejects_a_tap_out_of_time_order():
+    """Stage durations telescope, so hop sum + residual still equals e2e
+    when a tap lands out of order; the negative duration must fail.  The
+    span crosses two ERs, so the late mark's stage still sums positive."""
+    recorder = TraceRecorder()
+    ctx = recorder.start(0.0)
+    ctx.tap(Stage.ER_INGRESS, 0.75)  # sending shell's ER
+    ctx.tap(Stage.LTL_RX, 1.0)
+    ctx.tap(Stage.LINK_WIRE, 2.0)    # a duplicate frame's tap
+    ctx.tap(Stage.ER_INGRESS, 1.5)   # receiving ER, appended late: -0.5 s
+    ctx.tap(Stage.ER_SWITCH, 3.0)
+    recorder.complete(ctx, 3.0)
+    report = recorder.report()
+    assert report.non_monotonic_spans == 1
+    assert report.hop_sum_total + report.residual_total == \
+        pytest.approx(report.e2e_total)
+    with pytest.raises(AssertionError, match="negative stage duration"):
+        report.check(min_hops=1)
+
+
+def test_abandoned_span_out_of_time_order_is_counted():
+    recorder = TraceRecorder()
+    ctx = recorder.start(0.0)
+    ctx.tap(Stage.LINK_WIRE, 1.0)
+    ctx.tap(Stage.SWITCH_TOR, 2.0)
+    ctx.tap(Stage.LINK_WIRE, 1.5)   # -0.5 s
+    ctx.abandon(2.5)
+    assert recorder.report().non_monotonic_spans == 1
 
 
 def test_hop_count_is_per_span_not_per_tap():
