@@ -66,8 +66,7 @@ SURGE_MULTIPLIER = 5.0
 # Experiments
 # ----------------------------------------------------------------------
 def surge_config(protected: bool) -> RankingServiceConfig:
-    overload = OverloadConfig() if protected else OverloadConfig(
-        admission_enabled=False, deadline_enforcement=False)
+    overload = OverloadConfig(protect=protected)
     return RankingServiceConfig(mode=AccelerationMode.LOCAL_FPGA,
                                 overload=overload)
 

@@ -59,7 +59,6 @@ L2_MAX_SECONDS = 23.5e-6
 MIN_REACHABLE_HOSTS = 100_000
 
 SEED = 17
-MESSAGE_GAP = 100e-6
 
 
 def build_workload(l0_pairs: int, l1_pairs: int, l2_pairs: int,
@@ -75,8 +74,7 @@ def build_workload(l0_pairs: int, l1_pairs: int, l2_pairs: int,
     per_tor = config.hosts_per_tor
     tasks: List[PingTask] = []
     for i in range(l0_pairs):
-        tasks.append(PingTask(src=2 * i, dst=2 * i + 1,
-                              messages=messages, gap=MESSAGE_GAP))
+        tasks.append(PingTask(src=2 * i, dst=2 * i + 1, messages=messages))
     pairs_per_pod = config.tors_per_pod // 2
     for i in range(l1_pairs):
         pod = 1 + i // pairs_per_pod
@@ -84,7 +82,7 @@ def build_workload(l0_pairs: int, l1_pairs: int, l2_pairs: int,
         tasks.append(PingTask(
             src=pod * per_pod + rack * per_tor,
             dst=pod * per_pod + (rack + 1) * per_tor + 1,
-            messages=messages, gap=MESSAGE_GAP))
+            messages=messages))
     for i in range(l2_pairs):
         # Within-rack offsets 8/9 keep L2 endpoints clear of the L0/L1
         # hosts above; (pod, rack) combos repeat only after
@@ -94,8 +92,7 @@ def build_workload(l0_pairs: int, l1_pairs: int, l2_pairs: int,
         src = src_pod * per_pod + (i % config.tors_per_pod) * per_tor + 8
         dst = dst_pod * per_pod + \
             ((i + 13) % config.tors_per_pod) * per_tor + 9
-        tasks.append(PingTask(src=src, dst=dst,
-                              messages=messages, gap=MESSAGE_GAP))
+        tasks.append(PingTask(src=src, dst=dst, messages=messages))
     sources = [t.src for t in tasks]
     assert len(sources) == len(set(sources)), "source hosts must be unique"
     return tasks

@@ -9,12 +9,13 @@ timely retransmission of specific sequence numbers after reordering was
 detected).
 
 The header serializes to real bytes so tests can round-trip frames through
-the wire representation.
+the wire representation.  Only the header has a byte form: a frame
+crossing a shard seam (:mod:`repro.sim.shard`) travels as the object
+inside its captured packet, and the receiving engine checks its CRC.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 from dataclasses import dataclass
@@ -38,16 +39,6 @@ FLAG_CONGESTION = 1 << 2  # DC-QCN CNP piggybacked on an ACK
 _HEADER_FMT = "!HBBIIIHHHIII"
 #: Size of the LTL header on the wire.
 LTL_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
-
-# Payload encodings in the full-frame wire format (``to_wire``).  The
-# encoded payload rides behind the header as ``!BI`` (encoding tag,
-# encoded length) followed by the encoded bytes.  ``payload_bytes`` in
-# the header remains the *simulated* wire size, which for opaque
-# payloads differs from the encoded length.
-_ENC_RAW = 0      # payload is bytes: carried verbatim
-_ENC_PICKLE = 1   # opaque payload object: pickled for the shard seam
-_TRAILER_FMT = "!BI"
-_TRAILER_BYTES = struct.calcsize(_TRAILER_FMT)
 
 
 @dataclass
@@ -160,50 +151,6 @@ class LtlFrame:
                    payload=b"", payload_bytes=payload_bytes,
                    ack_seq=ack_seq, deadline_us=deadline_us,
                    checksum=checksum)
-
-    def to_wire(self) -> bytes:
-        """Serialize the full frame — header *and* payload — to bytes.
-
-        Bytes payloads are carried verbatim.  Opaque payload objects
-        (DNN requests, shell messages) are pickled so a frame can cross
-        a process boundary — the shard driver ships boundary frames
-        between shard workers in this form.  ``trace`` is simulation
-        metadata and is intentionally dropped (per-hop attribution does
-        not follow a frame across the shard seam).
-        """
-        if isinstance(self.payload, (bytes, bytearray)):
-            enc, blob = _ENC_RAW, bytes(self.payload)
-        else:
-            enc, blob = _ENC_PICKLE, pickle.dumps(
-                self.payload, protocol=pickle.HIGHEST_PROTOCOL)
-        return self.header_to_bytes() + \
-            struct.pack(_TRAILER_FMT, enc, len(blob)) + blob
-
-    @classmethod
-    def from_wire(cls, raw: bytes) -> "LtlFrame":
-        """Reconstruct a frame serialized by :meth:`to_wire`.
-
-        The checksum is verified: bytes payloads are covered in full,
-        opaque payloads through their simulated wire length only (the
-        same coverage :meth:`compute_checksum` applied at build time).
-        """
-        frame = cls.header_from_bytes(raw)
-        body = raw[LTL_HEADER_BYTES:]
-        if len(body) < _TRAILER_BYTES:
-            raise ValueError("truncated LTL payload trailer")
-        enc, length = struct.unpack(_TRAILER_FMT, body[:_TRAILER_BYTES])
-        blob = body[_TRAILER_BYTES:_TRAILER_BYTES + length]
-        if len(blob) != length:
-            raise ValueError("truncated LTL payload")
-        if enc == _ENC_RAW:
-            frame.payload = blob
-        elif enc == _ENC_PICKLE:
-            frame.payload = pickle.loads(blob)
-        else:
-            raise ValueError(f"unknown LTL payload encoding {enc}")
-        if not frame.verify_checksum():
-            raise ValueError("LTL frame checksum mismatch")
-        return frame
 
 
 def make_data_frame(connection_id: int, seq: int, message_id: int,

@@ -52,6 +52,21 @@ class TopologyConfig:
         return self.hosts_per_pod * self.pods
 
 
+def pod_distance_m(config: TopologyConfig, seed: int, pod: int) -> float:
+    """Deterministic per-pod fiber run to the L2 tier (metres).
+
+    A pure function of (config, seed, pod), so the sharded runner's seam
+    model uses it without building a topology.
+    """
+    lat = config.latency
+    # Stable pseudo-random fraction derived from the pod id.  Uses the
+    # process-stable seed derivation — ``hash()`` on strings is salted
+    # per interpreter and would move every pod between runs.
+    u = (_derive_seed(seed, "pod-distance", pod) & 0xFFFFFF) / float(1 << 24)
+    return lat.l1_l2_distance_min_m + u * (
+        lat.l1_l2_distance_max_m - lat.l1_l2_distance_min_m)
+
+
 class ThreeTierTopology:
     """Lazily materialized TOR/L1/L2 switch tree.
 
@@ -96,14 +111,7 @@ class ThreeTierTopology:
 
     def pod_distance_m(self, pod: int) -> float:
         """Deterministic per-pod fiber run to the L2 tier (metres)."""
-        lat = self.config.latency
-        # Stable pseudo-random fraction derived from the pod id.  Uses the
-        # process-stable seed derivation — ``hash()`` on strings is salted
-        # per interpreter and would move every pod between runs.
-        u = (_derive_seed(self.streams.seed, "pod-distance", pod)
-             & 0xFFFFFF) / float(1 << 24)
-        return lat.l1_l2_distance_min_m + u * (
-            lat.l1_l2_distance_max_m - lat.l1_l2_distance_min_m)
+        return pod_distance_m(self.config, self.streams.seed, pod)
 
     def ip_of(self, host_index: int) -> str:
         return ip_address(self.coords(host_index))

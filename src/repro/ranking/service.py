@@ -60,10 +60,10 @@ class OverloadConfig:
     Attach to :class:`RankingServiceConfig` to enable; ``None`` (the
     default) preserves the classic unprotected behavior exactly.
 
-    ``admission_enabled`` / ``deadline_enforcement`` exist so the
-    *unprotected* baseline in overload experiments can still stamp
-    deadlines and account SLO misses (apples-to-apples goodput) while
-    actually shedding or dropping nothing.
+    ``protect`` exists so the *unprotected* baseline in overload
+    experiments can still stamp deadlines and account SLO misses
+    (apples-to-apples goodput) while actually shedding or dropping
+    nothing.
     """
 
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
@@ -71,10 +71,9 @@ class OverloadConfig:
     default_budget: float = 8e-3
     #: Candidate-set fraction kept at the DEGRADED rung.
     degraded_fraction: float = 0.25
-    #: Master switch for the shed/degrade ladder.
-    admission_enabled: bool = True
-    #: Master switch for dropping expired work mid-path.
-    deadline_enforcement: bool = True
+    #: Master switch for the shed/degrade ladder and for dropping
+    #: expired work mid-path.
+    protect: bool = True
     #: Cost of a fast rejection (error serialization, connection reset).
     reject_latency: float = 10e-6
 
@@ -207,11 +206,11 @@ class RankingServer:
             if deadline is None:
                 deadline = Deadline.from_budget(arrival, ov.default_budget)
                 work.deadline = deadline
-            enforce = ov.deadline_enforcement
+            enforce = ov.protect
             if self.slo is not None:
                 self.slo.offer(arrival)
             degraded = False
-            if ov.admission_enabled and self.admission is not None:
+            if enforce and self.admission is not None:
                 level = self.admission.admit(
                     arrival, predicted_delay=self.predicted_core_delay())
                 if level is ServiceLevel.SHED:
@@ -445,14 +444,14 @@ def run_surge(config: RankingServiceConfig, profile,
     pre-surge P99") read straight off the result.
 
     Requires ``config.overload`` — the unprotected baseline is expressed
-    as an :class:`OverloadConfig` with ``admission_enabled=False`` and
-    ``deadline_enforcement=False``, which stamps deadlines and accounts
-    SLO misses without shedding or dropping anything.
+    as ``OverloadConfig(protect=False)``, which stamps deadlines and
+    accounts SLO misses without shedding or dropping anything.
     """
     if config.overload is None:
         raise ValueError(
-            "run_surge needs config.overload (use admission_enabled=False "
-            "for an unprotected-but-accounted baseline)")
+            "run_surge needs config.overload (use "
+            "OverloadConfig(protect=False) for an unprotected-but-"
+            "accounted baseline)")
     from ..workloads.surge import VariableRateArrivals
 
     if duration is None:

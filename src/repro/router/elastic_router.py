@@ -23,9 +23,13 @@ Two paths produce the same cycle-accurate result:
   so each message costs one kernel event, at its tail flit's exit.  Its
   head exits one cycle after ``max(send time, previous tail)``, and the
   tail time adds the cycle once per flit, so the floats equal the
-  per-cycle clock's.  At the exit the message's cycles, flits, peak
-  occupancy (1) and round-robin pointer are applied in closed form;
-  ``RouterStats`` therefore covers a streamed message from its exit on.
+  per-cycle clock's.  The exit is armed on the edge before the tail
+  (one more event for a multi-flit message), where the per-cycle clock
+  schedules the tick that delivers the message, so the exit takes that
+  tick's place among same-instant events.  At the exit the message's
+  cycles, flits, peak occupancy (1) and round-robin pointer are applied
+  in closed form; ``RouterStats`` therefore covers a streamed message
+  from its exit on.
 * **Per-cycle clock.** When a second input port sends mid-stream, the
   stream is handed over: flits on cycle edges strictly before now count
   as switched (wormhole lock and reassembly list set), the rest of the
@@ -206,13 +210,22 @@ class ElasticRouter:
                         start: float) -> None:
         """Queue ``message`` behind the stream, whose last tail exits at
         ``start`` (or the port is idle and ``start`` is now)."""
+        env = self.env
         cycle = self.cycle_time
         flits = -(-message.length_bytes // self.flit_bytes)
         head = tail = start + cycle
+        edge = start  # the cycle edge before the tail's
         for _ in range(flits - 1):
+            edge = tail
             tail += cycle
         self._stream.append((message, flits, done, head, tail))
-        self.env.call_at(tail, self._exit, self._epoch)
+        # The per-cycle clock schedules the tick that delivers a message
+        # on the edge before it.  Arming the exit there too gives it the
+        # same place among same-instant events on both paths.
+        if edge > env.now:
+            env.call_at(edge, env.call_at, tail, self._exit, self._epoch)
+        else:
+            env.call_at(tail, self._exit, self._epoch)
 
     def _exit(self, epoch: int) -> None:
         """A streamed message's tail flit exits the crossbar."""

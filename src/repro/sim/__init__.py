@@ -16,8 +16,6 @@ Quick example::
 """
 
 from .events import (
-    AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -30,8 +28,6 @@ from .resources import Resource
 from . import units
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "EmptySchedule",
     "Environment",
     "Event",

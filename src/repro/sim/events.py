@@ -314,68 +314,3 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} {'alive' if self.is_alive else 'done'}>"
-
-
-class AnyOf(Event):
-    """Succeeds when any of the given events succeeds (or one fails)."""
-
-    __slots__ = ("events",)
-
-    def __init__(self, env: "Environment", events: List[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        if not self.events:
-            self.succeed({})
-            return
-        for event in self.events:
-            if event.callbacks is None:
-                self._on_child(event)
-                break
-            event.callbacks.append(self._on_child)
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event._ok:
-            # Only events whose callbacks have run count as "done":
-            # Timeout carries its value from creation, so `triggered`
-            # alone would wrongly include still-pending timeouts.
-            done = {e: e._value for e in self.events
-                    if (e.processed or e is event) and e._ok}
-            self.succeed(done)
-        else:
-            event._defused = True
-            self.fail(event._value)
-
-
-class AllOf(Event):
-    """Succeeds when all of the given events have succeeded."""
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, env: "Environment", events: List[Event]):
-        super().__init__(env)
-        self.events = list(events)
-        self._remaining = 0
-        for event in self.events:
-            if event.callbacks is None:
-                if not event._ok:
-                    event._defused = True
-                    self.fail(event._value)
-                    return
-                continue
-            self._remaining += 1
-            event.callbacks.append(self._on_child)
-        if self._remaining == 0 and not self.triggered:
-            self.succeed({e: e._value for e in self.events})
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event._ok:
-            event._defused = True
-            self.fail(event._value)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed({e: e._value for e in self.events})

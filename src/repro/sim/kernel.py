@@ -51,14 +51,12 @@ and draw no randomness, so enabling them cannot perturb seeded runs.
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Iterable, Optional, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 from .events import (
     NORMAL,
     PENDING,
     URGENT,
-    AllOf,
-    AnyOf,
     Deferred,
     Event,
     Process,
@@ -176,14 +174,6 @@ class Environment:
                 name: Optional[str] = None) -> Process:
         """Start a new process from a generator of events."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        """Event succeeding when any of ``events`` succeeds."""
-        return AnyOf(self, list(events))
-
-    def all_of(self, events: Iterable[Event]) -> AllOf:
-        """Event succeeding when all of ``events`` have succeeded."""
-        return AllOf(self, list(events))
 
     # ------------------------------------------------------------------
     # Scheduling

@@ -18,21 +18,26 @@ switch forwarding delays from the sender's TOR uplink to the receiver's
 QSFP (serialization and queueing jitter only add to it).  With hosts
 partitioned by TOR that minimum is the same-pod cross-TOR path
 (~2.8 us) when a pod is split between shards, and the cheapest
-cross-pod path otherwise.  Windows advance adaptively: the next window
-ends at ``min(next unsimulated event across all shards) + lookahead``,
-so idle stretches between paced messages cost one barrier, not
-thousands.
+cross-pod path otherwise; :func:`compute_lookahead` reads it off
+:meth:`BoundaryPathModel.min_delay` for one pair that attains it.
+Windows advance adaptively: the next window ends at
+``min(next unsimulated event across all shards) + lookahead``, so idle
+stretches between paced messages cost one barrier, not thousands.
 
 **The seam.** Outbound cross-shard packets are captured at the source
 host's fabric attachment — before they enter the (source-local) switch
-tree — and shipped to the owning shard as serialized
-:class:`~repro.ltl.frames.LtlFrame` wire bytes between windows.  The
-destination shard models the full network path analytically
-(:class:`BoundaryPathModel`): the deterministic component sum of the
-real per-hop models plus shard-local background-jitter draws.  This is
-exact for an uncongested fabric (the Fig. 10 idle-latency regime);
-cross-shard congestion (shared queue buildup, PFC, ECN on seam paths)
-is *not* modeled — shard within a congestion domain if that matters.
+tree — and shipped to the owning shard between windows as they are: a
+:class:`BoundaryRecord` holds the captured
+:class:`~repro.net.packet.Packet` itself, and the worker pipe's
+pickling is its only serialization.  The receiving LTL engine verifies
+every frame's CRC, as on the real fabric.  Sharded workloads carry no
+trace context.  The destination shard models the full network path
+analytically (:class:`BoundaryPathModel`): the deterministic component
+sum of the real per-hop models plus shard-local background-jitter
+draws.  This is exact for an uncongested fabric (the Fig. 10
+idle-latency regime); cross-shard congestion (shared queue buildup,
+PFC, ECN on seam paths) is *not* modeled — shard within a congestion
+domain if that matters.
 
 **Determinism.** Every component derives its streams by name from the
 global seed, so a shard's event sequence is a pure function of
@@ -48,26 +53,30 @@ through shared aggregation tiers are correlated.
 from __future__ import annotations
 
 import hashlib
-import pickle
+import multiprocessing as mp
 import struct
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..core.cloud import ConfigurableCloud
 from ..core.metrics import LatencyRecorder
-from ..ltl.frames import LtlFrame
+from ..fpga.shell import Shell
+from ..ltl.connection import ReceiveConnectionState, SendConnectionState
 from ..net.addressing import host_index_to_coords, mac_to_host_index
-from ..net.topology import TopologyConfig
+from ..net.dcqcn import DcqcnRateController
+from ..net.links import propagation_delay
+from ..net.packet import Packet
+from ..net.topology import TopologyConfig, pod_distance_m
 from .kernel import Environment
-from .randomness import RandomStreams, _derive_seed
+from .units import serialization_delay
 
 _INF = float("inf")
 
-# Boundary-record payload encodings (mirrors LtlFrame.to_wire's tags,
-# but at the packet level: non-LTL payloads may also cross the seam).
-_KIND_LTL = "ltl"
-_KIND_RAW = "raw"
-_KIND_PICKLE = "pickle"
+#: Every ping task's send interval and payload size: the low-rate
+#: request/ACK round trips of the paper's Fig. 10 methodology.
+PING_GAP = 100e-6
+PING_PAYLOAD_BYTES = 64
 
 
 # ----------------------------------------------------------------------
@@ -75,7 +84,8 @@ _KIND_PICKLE = "pickle"
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class PingTask:
-    """One measured sender: ``messages`` LTL pings to ``dst``.
+    """One measured sender: ``messages`` LTL pings to ``dst``, one every
+    :data:`PING_GAP` from time zero, over a vc-0 connection.
 
     Matches the paper's Fig. 10 methodology — low-rate request/ACK
     round trips, RTT taken inside LTL.  Each source host must appear in
@@ -85,9 +95,14 @@ class PingTask:
     src: int
     dst: int
     messages: int = 60
-    gap: float = 100e-6
-    start: float = 0.0
-    payload_bytes: int = 64
+
+
+def _ping(env: Environment, shell: Shell, task: PingTask):
+    """Process body: the pings of ``task``, sent from ``shell``."""
+    payload = bytes(PING_PAYLOAD_BYTES)
+    for _ in range(task.messages):
+        shell.remote_send(task.dst, payload, PING_PAYLOAD_BYTES)
+        yield env.timeout(PING_GAP)
 
 
 # ----------------------------------------------------------------------
@@ -148,21 +163,6 @@ def plan_shards(config: TopologyConfig, active_hosts: Iterable[int],
 # ----------------------------------------------------------------------
 # Boundary path physics
 # ----------------------------------------------------------------------
-def _prop(distance_m: float) -> float:
-    from ..net.links import propagation_delay
-    return propagation_delay(distance_m)
-
-
-def _pod_distance_m(config: TopologyConfig, seed: int, pod: int) -> float:
-    """Per-pod fiber run to L2 — same arithmetic as
-    :meth:`repro.net.topology.ThreeTierTopology.pod_distance_m`, exposed
-    here so the lookahead can be computed without building a topology."""
-    lat = config.latency
-    u = (_derive_seed(seed, "pod-distance", pod) & 0xFFFFFF) / float(1 << 24)
-    return lat.l1_l2_distance_min_m + u * (
-        lat.l1_l2_distance_max_m - lat.l1_l2_distance_min_m)
-
-
 class BoundaryPathModel:
     """Analytic latency of the un-simulated path across a shard seam.
 
@@ -198,9 +198,9 @@ class BoundaryPathModel:
         tor_l1 = (lat.tor_l1_distance_m, lat.tor_uplink_rate_bps)
         if ca.same_pod(cb):
             return (("tor", "l1", "tor"), (host, tor_l1, tor_l1, host))
-        up = (_pod_distance_m(self.config, self.seed, ca.pod),
+        up = (pod_distance_m(self.config, self.seed, ca.pod),
               lat.l1_uplink_rate_bps)
-        down = (_pod_distance_m(self.config, self.seed, cb.pod),
+        down = (pod_distance_m(self.config, self.seed, cb.pod),
                 lat.l1_uplink_rate_bps)
         return (("tor", "l1", "l2", "l1", "tor"),
                 (host, tor_l1, up, down, tor_l1, host))
@@ -211,14 +211,13 @@ class BoundaryPathModel:
         extras).  This is what the lookahead bound is built from."""
         lat = self.config.latency
         tiers, links = self._hops(src, dst)
-        delay = sum(_prop(d) for d, _rate in links)
+        delay = sum(propagation_delay(d) for d, _rate in links)
         for tier in tiers:
             delay += getattr(lat, f"{tier}_latency")
         return delay
 
     def delay(self, src: int, dst: int, wire_bytes: int) -> float:
         """One sampled traversal: floor + serialization + jitter draws."""
-        from ..sim.units import serialization_delay
         tiers, links = self._hops(src, dst)
         delay = self.min_delay(src, dst)
         for _d, rate in links:
@@ -235,31 +234,31 @@ def compute_lookahead(config: TopologyConfig, plan: ShardPlan,
     """Minimum seam-path latency over the partition's actual seams.
 
     ``inf`` for a single shard (no seam: one process, no windows
-    needed).  With any pod split between shards the bound is the
-    same-pod cross-TOR floor; otherwise it is the cheapest cross-pod
-    path between two pods living in different shards.
+    needed).  Otherwise it is :meth:`BoundaryPathModel.min_delay` of one
+    cross-shard pair that attains the minimum.  Every same-pod cross-TOR
+    pair has the same floor, the lowest of any seam, so a pod split
+    between shards supplies the pair.  With whole pods per shard every
+    seam crosses L2 and the floor grows with the two pods' fiber runs:
+    the pair joins the nearest pods of the two shards whose nearest pods
+    are nearest.
     """
     if plan.num_shards <= 1:
         return _INF
-    lat = config.latency
-    base = (2 * _prop(lat.host_tor_distance_m)
-            + 2 * _prop(lat.tor_l1_distance_m)
-            + 2 * lat.tor_latency + lat.l1_latency)
-    pods_by_shard: Dict[int, set] = {}
-    pod_shards: Dict[int, set] = {}
-    for (pod, _tor), shard in plan.tor_to_shard.items():
-        pods_by_shard.setdefault(shard, set()).add(pod)
-        pod_shards.setdefault(pod, set()).add(shard)
-    if any(len(shards) > 1 for shards in pod_shards.values()):
-        return base
-    # Whole pods per shard: every seam crosses L2.  The floor minimizes
-    # d(src pod) + d(dst pod) over cross-shard pod pairs, which is the
-    # two smallest per-shard minima (from distinct shards, trivially).
-    minima = sorted(
-        min(_prop(_pod_distance_m(config, seed, pod)) for pod in pods)
-        for pods in pods_by_shard.values())
-    return (base + lat.l1_latency + lat.l2_latency
-            + minima[0] + minima[1])
+    model = BoundaryPathModel(config, seed)
+    first: Dict[int, int] = {}  # pod -> its first host seen
+    nearest: Dict[int, Tuple[float, int]] = {}  # shard -> (fiber m, host)
+    for shard, hosts in enumerate(plan.hosts):
+        for host in hosts:
+            pod = host // config.hosts_per_pod
+            other = first.setdefault(pod, host)
+            if plan.host_to_shard[other] != shard:
+                return model.min_delay(other, host)  # a split pod
+            if other == host:
+                candidate = (pod_distance_m(config, seed, pod), host)
+                nearest[shard] = min(nearest.get(shard, candidate),
+                                     candidate)
+    (_d, a), (_e, b) = sorted(nearest.values())[:2]
+    return model.min_delay(a, b)
 
 
 # ----------------------------------------------------------------------
@@ -267,35 +266,12 @@ def compute_lookahead(config: TopologyConfig, plan: ShardPlan,
 # ----------------------------------------------------------------------
 @dataclass
 class BoundaryRecord:
-    """One captured cross-shard packet, in process-portable form."""
+    """One captured cross-shard packet, shipped as it is."""
 
     send_time: float
     src: int
     dst: int
-    traffic_class: int
-    kind: str
-    blob: bytes
-    payload_bytes: int
-    src_port: int = 0
-    dst_port: int = 0
-    has_udp: bool = True
-
-
-def _encode_payload(payload: Any) -> Tuple[str, bytes]:
-    if isinstance(payload, LtlFrame):
-        return _KIND_LTL, payload.to_wire()
-    if isinstance(payload, (bytes, bytearray)):
-        return _KIND_RAW, bytes(payload)
-    return _KIND_PICKLE, pickle.dumps(
-        payload, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _decode_payload(kind: str, blob: bytes) -> Any:
-    if kind == _KIND_LTL:
-        return LtlFrame.from_wire(blob)
-    if kind == _KIND_RAW:
-        return blob
-    return pickle.loads(blob)
+    packet: Packet
 
 
 # ----------------------------------------------------------------------
@@ -307,13 +283,12 @@ class ShardSpec:
 
     shard_id: int
     seed: int
-    topology: Optional[TopologyConfig]
     local_hosts: List[int]
     host_to_shard: Dict[int, int]
-    #: Global, ordered (a, b, vc) LTL connection list — every shard
-    #: replays the same allocation sequence so connection ids agree
-    #: across the seam without any control-plane exchange.
-    connections: List[Tuple[int, int, int]]
+    #: The global, ordered task list.  Its (src, dst) pairs are also the
+    #: LTL connection list: every shard replays the same allocation
+    #: sequence, so connection ids agree across the seam without any
+    #: control-plane exchange.
     workload: List[PingTask]
 
 
@@ -326,10 +301,8 @@ class ShardWorld:
     """
 
     def __init__(self, spec: ShardSpec):
-        from ..core.cloud import ConfigurableCloud
         self.spec = spec
-        self.cloud = ConfigurableCloud(
-            topology=spec.topology, seed=spec.seed)
+        self.cloud = ConfigurableCloud(seed=spec.seed)
         self.env: Environment = self.cloud.env
         self.outbox: List[BoundaryRecord] = []
         self.local = set(spec.local_hosts)
@@ -347,7 +320,9 @@ class ShardWorld:
         self._establish_connections()
         for task in spec.workload:
             if task.src in self.local:
-                self._start_ping(task)
+                self.env.process(
+                    _ping(self.env, self.cloud.shell(task.src), task),
+                    name=f"ping-{task.src}-{task.dst}")
 
     # -- seam capture ---------------------------------------------------
     def _capture(self, host: int) -> None:
@@ -362,49 +337,31 @@ class ShardWorld:
             dst = mac_to_host_index(packet.eth.dst_mac)
             if dst in local:
                 return _original(packet)
-            kind, blob = _encode_payload(packet.payload)
-            udp = packet.udp
-            outbox.append(BoundaryRecord(
-                send_time=env.now, src=_host, dst=dst,
-                traffic_class=packet.traffic_class, kind=kind, blob=blob,
-                payload_bytes=packet.payload_bytes,
-                src_port=udp.src_port if udp is not None else 0,
-                dst_port=udp.dst_port if udp is not None else 0,
-                has_udp=udp is not None))
+            packet.created_at = env.now  # as Attachment.send stamps it
+            outbox.append(BoundaryRecord(env.now, _host, dst, packet))
             self.boundary_sent += 1
             return True
 
         attachment.send = send
 
     def inject(self, records: Sequence[BoundaryRecord]) -> None:
-        """Schedule incoming boundary packets for local delivery.
+        """Schedule incoming boundary packets, unchanged, for local
+        delivery.
 
         The arrival time is the record's send time plus one sampled
         seam-path traversal; by the lookahead invariant it is never in
         the shard's past.
         """
-        fabric = self.cloud.fabric
-        topo = fabric.topology
-        from ..net.packet import make_udp_packet
+        dispatch = self.cloud.fabric._dispatch
         for record in records:
             if record.dst not in self.local:
                 raise ValueError(
                     f"record for host {record.dst} routed to shard "
                     f"{self.spec.shard_id}")
-            payload = _decode_payload(record.kind, record.blob)
-            packet = make_udp_packet(
-                src_index=record.src, dst_index=record.dst,
-                src_ip=topo.ip_of(record.src),
-                dst_ip=topo.ip_of(record.dst),
-                src_mac=topo.mac_of(record.src),
-                dst_mac=topo.mac_of(record.dst),
-                src_port=record.src_port, dst_port=record.dst_port,
-                payload=payload, payload_bytes=record.payload_bytes,
-                traffic_class=record.traffic_class)
-            packet.created_at = record.send_time
+            packet = record.packet
             arrival = record.send_time + self.path.delay(
                 record.src, record.dst, packet.wire_bytes)
-            self.env.call_at(arrival, fabric._dispatch, record.dst, packet)
+            self.env.call_at(arrival, dispatch, record.dst, packet)
             self.boundary_received += 1
 
     def drain_outbox(self) -> List[BoundaryRecord]:
@@ -415,17 +372,15 @@ class ShardWorld:
     def _establish_connections(self) -> None:
         """Replay the global ``connect_pair`` allocation sequence.
 
-        Every shard walks the same ordered pair list and advances one
-        allocation counter per engine — local engines get real table
-        entries, remote ones just advance their shadow counter.  Fresh
+        Every shard walks the same ordered task list, one vc-0
+        connection per task, and advances one allocation counter per
+        engine — local engines get real table entries, remote ones just
+        advance their shadow counter.  Fresh
         :class:`~repro.ltl.connection.ConnectionTable` allocation is
         sequential from 0, so the shadow ids equal the ids the owning
         shard installs, and frames crossing the seam carry connection
         ids the receiver already has in its tables.
         """
-        from ..ltl.connection import (ReceiveConnectionState,
-                                      SendConnectionState)
-        from ..net.dcqcn import DcqcnRateController
         send_ctr: Dict[int, int] = {}
         recv_ctr: Dict[int, int] = {}
 
@@ -434,7 +389,8 @@ class ShardWorld:
             counters[host] = i + 1
             return i
 
-        for a, b, vc in self.spec.connections:
+        for task in self.spec.workload:
+            a, b = task.src, task.dst
             # Allocation order matches repro.ltl.engine.connect_pair:
             # recv@b, send@a, recv@a, send@b.
             recv_b = alloc(recv_ctr, b)
@@ -460,28 +416,12 @@ class ShardWorld:
                 shell.ltl.send_table.install(
                     my_send, SendConnectionState(
                         connection_id=my_send, remote_host=remote_host,
-                        remote_connection_id=peer_recv, vc=vc,
+                        remote_connection_id=peer_recv,
                         dcqcn=DcqcnRateController(
                             shell.ltl.config.dcqcn)))
                 shell._send_conns[remote_host] = my_send
                 if cross:
                     self.boundary_peers.add(remote_host)
-
-    # -- workload -------------------------------------------------------
-    def _start_ping(self, task: PingTask) -> None:
-        shell = self.cloud.shell(task.src)
-        payload = b"\x00" * task.payload_bytes
-
-        def driver(env, _shell=shell, _task=task, _payload=payload):
-            if _task.start > 0:
-                yield env.timeout(_task.start)
-            for _ in range(_task.messages):
-                _shell.remote_send(_task.dst, _payload,
-                                   _task.payload_bytes)
-                yield env.timeout(_task.gap)
-
-        self.env.process(driver(self.env),
-                         name=f"ping-{task.src}-{task.dst}")
 
     # -- results --------------------------------------------------------
     def run_window(self, until: float) -> None:
@@ -569,18 +509,6 @@ class ShardResult:
     def total_samples(self) -> int:
         return sum(s["samples"] for s in self.per_shard)
 
-    def summary(self) -> Dict[str, Any]:
-        return {
-            "shards": self.plan.num_shards,
-            "lookahead_us": self.lookahead * 1e6,
-            "windows": self.windows,
-            "horizon_s": self.horizon,
-            "boundary_records": self.boundary_records,
-            "events_processed": self.events_processed,
-            "tiers": {tier: rec.summary()
-                      for tier, rec in sorted(self.tiers.items())},
-        }
-
 
 def _merge_tiers(per_shard: List[Dict[str, Any]]
                  ) -> Dict[str, LatencyRecorder]:
@@ -594,54 +522,34 @@ def _merge_tiers(per_shard: List[Dict[str, Any]]
     return merged
 
 
-def _workload_horizon(workload: Sequence[PingTask],
-                      drain: float = 2e-3) -> float:
-    return max(t.start + t.messages * t.gap for t in workload) + drain
+def _workload_horizon(workload: Sequence[PingTask]) -> float:
+    """The last ping's send time, plus 2 ms for its round trip."""
+    return max(t.messages for t in workload) * PING_GAP + 2e-3
 
 
-def default_connections(workload: Sequence[PingTask]
-                        ) -> List[Tuple[int, int, int]]:
-    """One vc-0 connection pair per ping task, in task order."""
-    return [(t.src, t.dst, 0) for t in workload]
+def _active_hosts(workload: Sequence[PingTask]) -> List[int]:
+    return sorted({t.src for t in workload} | {t.dst for t in workload})
 
 
 class ShardDriver:
     """Launch shard workers, run the window protocol, merge metrics."""
 
-    def __init__(self, topology: Optional[TopologyConfig] = None,
-                 seed: int = 0, num_shards: int = 4):
-        self.topology = topology
+    def __init__(self, seed: int = 0, num_shards: int = 4):
         self.seed = seed
         self.num_shards = num_shards
 
-    def _specs(self, plan: ShardPlan,
-               connections: List[Tuple[int, int, int]],
-               workload: Sequence[PingTask]) -> List[ShardSpec]:
-        validate_workload(workload)
-        return [ShardSpec(
-            shard_id=shard, seed=self.seed, topology=self.topology,
-            local_hosts=plan.hosts[shard],
-            host_to_shard=plan.host_to_shard,
-            connections=connections, workload=list(workload))
-            for shard in range(plan.num_shards)]
-
-    def run(self, workload: Sequence[PingTask],
-            connections: Optional[List[Tuple[int, int, int]]] = None,
-            horizon: Optional[float] = None) -> ShardResult:
-        import multiprocessing as mp
+    def run(self, workload: Sequence[PingTask]) -> ShardResult:
         if not workload:
             raise ValueError("empty workload")
-        connections = connections if connections is not None \
-            else default_connections(workload)
-        horizon = horizon if horizon is not None \
-            else _workload_horizon(workload)
-        config = self.topology or TopologyConfig()
-        active = sorted({t.src for t in workload}
-                        | {t.dst for t in workload}
-                        | {h for a, b, _vc in connections for h in (a, b)})
-        plan = plan_shards(config, active, self.num_shards)
+        validate_workload(workload)
+        horizon = _workload_horizon(workload)
+        config = TopologyConfig()
+        plan = plan_shards(config, _active_hosts(workload), self.num_shards)
         lookahead = compute_lookahead(config, plan, self.seed)
-        specs = self._specs(plan, connections, workload)
+        specs = [ShardSpec(
+            shard_id=shard, seed=self.seed, local_hosts=plan.hosts[shard],
+            host_to_shard=plan.host_to_shard, workload=list(workload))
+            for shard in range(plan.num_shards)]
 
         if plan.num_shards == 1:
             # Degenerate partition: no seam, no processes to spawn.
@@ -743,10 +651,7 @@ def validate_workload(workload: Sequence[PingTask]) -> None:
 # ----------------------------------------------------------------------
 # Single-process reference
 # ----------------------------------------------------------------------
-def run_reference(workload: Sequence[PingTask],
-                  connections: Optional[List[Tuple[int, int, int]]] = None,
-                  topology: Optional[TopologyConfig] = None,
-                  seed: int = 0, horizon: Optional[float] = None
+def run_reference(workload: Sequence[PingTask], seed: int = 0
                   ) -> Dict[str, LatencyRecorder]:
     """The same workload in one process, on the real fabric end to end.
 
@@ -754,35 +659,18 @@ def run_reference(workload: Sequence[PingTask],
     derivation, connection order and ping schedule — the only
     difference is that no path is replaced by the analytic seam model.
     """
-    from ..core.cloud import ConfigurableCloud
     validate_workload(workload)
-    connections = connections if connections is not None \
-        else default_connections(workload)
-    horizon = horizon if horizon is not None \
-        else _workload_horizon(workload)
-    cloud = ConfigurableCloud(topology=topology, seed=seed)
-    active = sorted({t.src for t in workload} | {t.dst for t in workload}
-                    | {h for a, b, _vc in connections for h in (a, b)})
-    for host in active:
+    cloud = ConfigurableCloud(seed=seed)
+    for host in _active_hosts(workload):
         cloud.add_server(host, enroll=False)
-    for a, b, vc in connections:
-        cloud.connect(a, b, vc=vc)
+    for task in workload:
+        cloud.connect(task.src, task.dst)
 
     env = cloud.env
     for task in workload:
-        shell = cloud.shell(task.src)
-        payload = b"\x00" * task.payload_bytes
-
-        def driver(env, _shell=shell, _task=task, _payload=payload):
-            if _task.start > 0:
-                yield env.timeout(_task.start)
-            for _ in range(_task.messages):
-                _shell.remote_send(_task.dst, _payload,
-                                   _task.payload_bytes)
-                yield env.timeout(_task.gap)
-
-        env.process(driver(env), name=f"ping-{task.src}-{task.dst}")
-    env.run(until=horizon)
+        env.process(_ping(env, cloud.shell(task.src), task),
+                    name=f"ping-{task.src}-{task.dst}")
+    env.run(until=_workload_horizon(workload))
 
     topo = cloud.fabric.topology
     tiers: Dict[str, LatencyRecorder] = {}

@@ -1,7 +1,5 @@
 """Tests for the LTL frame format and serialization."""
 
-from dataclasses import dataclass
-
 import pytest
 
 from repro.ltl.frames import (
@@ -13,14 +11,6 @@ from repro.ltl.frames import (
     make_nack,
     nack_range,
 )
-
-
-@dataclass
-class OpaquePayload:
-    """Stand-in for a simulation object riding an LTL frame."""
-
-    kind: str
-    values: tuple
 
 
 class TestDataFrames:
@@ -76,79 +66,6 @@ class TestHeaderSerialization:
     def test_truncated_rejected(self):
         with pytest.raises(ValueError):
             LtlFrame.header_from_bytes(b"\x00" * 4)
-
-
-class TestFullWireSerialization:
-    """``to_wire``/``from_wire``: what the shard seam actually ships."""
-
-    def test_bytes_payload_roundtrip(self):
-        frame = make_data_frame(connection_id=7, seq=99, message_id=3,
-                                fragment=2, total_fragments=4,
-                                payload=b"hello fpga", payload_bytes=10,
-                                deadline_us=12345)
-        decoded = LtlFrame.from_wire(frame.to_wire())
-        assert decoded.payload == b"hello fpga"
-        assert decoded.payload_bytes == 10
-        assert decoded.seq == 99
-        assert decoded.deadline_us == 12345
-        assert decoded.flags == frame.flags
-        assert decoded.checksum == frame.checksum
-        assert decoded.verify_checksum()
-
-    def test_opaque_payload_roundtrip(self):
-        payload = OpaquePayload(kind="dnn-request", values=(1, 2.5, "x"))
-        frame = make_data_frame(connection_id=1, seq=0, message_id=0,
-                                fragment=0, total_fragments=1,
-                                payload=payload, payload_bytes=4096)
-        decoded = LtlFrame.from_wire(frame.to_wire())
-        assert decoded.payload == payload
-        assert decoded.payload is not payload  # crossed the "wire"
-        # The simulated size is authoritative, not the pickled length.
-        assert decoded.payload_bytes == 4096
-        assert decoded.wire_bytes == frame.wire_bytes
-
-    def test_ack_and_nack_roundtrip(self):
-        ack = make_ack(5, 321, congestion=True)
-        decoded_ack = LtlFrame.from_wire(ack.to_wire())
-        assert decoded_ack.is_ack
-        assert decoded_ack.ack_seq == 321
-        assert decoded_ack.congestion_flag
-        nack = make_nack(5, (40, 44))
-        decoded_nack = LtlFrame.from_wire(nack.to_wire())
-        assert nack_range(decoded_nack) == (40, 44)
-
-    def test_empty_payload_roundtrip(self):
-        frame = make_ack(0, 0)
-        assert LtlFrame.from_wire(frame.to_wire()).payload == b""
-
-    def test_corrupted_payload_rejected(self):
-        frame = make_data_frame(1, 0, 0, 0, 1, b"payload", 7)
-        raw = bytearray(frame.to_wire())
-        raw[-1] ^= 0xFF
-        with pytest.raises(ValueError, match="checksum"):
-            LtlFrame.from_wire(bytes(raw))
-
-    def test_corrupted_header_rejected(self):
-        frame = make_data_frame(1, 9, 0, 0, 1, b"payload", 7)
-        raw = bytearray(frame.to_wire())
-        raw[8] ^= 0xFF  # inside connection_id
-        with pytest.raises(ValueError, match="checksum"):
-            LtlFrame.from_wire(bytes(raw))
-
-    def test_truncated_payload_rejected(self):
-        frame = make_data_frame(1, 0, 0, 0, 1, b"payload", 7)
-        with pytest.raises(ValueError, match="truncated"):
-            LtlFrame.from_wire(frame.to_wire()[:-3])
-
-    def test_truncated_trailer_rejected(self):
-        frame = make_ack(0, 1)
-        with pytest.raises(ValueError, match="truncated"):
-            LtlFrame.from_wire(frame.to_wire()[:LTL_HEADER_BYTES + 2])
-
-    def test_trace_not_serialized(self):
-        frame = make_data_frame(1, 0, 0, 0, 1, b"x", 1)
-        frame.trace = object()
-        assert LtlFrame.from_wire(frame.to_wire()).trace is None
 
 
 class TestAckNack:

@@ -24,8 +24,7 @@ from repro.workloads import FlashCrowdProfile
 
 
 def surge_config(protected: bool) -> RankingServiceConfig:
-    overload = OverloadConfig() if protected else OverloadConfig(
-        admission_enabled=False, deadline_enforcement=False)
+    overload = OverloadConfig(protect=protected)
     return RankingServiceConfig(mode=AccelerationMode.LOCAL_FPGA,
                                 overload=overload)
 

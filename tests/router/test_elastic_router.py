@@ -328,8 +328,9 @@ class TestStreamAndHandover:
         for _ in range(5):
             router.inject(0, 1, "x", 320)
         env.run()
-        # One exit and one send() completion per message.
-        assert env.events_processed == 10
+        # Per message: the exit, armed on the edge before it (every
+        # message here is 10 flits long), and the send() completion.
+        assert env.events_processed == 15
         assert router.stats.cycles == router.stats.flits_switched == 50
         assert router.stats.peak_buffer_occupancy == 1
         assert env.now == self.edge(50)

@@ -19,7 +19,7 @@ import dataclasses
 from collections import defaultdict
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.router import (DEFAULT_FREQ_HZ, ElasticRouter, MeshNetwork,
@@ -155,8 +155,23 @@ def run_router(router_cls, program):
     }
 
 
+def plain(size, echo=None):
+    """A single-router message spec: port 0 to port 0 on VC 0."""
+    return {"src": 0, "dst": 0, "vc": 0, "size": size, "deadline": None,
+            "traced": False, "tap": None, "echo": echo}
+
+
 @settings(max_examples=150, deadline=None)
 @given(router_programs())
+# A delivery-callback echo and a chained sender's timeout(2 * cycle)
+# reach port 0 at one instant; both paths must queue them alike.
+@example(program=(
+    {"num_ports": 1, "num_vcs": 1, "credit_policy": "static",
+     "credits_per_port": 1},
+    [(0.0, plain(1)), (0.0, plain(1)), (0.0, plain(1)), (0.0, plain(1)),
+     (4e-08, plain(33, echo=plain(1)))],
+    [(0.0, 0, [(plain(1), 0), (plain(1), 0), (plain(1), 2),
+               (plain(1), 0)])]))
 def test_router_matches_per_cycle_reference(program):
     reference = run_router(ReferenceRouter, program)
     assert reference["idle"]
@@ -245,6 +260,14 @@ def run_network(router_cls, program):
 
 @settings(max_examples=60, deadline=None)
 @given(network_programs())
+# The network form of the same race, on a two-node ring.
+@example(program=(
+    ("ring", 2),
+    {"num_vcs": 1, "credit_policy": "static", "credits_per_port": 1},
+    [(None, (0, 0, 0, 321, (0, 0, 1))), (0.0, (0, 0, 0, 1, None)),
+     (0.0, (0, 0, 0, 1, None)), (0.0, (0, 0, 0, 1, None)),
+     (None, (0, 0, 0, 1, None))],
+    [(grid(11), 0, [((0, 0, 0, 1, None), 0)])]))
 def test_network_matches_per_cycle_reference(program):
     reference = run_network(ReferenceRouter, program)
     assert reference["idle"]

@@ -1,4 +1,4 @@
-"""Edge cases on Event/AnyOf/AllOf and error handling."""
+"""Edge cases on Event and error handling."""
 
 import pytest
 
@@ -63,71 +63,6 @@ class TestEventLifecycle:
         event.fail(ValueError("nobody caught me"))
         with pytest.raises(ValueError):
             env.run()
-
-
-class TestAnyOfAllOfFailures:
-    def test_any_of_fails_if_child_fails_first(self):
-        env = Environment()
-
-        def proc(env):
-            bad = env.event()
-            bad.fail(RuntimeError("child failed"))
-            slow = env.timeout(10.0)
-            try:
-                yield env.any_of([bad, slow])
-            except RuntimeError:
-                return "propagated"
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == "propagated"
-
-    def test_all_of_fails_fast(self):
-        env = Environment()
-
-        def proc(env):
-            fast_fail = env.timeout(1.0)
-            never = env.event()
-            composite = env.all_of([fast_fail, never])
-
-            def poison(env):
-                yield env.timeout(0.5)
-                never.fail(RuntimeError("boom"))
-
-            env.process(poison(env))
-            try:
-                yield composite
-            except RuntimeError:
-                return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 0.5
-
-    def test_any_of_empty_succeeds_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            result = yield env.any_of([])
-            return result
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == {}
-
-    def test_all_of_with_pre_completed_events(self):
-        env = Environment()
-        done1 = env.event()
-        done1.succeed("a")
-        env.run()  # process it
-
-        def proc(env):
-            result = yield env.all_of([done1, env.timeout(1.0, "b")])
-            return sorted(str(v) for v in result.values())
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == ["a", "b"]
 
 
 class TestRunEdgeCases:

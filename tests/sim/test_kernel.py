@@ -203,41 +203,3 @@ class TestInterrupt:
         env.run()
         with pytest.raises(SimulationError):
             p.interrupt()
-
-
-class TestCompositeEvents:
-    def test_any_of_first_wins(self):
-        env = Environment()
-
-        def proc(env):
-            fast = env.timeout(1.0, value="fast")
-            slow = env.timeout(5.0, value="slow")
-            result = yield env.any_of([fast, slow])
-            return (env.now, list(result.values()))
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == (1.0, ["fast"])
-
-    def test_all_of_waits_for_all(self):
-        env = Environment()
-
-        def proc(env):
-            events = [env.timeout(t) for t in (1.0, 3.0, 2.0)]
-            yield env.all_of(events)
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 3.0
-
-    def test_all_of_empty_completes_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.all_of([])
-            return env.now
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 0.0

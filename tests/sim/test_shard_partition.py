@@ -150,14 +150,13 @@ class TestLookahead:
 class TestBoundarySeams:
     def _worlds(self, workload, num_shards=2, seed=0):
         config = TopologyConfig()
-        connections = [(t.src, t.dst, 0) for t in workload]
         active = sorted({t.src for t in workload}
                         | {t.dst for t in workload})
         plan = plan_shards(config, active, num_shards)
         worlds = [ShardWorld(ShardSpec(
-            shard_id=s, seed=seed, topology=config,
+            shard_id=s, seed=seed,
             local_hosts=plan.hosts[s], host_to_shard=plan.host_to_shard,
-            connections=connections, workload=workload))
+            workload=workload))
             for s in range(plan.num_shards)]
         return plan, worlds
 
