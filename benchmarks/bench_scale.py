@@ -2,16 +2,15 @@
 
 Runs a Fig. 10-style idle-RTT sweep over the paper's full-size fabric
 (253,440 reachable hosts — "more than a quarter million") through the
-multi-process shard driver (``repro.sim.shard``), and the identical
-workload single-process as the reference.  Gates:
+shard driver (``repro.sim.shard``), and the identical workload as one
+shard — the real fabric end to end — as the reference.  Gates:
 
 * **agreement** — merged P50/P99 per tier from the sharded run must
-  match the single-process reference within the documented tolerance
+  match the one-shard reference within the documented tolerance
   (5% / 10%; the seam model draws jitter from different streams, so
   agreement is statistical, not bitwise),
 * **determinism** — per-shard digests must be bit-identical across two
-  runs of the same spec (quick mode; full mode reuses the quick gate in
-  CI),
+  runs of the same spec,
 * **calibration** — the merged L2 tier must stay inside the paper's
   envelope ("L2 latency never exceeded 23.5 us in any of our
   experiments"),
@@ -42,15 +41,11 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.net.topology import TopologyConfig  # noqa: E402
-from repro.sim.shard import (  # noqa: E402
-    PingTask,
-    ShardDriver,
-    run_reference,
-)
+from repro.sim.shard import PingTask, ShardDriver  # noqa: E402
 
 from _harness import write_result  # noqa: E402
 
-#: Documented merge tolerance vs the single-process reference.
+#: Documented merge tolerance vs the one-shard reference.
 P50_TOLERANCE = 0.05
 P99_TOLERANCE = 0.10
 #: Paper: "L2 latency never exceeded 23.5 us in any of our experiments."
@@ -113,17 +108,14 @@ def run_suite(quick: bool = False) -> Dict[str, object]:
     sharded_wall = time.time() - t0
 
     t0 = time.time()
-    reference = run_reference(workload, seed=SEED)
+    reference = ShardDriver(seed=SEED, num_shards=1).run(workload).tiers
     reference_wall = time.time() - t0
 
+    # Determinism gate: a second run of the same spec must produce
+    # bit-identical per-shard digests.
     digests = [s["digest"] for s in sharded.per_shard]
-    if quick:
-        # Determinism gate: a second run of the same spec must produce
-        # bit-identical per-shard digests.
-        repeat = ShardDriver(seed=SEED, num_shards=num_shards).run(workload)
-        digests_stable = [s["digest"] for s in repeat.per_shard] == digests
-    else:
-        digests_stable = True  # gated in quick/CI mode
+    repeat = ShardDriver(seed=SEED, num_shards=num_shards).run(workload)
+    digests_stable = [s["digest"] for s in repeat.per_shard] == digests
 
     metrics: Dict[str, object] = {
         "hosts_reachable": config.total_hosts,

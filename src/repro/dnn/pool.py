@@ -89,7 +89,7 @@ class DnnPool:
         self.remote = remote
         # Required: derive per-pool streams from RandomStreams (e.g.
         # ``streams.stream("dnn-pool")``) — the old seed-0 fallback
-        # correlated network jitter across pools and shard processes.
+        # correlated network jitter across pools.
         self.rng = rng
         self.accelerators = [
             DnnAccelerator(accelerator_config) for _ in range(num_fpgas)]

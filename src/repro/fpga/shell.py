@@ -65,10 +65,6 @@ class ShellConfig:
     ltl_traffic_class: int = TrafficClass.LOSSLESS
     #: Number of role slots on the ER ("Role x N" in Fig. 4).
     num_roles: int = 1
-    #: Elastic Router sizing.
-    er_num_vcs: int = 2
-    er_credits_per_port: int = 16
-    er_credit_policy: str = "elastic"
     #: Enable the SEU injection/scrubbing model (off by default: most
     #: experiments run for simulated milliseconds where SEUs are noise).
     enable_seu: bool = False
@@ -165,10 +161,7 @@ class Shell:
             raise ValueError("shell needs at least one role slot")
         num_ports = 4 + (self.config.num_roles - 1)
         self.er = ElasticRouter(
-            env, name=f"er-{host_index}", num_ports=num_ports,
-            num_vcs=self.config.er_num_vcs,
-            credits_per_port=self.config.er_credits_per_port,
-            credit_policy=self.config.er_credit_policy)
+            env, name=f"er-{host_index}", num_ports=num_ports)
         self.er.set_endpoint(ER_PORT_REMOTE, self._er_remote_out)
 
         # LTL engine + connection cache.

@@ -7,7 +7,9 @@ reproduce the paper's Fig. 10 tiers:
 * L1 (same pod):  avg 7.72 us, 99.9th 8.24 us plus a small outlier tail
 * L2 (cross pod): avg 18.71 us, 99.9th 22.38 us, max < 23.5 us
 
-The decomposition: endpoint (LTL engine + MAC/PHY) processing, per-switch
+The decomposition: endpoint (LTL engine + MAC/PHY) processing, whose
+constants live with the endpoints (``LtlConfig.tx_latency``/``rx_latency``
+and ``ShellConfig.mac_tx_latency``/``mac_rx_latency``), per-switch
 forwarding latency, per-link serialization + propagation, plus stochastic
 queueing jitter contributed by background datacenter traffic sharing the
 L1/L2 switches.  L2 pair-to-pair variation is dominated by physical fiber
@@ -23,13 +25,8 @@ from typing import List
 
 @dataclass
 class LatencyModel:
-    """All fixed latency constants for the simulated fabric (seconds)."""
-
-    # Endpoint costs (one traversal of the FPGA network stack).
-    ltl_tx: float = 0.25e-6          #: LTL packetize + connection lookup
-    ltl_rx: float = 0.28e-6          #: LTL depacketize + ACK generation
-    mac_tx: float = 0.18e-6          #: 40G MAC+PHY transmit path
-    mac_rx: float = 0.18e-6          #: 40G MAC+PHY receive path
+    """Fixed latency constants of the fabric's switches and links
+    (seconds)."""
 
     # Switch forwarding latency (cut-through pipeline) per tier.
     tor_latency: float = 0.45e-6

@@ -95,8 +95,8 @@ class Switch:
         # Required: every switch must be given its own derived child
         # stream (``RandomStreams.stream(f"switch:{name}")``).  The old
         # ``rng or random.Random(0)`` fallback silently gave distinct
-        # switches an identical seed-0 stream — across shard processes
-        # that correlates jitter that must be independent.
+        # switches an identical seed-0 stream, which correlates jitter
+        # that must be independent.
         self.rng = rng
         self.ecn = ecn or EcnConfig()
         self.pfc = pfc or PfcConfig()

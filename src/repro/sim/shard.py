@@ -1,70 +1,79 @@
-"""Sharded multi-process simulation (conservative time windows).
+"""Sharded simulation: one process, one world per shard, an analytic seam.
 
-Runs one logical datacenter simulation as N shard processes, each owning
-a disjoint set of racks (TORs) with its own :class:`Environment` and
-SHA-256-derived child RNG streams.  Shards synchronize with a
-conservative window protocol: every shard simulates the same time
-window, then all exchange the boundary frames produced in it, then the
-next window starts.
+Runs one logical datacenter simulation as N shard *worlds* in the calling
+process, each owning a disjoint set of racks (TORs) with its own
+:class:`Environment` and SHA-256-derived child RNG streams.  The worlds
+advance under a conservative window protocol: each window, every world
+simulates up to the same time, one world after another.
+
+The worlds do not run in parallel.  What sharding saves is simulated
+work: a cross-shard packet skips the real switch tree and takes an
+analytic seam path (:class:`BoundaryPathModel`) instead, so the 8-shard
+``benchmarks/bench_scale.py`` sweep processes about a third of the
+events of the one-shard run.  That path is an approximation, checked
+against the one-shard run only on an idle fabric.
 
 **Partitioning.** Hosts are partitioned by TOR: all hosts under one TOR
 land in the same shard, so same-rack traffic never crosses a shard seam
 and every cross-shard packet traverses at least the L1 tier.
 
-**Lookahead.** The window protocol is correct as long as no frame sent
-inside a window can arrive inside the same window.  The bound is the
-minimum un-simulated path latency across any seam: propagation plus
-switch forwarding delays from the sender's TOR uplink to the receiver's
-QSFP (serialization and queueing jitter only add to it).  With hosts
-partitioned by TOR that minimum is the same-pod cross-TOR path
-(~2.8 us) when a pod is split between shards, and the cheapest
-cross-pod path otherwise; :func:`compute_lookahead` reads it off
-:meth:`BoundaryPathModel.min_delay` for one pair that attains it.
-Windows advance adaptively: the next window ends at
-``min(next unsimulated event across all shards) + lookahead``, so idle
-stretches between paced messages cost one barrier, not thousands.
+**Lookahead.** A packet captured in one world is scheduled in its
+destination world at once, at its send time plus one sampled seam-path
+traversal, so that arrival must never precede the end of the current
+window, which worlds earlier in the loop have already reached.  The
+bound is the minimum un-simulated path latency across any seam:
+propagation plus switch forwarding from the sender's TOR uplink to the
+receiver's QSFP (serialization and jitter only add to it).  With hosts
+partitioned by TOR that is the same-pod cross-TOR path (~2.8 us) when a
+pod is split between shards, and the cheapest cross-pod path otherwise;
+:func:`compute_lookahead` reads it off :meth:`BoundaryPathModel.min_delay`
+for one pair that attains it.  Windows advance adaptively: the next
+window ends at ``min(next event across all worlds) + lookahead``, so
+idle stretches between paced messages cost one window, not thousands.
 
 **The seam.** Outbound cross-shard packets are captured at the source
 host's fabric attachment — before they enter the (source-local) switch
-tree — and shipped to the owning shard between windows as they are: a
-:class:`BoundaryRecord` holds the captured
-:class:`~repro.net.packet.Packet` itself, and the worker pipe's
-pickling is its only serialization.  The receiving LTL engine verifies
-every frame's CRC, as on the real fabric.  Sharded workloads carry no
-trace context.  The destination shard models the full network path
-analytically (:class:`BoundaryPathModel`): the deterministic component
-sum of the real per-hop models plus shard-local background-jitter
-draws.  This is exact for an uncongested fabric (the Fig. 10
-idle-latency regime); cross-shard congestion (shared queue buildup,
-PFC, ECN on seam paths) is *not* modeled — shard within a congestion
-domain if that matters.
+tree — and handed to the destination world as they are.  The receiving
+LTL engine verifies every frame's CRC, as on the real fabric.  Sharded
+workloads carry no trace context.  The destination world models the
+full network path analytically: the deterministic component sum of the
+real per-hop models plus background-jitter draws from the world's own
+stream.  This is exact for an uncongested fabric (the Fig. 10
+idle-latency regime); cross-shard congestion (shared queue buildup, PFC,
+ECN on seam paths) is *not* modeled — shard within a congestion domain
+if that matters.
+
+**Connections.** Each task's two shells are joined with
+:meth:`~repro.fpga.shell.Shell.connect_to` in task order, as in a
+single world; a cross-shard pair's shells just live in different
+worlds.  With one shard there is no seam, and the run is the
+real fabric end to end: it is the reference sharded runs are checked
+against.
 
 **Determinism.** Every component derives its streams by name from the
-global seed, so a shard's event sequence is a pure function of
-(spec, seed) — per-shard digests are bit-stable across runs.  Boundary
-jitter is drawn from a per-shard stream; it matches the single-process
-run in distribution, not draw-for-draw, so merged percentiles agree
-within tolerance rather than exactly.  Note that two shards touching
-the same pod derive identical jitter streams for their copies of that
-pod's L1 switch — marginals are unaffected, but cross-shard samples
-through shared aggregation tiers are correlated.
+global seed, so a world's event sequence is a pure function of (plan,
+workload, seed) — per-shard digests are bit-stable across runs.  Each
+world draws seam jitter from its own stream, in the order its inbound
+packets are captured (world by world within a window); one shared
+:class:`Environment` would interleave those draws differently.  The
+jitter matches the one-shard run in distribution, not draw-for-draw, so
+merged percentiles agree within tolerance rather than exactly.  Two
+shards touching the same pod derive identical jitter streams for their
+copies of that pod's L1 switch — marginals are unaffected, but
+cross-shard samples through shared aggregation tiers are correlated.
 """
 
 from __future__ import annotations
 
 import hashlib
-import multiprocessing as mp
 import struct
-import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.cloud import ConfigurableCloud
 from ..core.metrics import LatencyRecorder
 from ..fpga.shell import Shell
-from ..ltl.connection import ReceiveConnectionState, SendConnectionState
 from ..net.addressing import host_index_to_coords, mac_to_host_index
-from ..net.dcqcn import DcqcnRateController
 from ..net.links import propagation_delay
 from ..net.packet import Packet
 from ..net.topology import TopologyConfig, pod_distance_m
@@ -233,8 +242,8 @@ def compute_lookahead(config: TopologyConfig, plan: ShardPlan,
                       seed: int) -> float:
     """Minimum seam-path latency over the partition's actual seams.
 
-    ``inf`` for a single shard (no seam: one process, no windows
-    needed).  Otherwise it is :meth:`BoundaryPathModel.min_delay` of one
+    ``inf`` for a single shard (no seam: one window covers the run).
+    Otherwise it is :meth:`BoundaryPathModel.min_delay` of one
     cross-shard pair that attains the minimum.  Every same-pod cross-TOR
     pair has the same floor, the lowest of any seam, so a pod split
     between shards supplies the pair.  With whole pods per shard every
@@ -262,183 +271,77 @@ def compute_lookahead(config: TopologyConfig, plan: ShardPlan,
 
 
 # ----------------------------------------------------------------------
-# Boundary records
+# Worlds
 # ----------------------------------------------------------------------
-@dataclass
-class BoundaryRecord:
-    """One captured cross-shard packet, shipped as it is."""
-
-    send_time: float
-    src: int
-    dst: int
-    packet: Packet
-
-
-# ----------------------------------------------------------------------
-# Worker-side world
-# ----------------------------------------------------------------------
-@dataclass
-class ShardSpec:
-    """Everything a shard worker needs to build its world."""
-
-    shard_id: int
-    seed: int
-    local_hosts: List[int]
-    host_to_shard: Dict[int, int]
-    #: The global, ordered task list.  Its (src, dst) pairs are also the
-    #: LTL connection list: every shard replays the same allocation
-    #: sequence, so connection ids agree across the seam without any
-    #: control-plane exchange.
-    workload: List[PingTask]
-
-
 class ShardWorld:
     """One shard's simulation: a :class:`ConfigurableCloud` restricted
-    to the shard's hosts, with seam capture and injection attached.
+    to the shard's hosts, with its own :class:`Environment` and seam
+    capture on every local host.
 
-    Usable in-process (tests drive several worlds by hand) or inside a
-    worker process via :func:`_worker_main`.
+    ``owner`` maps every active host to its world; :func:`build_worlds`
+    fills it once all worlds exist.
     """
 
-    def __init__(self, spec: ShardSpec):
-        self.spec = spec
-        self.cloud = ConfigurableCloud(seed=spec.seed)
+    def __init__(self, shard_id: int, seed: int, local_hosts: Sequence[int],
+                 owner: Dict[int, ShardWorld]):
+        self.shard_id = shard_id
+        self.cloud = ConfigurableCloud(seed=seed)
         self.env: Environment = self.cloud.env
-        self.outbox: List[BoundaryRecord] = []
-        self.local = set(spec.local_hosts)
-        #: Remote hosts this shard holds an LTL connection with.
-        self.boundary_peers: set = set()
+        self.local = set(local_hosts)
+        #: The tasks whose source is local, in workload order.
+        self.tasks: List[PingTask] = []
         self.boundary_sent = 0
         self.boundary_received = 0
         self.path = BoundaryPathModel(
-            self.cloud.fabric.config, spec.seed,
-            rng=self.cloud.streams.stream(
-                f"shard:{spec.shard_id}:boundary"))
+            self.cloud.fabric.config, seed,
+            rng=self.cloud.streams.stream(f"shard:{shard_id}:boundary"))
         for host in sorted(self.local):
             self.cloud.add_server(host, enroll=False)
-            self._capture(host)
-        self._establish_connections()
-        for task in spec.workload:
-            if task.src in self.local:
-                self.env.process(
-                    _ping(self.env, self.cloud.shell(task.src), task),
-                    name=f"ping-{task.src}-{task.dst}")
+            self._capture(host, owner)
 
-    # -- seam capture ---------------------------------------------------
-    def _capture(self, host: int) -> None:
-        """Divert packets bound for non-local hosts into the outbox."""
+    # -- the seam -------------------------------------------------------
+    def _capture(self, host: int, owner: Dict[int, ShardWorld]) -> None:
+        """Hand packets bound for another world's host to that world."""
         attachment = self.cloud.shell(host).attachment
         original = attachment.send
         env = self.env
         local = self.local
-        outbox = self.outbox
 
         def send(packet, _original=original, _host=host):
             dst = mac_to_host_index(packet.eth.dst_mac)
             if dst in local:
                 return _original(packet)
             packet.created_at = env.now  # as Attachment.send stamps it
-            outbox.append(BoundaryRecord(env.now, _host, dst, packet))
             self.boundary_sent += 1
+            owner[dst].arrive(env.now, _host, dst, packet)
             return True
 
         attachment.send = send
 
-    def inject(self, records: Sequence[BoundaryRecord]) -> None:
-        """Schedule incoming boundary packets, unchanged, for local
+    def arrive(self, send_time: float, src: int, dst: int,
+               packet: Packet) -> None:
+        """Schedule a packet from another world, unchanged, for local
         delivery.
 
-        The arrival time is the record's send time plus one sampled
-        seam-path traversal; by the lookahead invariant it is never in
-        the shard's past.
+        The arrival time is the send time plus one sampled seam-path
+        traversal; by the lookahead invariant it is never in this
+        world's past, and :meth:`Environment.call_at` raises if it is.
         """
-        dispatch = self.cloud.fabric._dispatch
-        for record in records:
-            if record.dst not in self.local:
-                raise ValueError(
-                    f"record for host {record.dst} routed to shard "
-                    f"{self.spec.shard_id}")
-            packet = record.packet
-            arrival = record.send_time + self.path.delay(
-                record.src, record.dst, packet.wire_bytes)
-            self.env.call_at(arrival, dispatch, record.dst, packet)
-            self.boundary_received += 1
+        arrival = send_time + self.path.delay(src, dst, packet.wire_bytes)
+        self.env.call_at(arrival, self._deliver, dst, packet)
 
-    def drain_outbox(self) -> List[BoundaryRecord]:
-        out, self.outbox[:] = list(self.outbox), ()
-        return out
-
-    # -- deterministic connection establishment -------------------------
-    def _establish_connections(self) -> None:
-        """Replay the global ``connect_pair`` allocation sequence.
-
-        Every shard walks the same ordered task list, one vc-0
-        connection per task, and advances one allocation counter per
-        engine — local engines get real table entries, remote ones just
-        advance their shadow counter.  Fresh
-        :class:`~repro.ltl.connection.ConnectionTable` allocation is
-        sequential from 0, so the shadow ids equal the ids the owning
-        shard installs, and frames crossing the seam carry connection
-        ids the receiver already has in its tables.
-        """
-        send_ctr: Dict[int, int] = {}
-        recv_ctr: Dict[int, int] = {}
-
-        def alloc(counters: Dict[int, int], host: int) -> int:
-            i = counters.get(host, 0)
-            counters[host] = i + 1
-            return i
-
-        for task in self.spec.workload:
-            a, b = task.src, task.dst
-            # Allocation order matches repro.ltl.engine.connect_pair:
-            # recv@b, send@a, recv@a, send@b.
-            recv_b = alloc(recv_ctr, b)
-            send_a = alloc(send_ctr, a)
-            recv_a = alloc(recv_ctr, a)
-            send_b = alloc(send_ctr, b)
-            cross = self.spec.host_to_shard.get(a) != \
-                self.spec.host_to_shard.get(b)
-            for (local_host, remote_host, my_send, my_recv,
-                 peer_send) in ((a, b, send_a, recv_a, send_b),
-                                (b, a, send_b, recv_b, send_a)):
-                if local_host not in self.local:
-                    continue
-                shell = self.cloud.shell(local_host)
-                if shell.ltl is None:
-                    raise RuntimeError(
-                        f"host {local_host} has no LTL block")
-                peer_recv = recv_b if local_host == a else recv_a
-                shell.ltl.recv_table.install(
-                    my_recv, ReceiveConnectionState(
-                        connection_id=my_recv, remote_host=remote_host,
-                        remote_connection_id=peer_send))
-                shell.ltl.send_table.install(
-                    my_send, SendConnectionState(
-                        connection_id=my_send, remote_host=remote_host,
-                        remote_connection_id=peer_recv,
-                        dcqcn=DcqcnRateController(
-                            shell.ltl.config.dcqcn)))
-                shell._send_conns[remote_host] = my_send
-                if cross:
-                    self.boundary_peers.add(remote_host)
+    def _deliver(self, dst: int, packet: Packet) -> None:
+        self.boundary_received += 1
+        self.cloud.fabric._dispatch(dst, packet)
 
     # -- results --------------------------------------------------------
-    def run_window(self, until: float) -> None:
-        self.env.run(until=until)
-
-    def peek(self) -> float:
-        return self.env.peek()
-
     def collect(self) -> Dict[str, Any]:
         """Per-shard metrics: per-tier recorders + a stability digest."""
         topo = self.cloud.fabric.topology
         tiers: Dict[str, LatencyRecorder] = {}
         digest = hashlib.sha256()
         sample_count = 0
-        for task in self.spec.workload:
-            if task.src not in self.local:
-                continue
+        for task in self.tasks:
             samples = self.cloud.shell(task.src).ltl.rtt_samples()
             tier = topo.tier_between(task.src, task.dst)
             recorder = tiers.get(tier)
@@ -449,7 +352,7 @@ class ShardWorld:
             digest.update(struct.pack("!II", task.src, task.dst))
             digest.update(struct.pack(f"!{len(samples)}d", *samples))
         return {
-            "shard_id": self.spec.shard_id,
+            "shard_id": self.shard_id,
             "tiers": tiers,
             "samples": sample_count,
             "digest": digest.hexdigest(),
@@ -459,31 +362,29 @@ class ShardWorld:
         }
 
 
-def _worker_main(conn, spec: ShardSpec) -> None:
-    """Child-process loop: build the world, serve window commands."""
-    try:
-        world = ShardWorld(spec)
-        conn.send(("ready", spec.shard_id))
-        while True:
-            message = conn.recv()
-            command = message[0]
-            if command == "window":
-                _, until, records = message
-                world.inject(records)
-                world.run_window(until)
-                conn.send(("done", spec.shard_id, world.peek(),
-                           world.drain_outbox()))
-            elif command == "finish":
-                conn.send(("result", world.collect()))
-                return
-            else:
-                raise ValueError(f"unknown command {command!r}")
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except Exception:
-            pass
-        raise
+def build_worlds(plan: ShardPlan, seed: int,
+                 workload: Sequence[PingTask]) -> List[ShardWorld]:
+    """One :class:`ShardWorld` per shard of ``plan``, joined and loaded.
+
+    Each task's two shells are joined with
+    :meth:`~repro.fpga.shell.Shell.connect_to`, in task order, exactly as
+    the one-shard run joins them (a cross-shard pair's shells just live
+    in different worlds), and each task's pings start in its source's
+    world.
+    """
+    owner: Dict[int, ShardWorld] = {}
+    worlds = [ShardWorld(shard, seed, hosts, owner)
+              for shard, hosts in enumerate(plan.hosts)]
+    for world in worlds:
+        owner.update(dict.fromkeys(world.local, world))
+    for task in workload:
+        world = owner[task.src]
+        shell = world.cloud.shell(task.src)
+        shell.connect_to(owner[task.dst].cloud.shell(task.dst))
+        world.tasks.append(task)
+        world.env.process(_ping(world.env, shell, task),
+                          name=f"ping-{task.src}-{task.dst}")
+    return worlds
 
 
 # ----------------------------------------------------------------------
@@ -499,7 +400,6 @@ class ShardResult:
     lookahead: float
     windows: int
     horizon: float
-    boundary_records: int = 0
 
     @property
     def events_processed(self) -> int:
@@ -508,6 +408,11 @@ class ShardResult:
     @property
     def total_samples(self) -> int:
         return sum(s["samples"] for s in self.per_shard)
+
+    @property
+    def boundary_records(self) -> int:
+        """Packets that crossed a seam."""
+        return sum(s["boundary_sent"] for s in self.per_shard)
 
 
 def _merge_tiers(per_shard: List[Dict[str, Any]]
@@ -527,12 +432,8 @@ def _workload_horizon(workload: Sequence[PingTask]) -> float:
     return max(t.messages for t in workload) * PING_GAP + 2e-3
 
 
-def _active_hosts(workload: Sequence[PingTask]) -> List[int]:
-    return sorted({t.src for t in workload} | {t.dst for t in workload})
-
-
 class ShardDriver:
-    """Launch shard workers, run the window protocol, merge metrics."""
+    """Build the shard worlds, run the window protocol, merge metrics."""
 
     def __init__(self, seed: int = 0, num_shards: int = 4):
         self.seed = seed
@@ -544,100 +445,28 @@ class ShardDriver:
         validate_workload(workload)
         horizon = _workload_horizon(workload)
         config = TopologyConfig()
-        plan = plan_shards(config, _active_hosts(workload), self.num_shards)
+        active = {t.src for t in workload} | {t.dst for t in workload}
+        plan = plan_shards(config, active, self.num_shards)
         lookahead = compute_lookahead(config, plan, self.seed)
-        specs = [ShardSpec(
-            shard_id=shard, seed=self.seed, local_hosts=plan.hosts[shard],
-            host_to_shard=plan.host_to_shard, workload=list(workload))
-            for shard in range(plan.num_shards)]
+        worlds = build_worlds(plan, self.seed, workload)
 
-        if plan.num_shards == 1:
-            # Degenerate partition: no seam, no processes to spawn.
-            world = ShardWorld(specs[0])
-            world.run_window(horizon)
-            per_shard = [world.collect()]
-            return ShardResult(
-                tiers=_merge_tiers(per_shard),
-                per_shard=per_shard, plan=plan, lookahead=lookahead,
-                windows=1, horizon=horizon)
+        now = 0.0
+        windows = 0
+        while now < horizon:
+            bound = min(world.env.peek() for world in worlds)
+            if bound == _INF:
+                break  # globally idle: nothing will ever happen
+            until = min(horizon, max(bound, now) + lookahead)
+            for world in worlds:
+                world.env.run(until=until)
+            now = until
+            windows += 1
 
-        ctx = mp.get_context()
-        pipes, workers = [], []
-        try:
-            for spec in specs:
-                parent, child = ctx.Pipe()
-                worker = ctx.Process(
-                    target=_worker_main, args=(child, spec),
-                    name=f"shard-{spec.shard_id}", daemon=True)
-                worker.start()
-                child.close()
-                pipes.append(parent)
-                workers.append(worker)
-            for pipe in pipes:
-                self._expect(pipe, "ready")
-
-            pending: List[List[BoundaryRecord]] = \
-                [[] for _ in range(plan.num_shards)]
-            peeks = [0.0] * plan.num_shards
-            now = 0.0
-            windows = 0
-            boundary_records = 0
-            while now < horizon:
-                bound = min(min(peeks), min(
-                    (record.send_time + lookahead
-                     for batch in pending for record in batch),
-                    default=_INF))
-                if bound == _INF:
-                    break  # globally idle: nothing will ever happen
-                until = min(horizon, max(bound, now) + lookahead)
-                for shard, pipe in enumerate(pipes):
-                    pipe.send(("window", until, pending[shard]))
-                    pending[shard] = []
-                for pipe in pipes:
-                    reply = self._expect(pipe, "done")
-                    _tag, shard, peek, outbox = reply
-                    peeks[shard] = peek
-                    for record in outbox:
-                        dst_shard = plan.host_to_shard.get(record.dst)
-                        if dst_shard is None:
-                            raise ValueError(
-                                f"boundary record for inactive host "
-                                f"{record.dst}")
-                        pending[dst_shard].append(record)
-                        boundary_records += 1
-                now = until
-                windows += 1
-
-            per_shard = []
-            for pipe in pipes:
-                pipe.send(("finish",))
-            for pipe in pipes:
-                per_shard.append(self._expect(pipe, "result")[1])
-            per_shard.sort(key=lambda s: s["shard_id"])
-        finally:
-            for pipe in pipes:
-                pipe.close()
-            for worker in workers:
-                worker.join(timeout=30)
-                if worker.is_alive():
-                    worker.terminate()
-                    worker.join()
-
+        per_shard = [world.collect() for world in worlds]
         return ShardResult(
             tiers=_merge_tiers(per_shard),
             per_shard=per_shard, plan=plan, lookahead=lookahead,
-            windows=windows, horizon=horizon,
-            boundary_records=boundary_records)
-
-    @staticmethod
-    def _expect(pipe, tag: str):
-        reply = pipe.recv()
-        if reply[0] == "error":
-            raise RuntimeError(f"shard worker failed:\n{reply[1]}")
-        if reply[0] != tag:
-            raise RuntimeError(
-                f"protocol violation: expected {tag!r}, got {reply[0]!r}")
-        return reply
+            windows=windows, horizon=horizon)
 
 
 def validate_workload(workload: Sequence[PingTask]) -> None:
@@ -646,38 +475,3 @@ def validate_workload(workload: Sequence[PingTask]) -> None:
     if len(sources) != len(set(sources)):
         raise ValueError("each host may be the source of only one "
                          "PingTask (RTT samples are per source engine)")
-
-
-# ----------------------------------------------------------------------
-# Single-process reference
-# ----------------------------------------------------------------------
-def run_reference(workload: Sequence[PingTask], seed: int = 0
-                  ) -> Dict[str, LatencyRecorder]:
-    """The same workload in one process, on the real fabric end to end.
-
-    The comparison baseline for sharded runs: identical topology, seed
-    derivation, connection order and ping schedule — the only
-    difference is that no path is replaced by the analytic seam model.
-    """
-    validate_workload(workload)
-    cloud = ConfigurableCloud(seed=seed)
-    for host in _active_hosts(workload):
-        cloud.add_server(host, enroll=False)
-    for task in workload:
-        cloud.connect(task.src, task.dst)
-
-    env = cloud.env
-    for task in workload:
-        env.process(_ping(env, cloud.shell(task.src), task),
-                    name=f"ping-{task.src}-{task.dst}")
-    env.run(until=_workload_horizon(workload))
-
-    topo = cloud.fabric.topology
-    tiers: Dict[str, LatencyRecorder] = {}
-    for task in workload:
-        tier = topo.tier_between(task.src, task.dst)
-        recorder = tiers.get(tier)
-        if recorder is None:
-            recorder = tiers[tier] = LatencyRecorder(tier)
-        recorder.extend(cloud.shell(task.src).ltl.rtt_samples())
-    return tiers

@@ -188,12 +188,14 @@ class _MacWireTransport:
     to the full one minus the switch hop.
     """
 
-    def __init__(self, env: Environment, mac_tx: float = 0.18e-6,
-                 wire: float = 0.4e-6, mac_rx: float = 0.18e-6):
+    def __init__(self, env: Environment, wire: float = 0.4e-6):
+        from ..fpga.shell import ShellConfig
+
+        shell = ShellConfig()
         self.env = env
-        self.mac_tx = mac_tx
+        self.mac_tx = shell.mac_tx_latency
         self.wire = wire
-        self.mac_rx = mac_rx
+        self.mac_rx = shell.mac_rx_latency
         self.peers: Dict[int, Any] = {}
 
     def send_frame(self, dst_host: int, frame) -> None:

@@ -1,19 +1,16 @@
-"""Sharded multi-process simulation vs the single-process reference.
+"""Sharded simulation vs the one-shard reference.
 
-The acceptance gate for ``repro.sim.shard``: a multi-shard run of a
-Fig. 10-style RTT workload must reproduce the single-process run's
-merged percentiles within tolerance (jitter is drawn from different
-streams across the seam, so agreement is statistical, not bitwise), and
-per-shard results must be bit-stable across runs.
+The acceptance gate for ``repro.sim.shard``: a four-shard run of a
+Fig. 10-style RTT workload must reproduce the merged percentiles of the
+one-shard run, which uses the real fabric end to end, within tolerance
+(jitter is drawn from different streams across the seam, so agreement
+is statistical, not bitwise), and per-shard results must be bit-stable
+across runs.
 """
 
 import pytest
 
-from repro.sim.shard import (
-    PingTask,
-    ShardDriver,
-    run_reference,
-)
+from repro.sim.shard import PingTask, ShardDriver
 
 # Fig. 10-style sample: one L0 pair (intra-shard by construction), two
 # same-pod cross-TOR pairs, two cross-pod pairs — all tiers exercised,
@@ -35,7 +32,7 @@ def sharded():
 
 @pytest.fixture(scope="module")
 def reference():
-    return run_reference(WORKLOAD, seed=SEED)
+    return ShardDriver(seed=SEED, num_shards=1).run(WORKLOAD).tiers
 
 
 class TestShardedVsReference:

@@ -2,8 +2,8 @@
 
 Covers the partition invariants the window protocol's correctness rests
 on: every host and TOR in exactly one shard, rack-locality preserved,
-cross-shard LTL connections registered as boundary seams on both sides,
-and the computed lookahead equal to the true minimum seam-path latency.
+LTL connection ids that agree across the seam, and the computed
+lookahead equal to the true minimum seam-path latency.
 """
 
 import itertools
@@ -15,8 +15,7 @@ from repro.net.topology import TopologyConfig
 from repro.sim.shard import (
     BoundaryPathModel,
     PingTask,
-    ShardSpec,
-    ShardWorld,
+    build_worlds,
     compute_lookahead,
     plan_shards,
     validate_workload,
@@ -153,37 +152,12 @@ class TestBoundarySeams:
         active = sorted({t.src for t in workload}
                         | {t.dst for t in workload})
         plan = plan_shards(config, active, num_shards)
-        worlds = [ShardWorld(ShardSpec(
-            shard_id=s, seed=seed,
-            local_hosts=plan.hosts[s], host_to_shard=plan.host_to_shard,
-            workload=workload))
-            for s in range(plan.num_shards)]
-        return plan, worlds
-
-    def test_cross_shard_connections_registered_both_sides(self):
-        workload = [PingTask(src=0, dst=30, messages=1),
-                    PingTask(src=25, dst=5000, messages=1)]
-        plan, worlds = self._worlds(workload)
-        for a, b, _vc in [(0, 30, 0), (25, 5000, 0)]:
-            sa, sb = plan.shard_of_host(a), plan.shard_of_host(b)
-            if sa == sb:
-                assert b not in worlds[sa].boundary_peers
-                assert a not in worlds[sb].boundary_peers
-            else:
-                assert b in worlds[sa].boundary_peers
-                assert a in worlds[sb].boundary_peers
-
-    def test_intra_shard_connection_is_not_a_seam(self):
-        # Hosts 0 and 1 share a rack, hence a shard: plain connect.
-        workload = [PingTask(src=0, dst=1, messages=1),
-                    PingTask(src=30, dst=48, messages=1)]
-        plan, worlds = self._worlds(workload)
-        shard = plan.shard_of_host(0)
-        assert 1 not in worlds[shard].boundary_peers
+        return plan, build_worlds(plan, seed, workload)
 
     def test_connection_ids_agree_across_the_seam(self):
-        """Each side's installed send connection must point at the id
-        the peer's shard installed for the matching receive half."""
+        """Each side's send connection, joined by ``connect_to`` across
+        two worlds, must point at the id the peer's world installed for
+        the matching receive half."""
         workload = [PingTask(src=0, dst=30, messages=1),
                     PingTask(src=25, dst=5000, messages=1)]
         plan, worlds = self._worlds(workload)
