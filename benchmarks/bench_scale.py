@@ -1,21 +1,23 @@
-"""Sharded-simulation scale benchmark — the ISSUE 10 acceptance gates.
+"""Scale benchmark: the analytic cross-TOR path against the real fabric.
 
 Runs a Fig. 10-style idle-RTT sweep over the paper's full-size fabric
-(253,440 reachable hosts — "more than a quarter million") through the
-shard driver (``repro.sim.shard``), and the identical workload as one
-shard — the real fabric end to end — as the reference.  Gates:
+(253,440 reachable hosts — "more than a quarter million") through
+``repro.experiments.scale.run_pings`` twice: once with cross-TOR packets
+on the analytic path, and once on the real fabric end to end as the
+reference.  Gates:
 
-* **agreement** — merged P50/P99 per tier from the sharded run must
-  match the one-shard reference within the documented tolerance
-  (5% / 10%; the seam model draws jitter from different streams, so
-  agreement is statistical, not bitwise),
-* **determinism** — per-shard digests must be bit-identical across two
+* **agreement** — per-tier P50/P99 of the analytic run must match the
+  reference within the documented tolerance (5% / 10%; the analytic
+  path draws jitter from its own stream, so agreement is statistical,
+  not bitwise),
+* **determinism** — the sample digest must be bit-identical across two
   runs of the same spec,
-* **calibration** — the merged L2 tier must stay inside the paper's
-  envelope ("L2 latency never exceeded 23.5 us in any of our
-  experiments"),
-* **scale** — the swept fabric must reach 100k+ hosts and the sharded
-  run must finish in minutes.
+* **calibration** — the L2 tier must stay inside the paper's envelope
+  ("L2 latency never exceeded 23.5 us in any of our experiments"),
+* **scale** — the swept fabric must reach 100k+ hosts.
+
+Each tier's two-sample Kolmogorov–Smirnov distance between the analytic
+and reference samples is reported, not gated.
 
 Run standalone to append a run to the committed trajectory file::
 
@@ -40,12 +42,13 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from repro.experiments.scale import (  # noqa: E402
+    PingTask, ks_distance, run_pings)
 from repro.net.topology import TopologyConfig  # noqa: E402
-from repro.sim.shard import PingTask, ShardDriver  # noqa: E402
 
 from _harness import write_result  # noqa: E402
 
-#: Documented merge tolerance vs the one-shard reference.
+#: Documented agreement tolerance vs the reference.
 P50_TOLERANCE = 0.05
 P99_TOLERANCE = 0.10
 #: Paper: "L2 latency never exceeded 23.5 us in any of our experiments."
@@ -97,45 +100,37 @@ def run_suite(quick: bool = False) -> Dict[str, object]:
     config = TopologyConfig()
     if quick:
         workload = build_workload(2, 4, 6, messages=30, config=config)
-        num_shards = 4
     else:
         workload = build_workload(4, 48, 460, messages=40, config=config)
-        num_shards = 8
-
-    driver = ShardDriver(seed=SEED, num_shards=num_shards)
-    t0 = time.time()
-    sharded = driver.run(workload)
-    sharded_wall = time.time() - t0
 
     t0 = time.time()
-    reference = ShardDriver(seed=SEED, num_shards=1).run(workload).tiers
+    analytic = run_pings(workload, SEED)
+    analytic_wall = time.time() - t0
+
+    t0 = time.time()
+    reference = run_pings(workload, SEED, analytic=False).tiers
     reference_wall = time.time() - t0
 
-    # Determinism gate: a second run of the same spec must produce
-    # bit-identical per-shard digests.
-    digests = [s["digest"] for s in sharded.per_shard]
-    repeat = ShardDriver(seed=SEED, num_shards=num_shards).run(workload)
-    digests_stable = [s["digest"] for s in repeat.per_shard] == digests
+    # Determinism gate: a second run of the same spec must produce a
+    # bit-identical digest.
+    digests_stable = run_pings(workload, SEED).digest == analytic.digest
 
     metrics: Dict[str, object] = {
         "hosts_reachable": config.total_hosts,
         "hosts_active": len({t.src for t in workload}
                             | {t.dst for t in workload}),
         "pairs": len(workload),
-        "shards": sharded.plan.num_shards,
-        "lookahead_us": round(sharded.lookahead * 1e6, 4),
-        "windows": sharded.windows,
-        "boundary_records": sharded.boundary_records,
-        "events_processed": sharded.events_processed,
-        "rtt_samples": sharded.total_samples,
-        "sharded_wall_s": round(sharded_wall, 3),
+        "boundary_records": analytic.analytic_packets,
+        "events_processed": analytic.events_processed,
+        "rtt_samples": analytic.total_samples,
+        "sharded_wall_s": round(analytic_wall, 3),
         "reference_wall_s": round(reference_wall, 3),
         "digests_stable": bool(digests_stable),
-        "per_shard_digests": digests,
+        "digest": analytic.digest,
         "cpu_count": os.cpu_count(),
     }
     for tier in sorted(reference):
-        ref, got = reference[tier], sharded.tiers.get(tier)
+        ref, got = reference[tier], analytic.tiers.get(tier)
         metrics[f"{tier}_count"] = ref.count
         metrics[f"{tier}_ref_p50_us"] = round(ref.p50 * 1e6, 4)
         metrics[f"{tier}_ref_p99_us"] = round(ref.p99 * 1e6, 4)
@@ -147,6 +142,8 @@ def run_suite(quick: bool = False) -> Dict[str, object]:
                 abs(got.p50 - ref.p50) / ref.p50, 5)
             metrics[f"{tier}_p99_err"] = round(
                 abs(got.p99 - ref.p99) / ref.p99, 5)
+            metrics[f"{tier}_ks"] = round(
+                ks_distance(got.samples, ref.samples), 5)
     return {
         "schema": 1,
         "quick": quick,
@@ -170,16 +167,16 @@ def check_gates(metrics: Dict[str, object]) -> List[str]:
             f"(gate: >= {MIN_REACHABLE_HOSTS})")
     for tier in ("L0", "L1", "L2"):
         if f"{tier}_p50_us" not in metrics:
-            failures.append(f"tier {tier} produced no merged samples")
+            failures.append(f"tier {tier} produced no samples")
             continue
         if metrics[f"{tier}_p50_err"] > P50_TOLERANCE:
             failures.append(
-                f"{tier} merged p50 off by "
+                f"{tier} p50 off by "
                 f"{metrics[f'{tier}_p50_err']:.1%} "
                 f"(gate: <= {P50_TOLERANCE:.0%})")
         if metrics[f"{tier}_p99_err"] > P99_TOLERANCE:
             failures.append(
-                f"{tier} merged p99 off by "
+                f"{tier} p99 off by "
                 f"{metrics[f'{tier}_p99_err']:.1%} "
                 f"(gate: <= {P99_TOLERANCE:.0%})")
     if "L2_max_us" in metrics and \
@@ -188,15 +185,15 @@ def check_gates(metrics: Dict[str, object]) -> List[str]:
             f"L2 max {metrics['L2_max_us']:.2f} us exceeds the paper's "
             f"{L2_MAX_SECONDS * 1e6:.1f} us envelope")
     if not metrics["digests_stable"]:
-        failures.append("per-shard digests changed between identical "
-                        "runs — shard determinism is broken")
+        failures.append("the digest changed between identical runs — "
+                        "determinism is broken")
     return failures
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true",
-                        help="smaller sweep, 4 shards (CI smoke)")
+                        help="smaller sweep (CI smoke)")
     parser.add_argument("--output", type=Path,
                         default=REPO_ROOT / "BENCH_scale.json",
                         help="result/trajectory file to write")
@@ -204,8 +201,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     result = run_suite(quick=args.quick)
     for name, value in sorted(result["metrics"].items()):
-        if name == "per_shard_digests":
-            continue
         print(f"{name:>24}: {value}")
     failures = check_gates(result["metrics"])
     write_result(result, args.output)
@@ -225,9 +220,7 @@ def test_scale_gates():
     result = run_suite(quick=True)
     metrics = result["metrics"]
     assert check_gates(metrics) == []
-    assert metrics["shards"] == 4
     assert metrics["boundary_records"] > 0
-    assert metrics["windows"] > 1
 
 
 if __name__ == "__main__":

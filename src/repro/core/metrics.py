@@ -44,17 +44,6 @@ class LatencyRecorder:
         for value in values:
             self.record(value)
 
-    def merge(self, other: "LatencyRecorder") -> "LatencyRecorder":
-        """Fold another recorder's samples into this one (still exact)."""
-        if not other.samples:
-            return self
-        self._sum += other._sum
-        if other._max > self._max:
-            self._max = other._max
-        self.samples.extend(other.samples)
-        self._sorted = None
-        return self
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------

@@ -9,10 +9,10 @@ timely retransmission of specific sequence numbers after reordering was
 detected).
 
 The header serializes to real bytes so tests can round-trip frames through
-the wire representation.  Only the header has a byte form: a frame
-crossing a shard seam (:mod:`repro.sim.shard`) is handed to the
-destination world, in the same process, as the object inside its
-captured packet, and the receiving engine checks its CRC.
+the wire representation.  Only the header has a byte form: a frame on
+the analytic cross-TOR path (:mod:`repro.experiments.scale`) reaches
+the destination as the object inside its captured packet, and the
+receiving engine checks its CRC.
 """
 
 from __future__ import annotations

@@ -142,9 +142,10 @@ class JitterStream:
     Refills ``batch`` samples at a time via
     :meth:`TierJitter.sample_batch`; draw order (and therefore RNG
     consumption) matches per-packet sampling exactly, as long as the rng
-    is not shared with another *interleaved* consumer.  Switches qualify:
-    their rng's only other client is ECN marking, which draws nothing
-    while queues sit below the marking threshold.
+    is not shared with another *interleaved* consumer.  A switch shares
+    its rng with ECN marking, which draws nothing while its queues stay
+    at or below ``kmin``; past that, batched and per-packet draws give
+    different (still seeded) results.
     """
 
     __slots__ = ("_jitter", "_rng", "_batch", "_buffer", "_index")

@@ -20,10 +20,10 @@ schedule has two parts:
 * one binary **heap** (:mod:`heapq`) for everything else.
 
 Determinism contract: a seeded run is bit-identical to itself — across
-repeated runs, across any split into bounded ``run(until=...)``
-windows, and across shards — and every EXPERIMENTS.md row holds within
-its tolerance.  ``tests/sim/test_scheduler_determinism.py`` checks the
-dispatch order against a plain-``heapq`` reference scheduler.
+repeated runs and across any split into bounded ``run(until=...)``
+windows — and every EXPERIMENTS.md row holds within its tolerance.
+``tests/sim/test_scheduler_determinism.py`` checks the dispatch order
+against a plain-``heapq`` reference scheduler.
 
 Performance
 -----------

@@ -1,8 +1,10 @@
 """Windowed stepping must be exactly equivalent to one long run.
 
-The shard driver advances every shard with repeated bounded
-``run(until=window_end)`` calls.  These tests pin the contract that made
-that safe:
+Experiments advance one simulation with repeated bounded
+``run(until=...)`` calls (Fig. 10 measures its pairs one after another
+through ``ConfigurableCloud.measure_ltl_rtt``), and the determinism
+contract says any such split gives the run it splits.  These tests pin
+that contract:
 
 * N bounded runs over exact window boundaries produce bit-identical
   state (events processed, clock, schedule length, observable event
