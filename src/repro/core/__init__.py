@@ -1,7 +1,7 @@
 """Core facade: the Configurable Cloud itself."""
 
 from .cloud import ConfigurableCloud
-from .metrics import LatencyRecorder, ThroughputMeter, normalize
+from .metrics import LatencyRecorder
 from .server import Server
 from .service import HardwareService
 
@@ -10,6 +10,4 @@ __all__ = [
     "HardwareService",
     "LatencyRecorder",
     "Server",
-    "ThroughputMeter",
-    "normalize",
 ]

@@ -1,4 +1,4 @@
-"""Latency/throughput measurement helpers used by every experiment.
+"""Latency and SLO measurement helpers used by every experiment.
 
 The measurement harness has to stay cheap relative to the modeled path:
 microsecond-scale RPC claims can't be reproduced if the recorder itself
@@ -108,43 +108,6 @@ class LatencyRecorder:
 
 
 @dataclass
-class ThroughputMeter:
-    """Counts completions over a window to compute achieved throughput.
-
-    The window opens at ``started_at``.  Construct with an explicit start
-    time (``ThroughputMeter(started_at=env.now)``) or let the first
-    recorded completion open the window; the old default of ``0.0``
-    silently inflated the elapsed window for meters created mid-simulation
-    and under-reported throughput.
-    """
-
-    started_at: Optional[float] = None
-    completions: int = 0
-    last_completion_at: float = 0.0
-
-    def record(self, now: float) -> None:
-        if self.started_at is None:
-            self.started_at = now
-        self.completions += 1
-        self.last_completion_at = now
-
-    def reset(self, now: float) -> None:
-        """Restart the measurement window at ``now``."""
-        self.started_at = now
-        self.completions = 0
-        self.last_completion_at = now
-
-    def rate(self, now: Optional[float] = None) -> float:
-        if self.started_at is None:
-            return 0.0
-        end = now if now is not None else self.last_completion_at
-        elapsed = end - self.started_at
-        if elapsed <= 0:
-            return 0.0
-        return self.completions / elapsed
-
-
-@dataclass
 class SloTracker:
     """Goodput and deadline-miss accounting for overload experiments.
 
@@ -170,14 +133,9 @@ class SloTracker:
     expired: int = 0
     completed: int = 0
     deadline_misses: int = 0
-    started_at: Optional[float] = None
-    last_event_at: float = 0.0
 
-    def offer(self, now: float) -> None:
-        if self.started_at is None:
-            self.started_at = now
+    def offer(self) -> None:
         self.offered += 1
-        self.last_event_at = now
 
     def admit(self, degraded: bool = False) -> None:
         self.admitted += 1
@@ -190,26 +148,15 @@ class SloTracker:
     def expire(self) -> None:
         self.expired += 1
 
-    def complete(self, now: float, missed_deadline: bool = False) -> None:
+    def complete(self, missed_deadline: bool = False) -> None:
         self.completed += 1
         if missed_deadline:
             self.deadline_misses += 1
-        self.last_event_at = now
 
     @property
     def good(self) -> int:
         """Completions that made their deadline."""
         return self.completed - self.deadline_misses
-
-    def goodput(self, now: Optional[float] = None) -> float:
-        """Good completions per second over the tracked window."""
-        if self.started_at is None:
-            return 0.0
-        end = now if now is not None else self.last_event_at
-        elapsed = end - self.started_at
-        if elapsed <= 0:
-            return 0.0
-        return self.good / elapsed
 
     def snapshot(self) -> Dict[str, int]:
         """Running counters, for phase diffing in benchmarks."""
@@ -223,10 +170,3 @@ class SloTracker:
             "deadline_misses": self.deadline_misses,
             "good": self.good,
         }
-
-
-def normalize(values: Iterable[float], reference: float) -> List[float]:
-    """Divide each value by ``reference`` (the paper's normalization)."""
-    if reference == 0:
-        raise ValueError("reference must be non-zero")
-    return [v / reference for v in values]

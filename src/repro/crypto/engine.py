@@ -84,9 +84,3 @@ class FpgaCryptoEngine:
         """
         per_cycle = AES_BLOCK_BYTES * 8 * self.config.clock_hz
         return min(per_cycle, self.config.line_rate_bps)
-
-    def cpu_cores_freed(self, suite: str, software_model,
-                        full_duplex: bool = True) -> float:
-        """Host cores this engine saves at line rate (the §IV headline)."""
-        return software_model.cores_for_line_rate(
-            suite, self.config.line_rate_bps, full_duplex)

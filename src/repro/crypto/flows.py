@@ -137,9 +137,6 @@ class FlowTable:
         self._flows[key] = entry
         return entry
 
-    def remove_flow(self, key: FlowKey) -> None:
-        self._flows.pop(key, None)
-
     def lookup(self, packet: Packet) -> Optional[FlowEntry]:
         flow_key = FlowKey.of_packet(packet)
         if flow_key is None:

@@ -15,7 +15,6 @@ overhead + byte-proportional compute) — the paper quotes ~4 us for a
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
@@ -74,12 +73,6 @@ class SoftwareCryptoModel:
         directions = 2 if full_duplex else 1
         return directions * line_rate_bps / \
             self.throughput_per_core_bps(suite)
-
-    def cores_for_line_rate_int(self, suite: str,
-                                line_rate_bps: float = 40e9,
-                                full_duplex: bool = True) -> int:
-        return math.ceil(self.cores_for_line_rate(
-            suite, line_rate_bps, full_duplex))
 
     def packet_latency(self, suite: str, nbytes: int) -> float:
         """Software latency to encrypt (or decrypt) one packet."""

@@ -111,15 +111,6 @@ class DnnPool:
     def num_fpgas(self) -> int:
         return len(self.accelerators)
 
-    def remove_fpga(self) -> None:
-        """Shrink the pool by one (the paper's oversubscription knob)."""
-        if self.num_fpgas <= 1:
-            raise ValueError("cannot empty the pool")
-        self.accelerators.pop()
-        self._slots.pop()
-        self._queue_depth.pop()
-        self.slow_factor.pop()
-
     def set_slow(self, index: int, factor: float) -> None:
         """Limplock ``index``: it keeps serving, ``factor`` x slower."""
         if factor < 1.0:

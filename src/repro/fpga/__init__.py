@@ -1,16 +1,14 @@
 """FPGA board and shell models (paper §II, Figs. 2-5).
 
 The shell (:class:`~repro.fpga.shell.Shell`) is the per-server composition
-of bridge, MACs, Elastic Router, LTL engine, PCIe DMA, DDR3 controller,
-configuration manager and SEU scrubber; the other modules model the board
+of bridge, MACs, Elastic Router, LTL engine, configuration manager and
+SEU scrubber; the other modules model the board
 itself, its area/power budgets, and its failure modes.
 """
 
 from .area import PRODUCTION_IMAGE, TOTAL_ALMS, AreaBudget, AreaEntry
 from .board import Board, BoardHealth, BoardSpec
 from .bridge import BRIDGE_LATENCY_SECONDS, Bridge, BridgeStats
-from .ddr import DdrConfig, DdrController
-from .pcie import PcieConfig, PcieDmaEngine
 from .power import (
     POWER_VIRUS_UTILIZATION,
     RANKING_ROLE_UTILIZATION,
@@ -20,7 +18,6 @@ from .power import (
     validate_envelope,
 )
 from .reconfig import (
-    FULL_RECONFIG_SECONDS,
     GOLDEN_IMAGE,
     PARTIAL_RECONFIG_SECONDS,
     ConfigurationError,
@@ -33,7 +30,6 @@ from .seu import (
     SeuEvent,
     SeuScrubber,
     SeuStats,
-    expected_flips,
 )
 from .shell import (
     ER_PORT_DMA,
@@ -58,13 +54,10 @@ __all__ = [
     "BridgeStats",
     "ConfigurationError",
     "ConfigurationManager",
-    "DdrConfig",
-    "DdrController",
     "ER_PORT_DMA",
     "ER_PORT_DRAM",
     "ER_PORT_REMOTE",
     "ER_PORT_ROLE",
-    "FULL_RECONFIG_SECONDS",
     "FabricLtlTransport",
     "GOLDEN_IMAGE",
     "Image",
@@ -72,8 +65,6 @@ __all__ = [
     "PARTIAL_RECONFIG_SECONDS",
     "POWER_VIRUS_UTILIZATION",
     "PRODUCTION_IMAGE",
-    "PcieConfig",
-    "PcieDmaEngine",
     "PowerModel",
     "RANKING_ROLE_UTILIZATION",
     "RemoteEnvelope",
@@ -86,7 +77,6 @@ __all__ = [
     "ShellConfig",
     "ThermalConditions",
     "TOTAL_ALMS",
-    "expected_flips",
     "power_virus_power_w",
     "validate_envelope",
 ]

@@ -54,20 +54,12 @@ PRODUCTION_IMAGE: List[AreaEntry] = [
 
 
 class AreaBudget:
-    """Area accounting for an FPGA image: shell entries + role demand.
+    """Area accounting for the production image: shell entries + role
+    demand, as Fig. 5 reports them."""
 
-    Used both to regenerate Fig. 5 and to validate that a proposed role
-    (e.g. the ranking FFU+DPF or the crypto engine) fits next to a chosen
-    shell variant.  Shell variants matter because "services using only
-    their single local FPGA can choose to deploy a shell version without
-    the LTL block".
-    """
-
-    def __init__(self, entries: List[AreaEntry] | None = None,
-                 total_alms: int = TOTAL_ALMS):
-        self.total_alms = total_alms
-        self.entries: List[AreaEntry] = list(
-            PRODUCTION_IMAGE if entries is None else entries)
+    def __init__(self) -> None:
+        self.total_alms = TOTAL_ALMS
+        self.entries: List[AreaEntry] = list(PRODUCTION_IMAGE)
 
     # -- queries ---------------------------------------------------------
     def entry(self, name: str) -> AreaEntry:
@@ -85,14 +77,6 @@ class AreaBudget:
         return sum(e.alms for e in self.entries if e.is_shell)
 
     @property
-    def role_alms(self) -> int:
-        return sum(e.alms for e in self.entries if not e.is_shell)
-
-    @property
-    def free_alms(self) -> int:
-        return self.total_alms - self.used_alms
-
-    @property
     def used_fraction(self) -> float:
         return self.used_alms / self.total_alms
 
@@ -102,27 +86,6 @@ class AreaBudget:
 
     def fraction_of(self, *names: str) -> float:
         return sum(self.entry(n).alms for n in names) / self.total_alms
-
-    # -- image composition -------------------------------------------------
-    def without(self, *names: str) -> "AreaBudget":
-        """A variant image dropping the named blocks (e.g. no-LTL shell)."""
-        remaining = [e for e in self.entries if e.name not in names]
-        missing = set(names) - {e.name for e in self.entries}
-        if missing:
-            raise KeyError(f"cannot drop unknown blocks: {sorted(missing)}")
-        return AreaBudget(remaining, self.total_alms)
-
-    def with_role(self, name: str, alms: int,
-                  freq_mhz: float = 175.0) -> "AreaBudget":
-        """Replace the role with a differently-sized one."""
-        entries = [e for e in self.entries if e.is_shell]
-        entries.insert(0, AreaEntry(name, alms, freq_mhz, is_shell=False))
-        budget = AreaBudget(entries, self.total_alms)
-        if budget.used_alms > self.total_alms:
-            raise ValueError(
-                f"role {name!r} ({alms} ALMs) does not fit: "
-                f"{budget.used_alms} > {self.total_alms}")
-        return budget
 
     def rows(self) -> List[Dict[str, object]]:
         """Fig. 5-shaped rows for reporting."""

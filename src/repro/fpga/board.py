@@ -40,26 +40,6 @@ class BoardSpec:
     width_mm: float = 80.0
     length_mm: float = 140.0
 
-    @property
-    def pcie_bandwidth_per_link_bytes(self) -> float:
-        """Usable bandwidth of one Gen3 x8 link, bytes/second.
-
-        Gen3 runs 8 GT/s with 128b/130b encoding: ~985 MB/s per lane raw;
-        ~7.88 GB/s per x8 link before protocol overhead.
-        """
-        per_lane = 8e9 * (128 / 130) / 8
-        return per_lane * self.pcie_lanes_per_link
-
-    @property
-    def pcie_aggregate_bandwidth_bytes(self) -> float:
-        """Aggregate CPU<->FPGA bandwidth, each direction (~16 GB/s)."""
-        return self.pcie_bandwidth_per_link_bytes * self.pcie_links
-
-    @property
-    def dram_peak_bandwidth_bytes(self) -> float:
-        """DDR3-1600 on a 64-bit data bus: 12.8 GB/s peak."""
-        return 1600e6 * 8
-
 
 @dataclass
 class BoardHealth:

@@ -7,11 +7,11 @@ traffic as needed, such as when encrypting network flows."
 Taps are ordered filters on each direction.  A tap may pass a packet
 through (return it), transform it (return a different packet), or consume
 it (return ``None`` — e.g. the LTL engine consumes frames addressed to
-this FPGA).  Roles inject packets in either direction through
-:meth:`Bridge.inject_to_tor` / :meth:`Bridge.inject_to_nic`.
+this FPGA).  Roles inject packets toward the network through
+:meth:`Bridge.inject_to_tor`.
 
-When the FPGA undergoes full reconfiguration the link is down and packets
-are lost (counted); in bypass/golden mode taps are skipped but traffic
+While a power cycle reloads the golden image the link is down and
+packets are lost (counted); in bypass/golden mode taps are skipped but traffic
 still flows — the failure property the paper highlights vs the torus:
 a broken *role* never takes down neighboring FPGAs, and even a broken
 image is recoverable by power-cycling to the golden (bypass) image.
@@ -129,12 +129,3 @@ class Bridge:
         self.stats.injected += 1
         if self.deliver_to_tor is not None:
             self.deliver_to_tor(packet)
-
-    def inject_to_nic(self, packet: Packet) -> None:
-        """A role sources a packet toward the host."""
-        if not self.link_up:
-            self.stats.dropped_link_down += 1
-            return
-        self.stats.injected += 1
-        if self.deliver_to_nic is not None:
-            self.deliver_to_nic(packet)

@@ -1,12 +1,11 @@
-"""FPGA configuration: flash images, golden image, full/partial reconfig.
+"""FPGA configuration: the golden image, partial reconfig, power cycle.
 
 Paper §II: a 256 Mb flash holds "the known-good golden image for the FPGA
-that is loaded on power on, as well as one application image."  Full
-reconfiguration "briefly brings down this network link"; when traffic
-cannot pause, "partial reconfiguration permits packets to be passed
-through even during reconfiguration of the role."  A wedged FPGA is
-recovered by power-cycling the server through the side-channel management
-port, which reloads the golden image.
+that is loaded on power on".  When traffic cannot pause, "partial
+reconfiguration permits packets to be passed through even during
+reconfiguration of the role."  A wedged FPGA is recovered by
+power-cycling the server through the side-channel management port, which
+reloads the golden image with the network link briefly down.
 """
 
 from __future__ import annotations
@@ -16,8 +15,6 @@ from typing import Callable, Optional
 
 from ..sim import Environment
 
-#: Full-device reconfiguration time (Stratix V-class, from flash/PCIe).
-FULL_RECONFIG_SECONDS = 1.0
 #: Partial reconfiguration of a role region.
 PARTIAL_RECONFIG_SECONDS = 0.25
 #: Power cycle via the management side-channel (server reboot not modeled;
@@ -45,57 +42,26 @@ class ConfigurationError(Exception):
 class ConfigurationManager:
     """Per-FPGA configuration state machine.
 
-    Tracks the two flash slots (golden + one application image), which
-    image is live, and whether the network datapath is up.  Callbacks let
-    the shell react to link-down/link-up (the bridge drops packets while
-    the link is down during full reconfiguration).
+    Tracks which image is live and whether the network datapath is up.
+    Callbacks let the shell react to link-down/link-up (the bridge drops
+    packets while the link is down during a power cycle).
     """
 
-    def __init__(self, env: Environment,
-                 application_image: Optional[Image] = None):
+    def __init__(self, env: Environment):
         self.env = env
         self.flash_golden: Image = GOLDEN_IMAGE
-        self.flash_application: Optional[Image] = application_image
         self.live_image: Image = GOLDEN_IMAGE
         self.reconfiguring = False
         self.link_up = True
-        self.full_reconfigs = 0
         self.partial_reconfigs = 0
         self.power_cycles = 0
         self.on_link_change: Optional[Callable[[bool], None]] = None
-
-    # ------------------------------------------------------------------
-    def write_application_image(self, image: Image) -> None:
-        """Flash the single application slot (golden is never overwritten
-        by policy)."""
-        if image.is_golden:
-            raise ConfigurationError(
-                "policy: the golden image slot is never rewritten in situ")
-        self.flash_application = image
 
     def _set_link(self, up: bool) -> None:
         if self.link_up != up:
             self.link_up = up
             if self.on_link_change is not None:
                 self.on_link_change(up)
-
-    def full_reconfigure(self, image: Optional[Image] = None):
-        """Process: load an image with the network link briefly down.
-
-        Yields until complete.  ``image`` defaults to the application slot.
-        """
-        if self.reconfiguring:
-            raise ConfigurationError("reconfiguration already in progress")
-        target = image or self.flash_application
-        if target is None:
-            raise ConfigurationError("no application image in flash")
-        self.reconfiguring = True
-        self._set_link(False)
-        yield self.env.timeout(FULL_RECONFIG_SECONDS)
-        self.live_image = target
-        self.reconfiguring = False
-        self.full_reconfigs += 1
-        self._set_link(True)
 
     def partial_reconfigure(self, image: Image):
         """Process: swap only the role region; the bridge keeps passing

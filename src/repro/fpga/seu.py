@@ -109,8 +109,3 @@ class SeuScrubber:
                     if self.on_recovery is not None:
                         self.on_recovery(event)
             self._pending.clear()
-
-
-def expected_flips(machines: int, days: float) -> float:
-    """Expected fleet-wide flips over an observation window."""
-    return machines * days / 1025.0

@@ -9,9 +9,12 @@ One :class:`Shell` per server wires together:
 * the **LTL protocol engine**, whose transport encapsulates frames in
   UDP/IPv4 on the lossless traffic class and injects them at the
   TOR-facing port,
-* the **PCIe DMA** engines and **DDR3 controller**,
 * the **configuration manager** (golden image, reconfig) and the
   **SEU scrubber**.
+
+ER ports 0 (PCIe DMA) and 2 (DRAM) keep the paper's numbering but carry
+no model: the paper's PCIe and DRAM facts that the experiments use live
+in :mod:`repro.deployment.failures` and :class:`repro.ranking.FfuConfig`.
 """
 
 from __future__ import annotations
@@ -28,9 +31,7 @@ from ..sim import Environment, RandomStreams
 from ..trace.stages import Stage
 from .board import Board
 from .bridge import Bridge
-from .ddr import DdrController
-from .pcie import PcieDmaEngine
-from .reconfig import ConfigurationManager, Image
+from .reconfig import ConfigurationManager
 from .seu import SeuScrubber
 
 # Elastic Router port map for the example single-role deployment (§V-B):
@@ -127,8 +128,7 @@ class Shell:
     def __init__(self, env: Environment, host_index: int,
                  fabric: DatacenterFabric,
                  config: Optional[ShellConfig] = None,
-                 streams: Optional[RandomStreams] = None,
-                 image: Optional[Image] = None):
+                 streams: Optional[RandomStreams] = None):
         self.env = env
         self.host_index = host_index
         self.fabric = fabric
@@ -137,7 +137,7 @@ class Shell:
         self.board = Board(serial=host_index)
 
         # Configuration + health.
-        self.configuration = ConfigurationManager(env, application_image=image)
+        self.configuration = ConfigurationManager(env)
         self.configuration.on_link_change = self._on_link_change
         self.scrubber: Optional[SeuScrubber] = None
         if self.config.enable_seu:
@@ -183,13 +183,6 @@ class Shell:
         #: Called with the remote host index when LTL suspects the remote
         #: is gray (slow) — repeated timeouts short of failure.
         self.on_remote_degraded: Optional[Callable[[int], None]] = None
-
-        # Board subsystems.
-        self.pcie = [PcieDmaEngine(env, self.board.spec, name=f"pcie{i}")
-                     for i in range(self.board.spec.pcie_links)]
-        self.ddr = DdrController(env, self.board.spec,
-                                 rng=streams.stream("ddr"))
-        self.ddr.calibrated = True  # calibration modeled in deployment study
 
         #: Role message handler (role 0): called with
         #: (payload, length_bytes).  Additional roles register through

@@ -2,7 +2,7 @@
 
 from .audit import AuditReport, AuditViolation, audit_journal
 from .constraints import Constraints, Locality, group_key, select_hosts
-from .fpga_manager import FpgaHealth, FpgaManager, FpgaStatus
+from .fpga_manager import FpgaHealth, FpgaManager
 from .journal import Journal, JournalRecord, RecoveredState
 from .leases import EPOCH_STRIDE, Lease, LeaseState, lease_id_for
 from .resource_manager import (
@@ -31,7 +31,6 @@ __all__ = [
     "EPOCH_STRIDE",
     "FpgaHealth",
     "FpgaManager",
-    "FpgaStatus",
     "Journal",
     "JournalRecord",
     "Lease",

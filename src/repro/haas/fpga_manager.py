@@ -16,7 +16,6 @@ returned to the pool.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 from ..fpga.reconfig import Image
@@ -35,17 +34,6 @@ class FpgaHealth(enum.Enum):
     HEALTHY = "healthy"
     DEGRADED = "degraded"     # soft errors above threshold
     FAILED = "failed"
-
-
-@dataclass
-class FpgaStatus:
-    """Snapshot the FM reports upward."""
-
-    host: int
-    health: FpgaHealth
-    live_image: str
-    link_up: bool
-    allocated_to: Optional[str]
 
 
 class FpgaManager:
@@ -87,13 +75,6 @@ class FpgaManager:
     @property
     def host(self) -> int:
         return self.shell.host_index
-
-    def status(self) -> FpgaStatus:
-        return FpgaStatus(
-            host=self.host, health=self.health,
-            live_image=self.shell.configuration.live_image.name,
-            link_up=self.shell.bridge.link_up,
-            allocated_to=self.allocated_to)
 
     def install_fence(self, fence: int) -> None:
         """Raise this host's fence floor (monotonic)."""

@@ -34,15 +34,6 @@ class JournalRecord:
     kind: str
     data: Dict[str, Any] = field(default_factory=dict)
 
-    def jsonable(self) -> Dict[str, Any]:
-        """Plain-data view (rich objects like Constraints elided)."""
-        data = {key: value for key, value in self.data.items()
-                if isinstance(value, (int, float, str, bool, type(None)))
-                or (isinstance(value, list)
-                    and all(isinstance(v, (int, float, str)) for v in value))}
-        return {"seq": self.seq, "t": round(self.time, 6),
-                "kind": self.kind, **data}
-
 
 @dataclass
 class RecoveredState:

@@ -214,12 +214,6 @@ class LtlEngine:
     def close_send_connection(self, connection_id: int) -> None:
         self.send_table.deallocate(connection_id)
 
-    def close_receive_connection(self, connection_id: int) -> None:
-        self.recv_table.deallocate(connection_id)
-        # Drop NACK bookkeeping with the connection, or churned lease ids
-        # accumulate here forever.
-        self._nack_outstanding.pop(connection_id, None)
-
     # ------------------------------------------------------------------
     # Send path
     # ------------------------------------------------------------------

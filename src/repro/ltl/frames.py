@@ -8,11 +8,9 @@ carrying a DC-QCN congestion-notification flag), or NACK (a request for
 timely retransmission of specific sequence numbers after reordering was
 detected).
 
-The header serializes to real bytes so tests can round-trip frames through
-the wire representation.  Only the header has a byte form: a frame on
-the analytic cross-TOR path (:mod:`repro.experiments.scale`) reaches
-the destination as the object inside its captured packet, and the
-receiving engine checks its CRC.
+Frames travel as objects, never as bytes.  The header's byte layout
+exists for two things only: its size (:data:`LTL_HEADER_BYTES`) and the
+CRC-32 that the receiving engine checks.
 """
 
 from __future__ import annotations
@@ -66,8 +64,7 @@ class LtlFrame:
     #: CRC-32 sealing header + payload; auto-computed when left ``None``.
     checksum: Optional[int] = None
     #: Optional :class:`repro.trace.TraceContext` riding the frame.
-    #: Simulation-side metadata only: not serialized, not covered by the
-    #: checksum, dropped by ``header_from_bytes`` round-trips.
+    #: Simulation-side metadata only: not covered by the checksum.
     trace: Any = None
 
     def __post_init__(self) -> None:
@@ -126,32 +123,6 @@ class LtlFrame:
 
     def verify_checksum(self) -> bool:
         return self.checksum == self.compute_checksum()
-
-    # -- serialization ----------------------------------------------------
-    def header_to_bytes(self) -> bytes:
-        return struct.pack(
-            _HEADER_FMT, MAGIC, self.frame_type, self.flags,
-            self.connection_id, self.seq, self.message_id, self.fragment,
-            self.total_fragments, self.payload_bytes & 0xFFFF, self.ack_seq,
-            self.deadline_us & 0xFFFFFFFF,
-            (self.checksum or 0) & 0xFFFFFFFF)
-
-    @classmethod
-    def header_from_bytes(cls, raw: bytes) -> "LtlFrame":
-        if len(raw) < LTL_HEADER_BYTES:
-            raise ValueError("truncated LTL header")
-        (magic, frame_type, flags, connection_id, seq, message_id, fragment,
-         total_fragments, payload_bytes, ack_seq, deadline_us,
-         checksum) = struct.unpack(_HEADER_FMT, raw[:LTL_HEADER_BYTES])
-        if magic != MAGIC:
-            raise ValueError(f"bad LTL magic: {magic:#x}")
-        return cls(frame_type=frame_type, flags=flags,
-                   connection_id=connection_id, seq=seq,
-                   message_id=message_id, fragment=fragment,
-                   total_fragments=total_fragments,
-                   payload=b"", payload_bytes=payload_bytes,
-                   ack_seq=ack_seq, deadline_us=deadline_us,
-                   checksum=checksum)
 
 
 def make_data_frame(connection_id: int, seq: int, message_id: int,

@@ -14,7 +14,6 @@ datacenter's standard Ethernet.  This package simulates that Ethernet:
 
 from .addressing import (
     HostCoordinates,
-    coords_to_host_index,
     host_index_to_coords,
     ip_address,
     mac_address,
@@ -60,7 +59,6 @@ __all__ = [
     "TopologyConfig",
     "TrafficClass",
     "UdpHeader",
-    "coords_to_host_index",
     "host_index_to_coords",
     "idle",
     "ip_address",

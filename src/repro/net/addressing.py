@@ -38,13 +38,6 @@ def host_index_to_coords(index: int, hosts_per_tor: int,
     return HostCoordinates(pod=pod, tor=tor, slot=slot)
 
 
-def coords_to_host_index(coords: HostCoordinates, hosts_per_tor: int,
-                         tors_per_pod: int) -> int:
-    """Inverse of :func:`host_index_to_coords`."""
-    return (coords.pod * tors_per_pod + coords.tor) * hosts_per_tor \
-        + coords.slot
-
-
 def ip_address(coords: HostCoordinates) -> str:
     """Dotted-quad IP for a host: ``10.pod.tor.slot`` (mod 256 per octet)."""
     return f"10.{coords.pod % 256}.{coords.tor % 256}.{coords.slot % 256}"

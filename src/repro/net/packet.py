@@ -1,16 +1,15 @@
 """Packet and header models.
 
-Packets carry real header objects (Ethernet / IPv4 / UDP) that can be
-serialized to wire bytes — the LTL engine and the crypto flow tap parse and
-rewrite them — but payloads may be either ``bytes`` or an opaque Python
-object plus a length, so bulk simulations need not materialize megabytes.
+Packets carry header objects (Ethernet / IPv4 / UDP) holding the fields
+that switches, shells and the crypto flow tap read, and are never
+serialized: payloads may be either ``bytes`` or an opaque Python object
+plus a length, so bulk simulations need not materialize megabytes.
 
 Sizes follow the wire: 14 B Ethernet header + 4 B FCS, 20 B IPv4, 8 B UDP.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, field
 from itertools import count
 from typing import Any, Optional
@@ -50,40 +49,6 @@ class TrafficClass:
         return tc == cls.LOSSLESS
 
 
-def _pack_ip(ip: str) -> bytes:
-    parts = [int(p) for p in ip.split(".")]
-    if len(parts) != 4 or any(not 0 <= p <= 255 for p in parts):
-        raise ValueError(f"bad IPv4 address: {ip}")
-    return bytes(parts)
-
-
-def _unpack_ip(raw: bytes) -> str:
-    return ".".join(str(b) for b in raw)
-
-
-def _pack_mac(mac: str) -> bytes:
-    parts = mac.split(":")
-    if len(parts) != 6:
-        raise ValueError(f"bad MAC address: {mac}")
-    return bytes(int(p, 16) for p in parts)
-
-
-def _unpack_mac(raw: bytes) -> str:
-    return ":".join(f"{b:02x}" for b in raw)
-
-
-def ipv4_checksum(header: bytes) -> int:
-    """RFC 791 ones-complement checksum over the IPv4 header."""
-    if len(header) % 2:
-        header += b"\x00"
-    total = 0
-    for (word,) in struct.iter_unpack("!H", header):
-        total += word
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return (~total) & 0xFFFF
-
-
 @dataclass
 class EthernetHeader:
     """Destination/source MAC plus EtherType and 802.1p priority."""
@@ -93,75 +58,24 @@ class EthernetHeader:
     ethertype: int = ETHERTYPE_IPV4
     priority: int = TrafficClass.BEST_EFFORT
 
-    def to_bytes(self) -> bytes:
-        return _pack_mac(self.dst_mac) + _pack_mac(self.src_mac) \
-            + struct.pack("!H", self.ethertype)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "EthernetHeader":
-        if len(raw) < ETHERNET_HEADER_BYTES:
-            raise ValueError("truncated Ethernet header")
-        dst = _unpack_mac(raw[0:6])
-        src = _unpack_mac(raw[6:12])
-        (ethertype,) = struct.unpack("!H", raw[12:14])
-        return cls(dst_mac=dst, src_mac=src, ethertype=ethertype)
-
 
 @dataclass
 class Ipv4Header:
-    """The subset of IPv4 the fabric and LTL need, with real serialization."""
+    """The subset of IPv4 the fabric and LTL need."""
 
     src_ip: str
     dst_ip: str
     protocol: int = IPPROTO_UDP
-    ttl: int = 64
-    dscp: int = 0
+    #: Set to 0b11 (Congestion Experienced) by a marking switch.
     ecn: int = 0
-    total_length: int = 0
-    identification: int = 0
-
-    def to_bytes(self) -> bytes:
-        ver_ihl = (4 << 4) | 5
-        tos = (self.dscp << 2) | (self.ecn & 0x3)
-        header = struct.pack(
-            "!BBHHHBBH", ver_ihl, tos, self.total_length,
-            self.identification, 0, self.ttl, self.protocol, 0)
-        header += _pack_ip(self.src_ip) + _pack_ip(self.dst_ip)
-        checksum = ipv4_checksum(header)
-        return header[:10] + struct.pack("!H", checksum) + header[12:]
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Ipv4Header":
-        if len(raw) < IPV4_HEADER_BYTES:
-            raise ValueError("truncated IPv4 header")
-        (ver_ihl, tos, total_length, identification, _flags, ttl,
-         protocol, _checksum) = struct.unpack("!BBHHHBBH", raw[:12])
-        if ver_ihl >> 4 != 4:
-            raise ValueError("not an IPv4 header")
-        return cls(
-            src_ip=_unpack_ip(raw[12:16]), dst_ip=_unpack_ip(raw[16:20]),
-            protocol=protocol, ttl=ttl, dscp=tos >> 2, ecn=tos & 0x3,
-            total_length=total_length, identification=identification)
 
 
 @dataclass
 class UdpHeader:
-    """UDP ports + length; checksum omitted (valid for IPv4)."""
+    """UDP ports (length and checksum are implied by the packet)."""
 
     src_port: int
     dst_port: int
-    length: int = 0
-
-    def to_bytes(self) -> bytes:
-        return struct.pack("!HHHH", self.src_port, self.dst_port,
-                           self.length, 0)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "UdpHeader":
-        if len(raw) < UDP_HEADER_BYTES:
-            raise ValueError("truncated UDP header")
-        src, dst, length, _checksum = struct.unpack("!HHHH", raw[:8])
-        return cls(src_port=src, dst_port=dst, length=length)
 
 
 _packet_ids = count()
@@ -212,28 +126,6 @@ class Packet:
             size += UDP_HEADER_BYTES
         size += self.payload_bytes
         return max(size, MIN_FRAME_BYTES)
-
-    def headers_to_bytes(self) -> bytes:
-        """Serialize the full header stack to wire bytes."""
-        raw = self.eth.to_bytes()
-        if self.ip is not None:
-            ip = self.ip
-            ip.total_length = IPV4_HEADER_BYTES + (
-                UDP_HEADER_BYTES if self.udp else 0) + self.payload_bytes
-            raw += ip.to_bytes()
-        if self.udp is not None:
-            self.udp.length = UDP_HEADER_BYTES + self.payload_bytes
-            raw += self.udp.to_bytes()
-        return raw
-
-    def clone(self) -> "Packet":
-        """Copy with a fresh packet id (for retransmission)."""
-        return Packet(
-            eth=EthernetHeader(**vars(self.eth)),
-            ip=None if self.ip is None else Ipv4Header(**vars(self.ip)),
-            udp=None if self.udp is None else UdpHeader(**vars(self.udp)),
-            payload=self.payload, payload_bytes=self.payload_bytes,
-            created_at=self.created_at)
 
 
 def make_udp_packet(src_index: int, dst_index: int, src_ip: str, dst_ip: str,

@@ -47,10 +47,6 @@ class Deadline:
             raise ValueError("deadline budget must be positive")
         return cls(expires_at=now + budget, budget=budget, issued_at=now)
 
-    def remaining(self, now: float) -> float:
-        """Budget left (negative once expired)."""
-        return self.expires_at - now
-
     def expired(self, now: float) -> bool:
         return now > self.expires_at
 

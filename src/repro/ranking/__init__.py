@@ -41,7 +41,6 @@ from .service import (
     RankingServer,
     RankingServiceConfig,
     RemoteAccessConfig,
-    latency_vs_throughput,
     run_open_loop,
     saturation_qps,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "SyntheticCorpus",
     "WorkloadModel",
     "ZipfSampler",
-    "latency_vs_throughput",
     "lcs_length",
     "local_alignment_score",
     "min_covering_window",

@@ -86,10 +86,7 @@ class _SharedFfuPool:
 
     def extract(self, work):
         """Process: remote feature extraction for one query."""
-        remote = self.config.remote
-        network = (remote.round_trip
-                   + work.document_bytes * 8 / remote.ltl_bandwidth_bps
-                   + remote.per_message_overhead)
+        network = self.config.remote.network_time(work.document_bytes)
         index = self._pick()
         self._depth[index] += 1
         yield self.env.timeout(network / 2)

@@ -26,11 +26,6 @@ class Document:
     def length(self) -> int:
         return len(self.terms)
 
-    @property
-    def size_bytes(self) -> int:
-        """Approximate serialized size (4 B per term id)."""
-        return 4 * len(self.terms)
-
 
 @dataclass
 class Query:
@@ -38,10 +33,6 @@ class Query:
 
     query_id: int
     terms: List[int]
-
-    @property
-    def size_bytes(self) -> int:
-        return 4 * len(self.terms)
 
 
 class ZipfSampler:

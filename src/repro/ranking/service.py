@@ -52,6 +52,13 @@ class RemoteAccessConfig:
     ltl_bandwidth_bps: float = 38e9      # LTL goodput on the 40G port
     per_message_overhead: float = 2.0e-6  # ER + packetization both ends
 
+    def network_time(self, document_bytes: int) -> float:
+        """Network share of one remote call: the LTL round trip, the
+        documents on the wire and the per-message overhead."""
+        return (self.round_trip
+                + document_bytes * 8 / self.ltl_bandwidth_bps
+                + self.per_message_overhead)
+
 
 @dataclass
 class OverloadConfig:
@@ -175,10 +182,7 @@ class RankingServer:
             return self.config.software.feature_time(work)
         if mode is AccelerationMode.LOCAL_FPGA:
             return self.role.local_service_time(work)
-        remote = self.config.remote
-        network = (remote.round_trip
-                   + work.document_bytes * 8 / remote.ltl_bandwidth_bps
-                   + remote.per_message_overhead)
+        network = self.config.remote.network_time(work.document_bytes)
         return network + self.role.compute_time(work)
 
     def _expire(self, stage: Stage) -> None:
@@ -208,7 +212,7 @@ class RankingServer:
                 work.deadline = deadline
             enforce = ov.protect
             if self.slo is not None:
-                self.slo.offer(arrival)
+                self.slo.offer()
             degraded = False
             if enforce and self.admission is not None:
                 level = self.admission.admit(
@@ -302,7 +306,7 @@ class RankingServer:
         self.latency.record(latency)
         if self.slo is not None:
             missed = deadline is not None and deadline.expired(self.env.now)
-            self.slo.complete(self.env.now, missed_deadline=missed)
+            self.slo.complete(missed_deadline=missed)
         return latency
 
 
@@ -365,15 +369,6 @@ def saturation_qps(config: RankingServiceConfig, seed: int = 0,
     env.process(closed_loop(env))
     env.run()
     return server.completed / env.now
-
-
-def latency_vs_throughput(config: RankingServiceConfig,
-                          rates_qps: List[float], num_queries: int = 2000,
-                          seed: int = 0) -> List[LoadResult]:
-    """Sweep arrival rates, one open-loop run each (Fig. 6's x-axis)."""
-    return [run_open_loop(config, rate, num_queries=num_queries,
-                          seed=seed + i)
-            for i, rate in enumerate(rates_qps)]
 
 
 # ----------------------------------------------------------------------

@@ -15,25 +15,15 @@ Quick example::
     assert proc.value == "pong"
 """
 
-from .events import (
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Timeout,
-)
-from .kernel import NORMAL, URGENT, EmptySchedule, Environment
+from .events import Event, Process, SimulationError, Timeout
+from .kernel import Environment
 from .randomness import RandomStreams, percentile
 from .resources import Resource
 from . import units
 
 __all__ = [
-    "EmptySchedule",
     "Environment",
     "Event",
-    "Interrupt",
-    "NORMAL",
-    "URGENT",
     "Process",
     "RandomStreams",
     "Resource",

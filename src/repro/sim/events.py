@@ -8,8 +8,8 @@ on succeeds or fails.
 
 The design intentionally mirrors a minimal SimPy: ``Environment.process``
 wraps a generator into a :class:`Process`, ``Environment.timeout`` creates a
-pre-scheduled :class:`Timeout`, and arbitrary events can be created, succeeded
-and failed by user code.
+pre-scheduled :class:`Timeout`, and user code can create and succeed
+arbitrary events.  A process that raises fails its :class:`Process` event.
 
 Hot-path notes
 --------------
@@ -17,9 +17,8 @@ Everything here sits under every simulated packet, frame and RPC, so the
 implementation trades a little elegance for constant-factor speed:
 
 * every event class uses ``__slots__`` (no per-event ``__dict__``),
-* trigger paths call ``env._push(time, priority, event)`` — the kernel's
-  raw schedule insert — instead of going through
-  ``Environment.schedule``,
+* trigger paths call ``env._push(time, event)``, the kernel's raw
+  schedule insert,
 * :class:`Deferred` is a two-slot pseudo-event carrying a bare callback for
   one-shot "run ``fn(*args)`` after ``delay``" work, so subsystems don't
   need to spin up a whole :class:`Process` (generator + bootstrap event)
@@ -41,25 +40,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 #: Sentinel stored in :attr:`Event._value` while the event is still pending.
 PENDING = object()
 
-#: Priority of normal events on the schedule (re-exported by the kernel).
-NORMAL = 1
-#: Priority of urgent events (processed before normal ones at equal time).
-URGENT = 0
-
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
-
-
-class Interrupt(SimulationError):
-    """Raised inside a process that another process interrupted.
-
-    The interrupting party supplies ``cause``, available on the exception.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
 
 
 class Deferred:
@@ -143,23 +126,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        env._push(env._now, NORMAL, self)
-        return self
-
-    def fail(self, exception: BaseException) -> "Event":
-        """Trigger the event as failed, carrying ``exception``.
-
-        When a failed event is processed with no waiters the exception is
-        re-raised by the kernel unless a waiter marked it *defused*.
-        """
-        if self._value is not PENDING:
-            raise SimulationError(f"{self!r} already triggered")
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
-        self._ok = False
-        self._value = exception
-        env = self.env
-        env._push(env._now, NORMAL, self)
+        env._push(env._now, self)
         return self
 
     def __repr__(self) -> str:
@@ -169,23 +136,13 @@ class Event:
 
 
 class Timeout(Event):
-    """An event that succeeds after a fixed delay in virtual time."""
+    """An event that succeeds after a fixed delay in virtual time.
+
+    Built only by :meth:`Environment.timeout`, which fills the slots and
+    schedules it inline.
+    """
 
     __slots__ = ("delay",)
-
-    def __init__(self, env: "Environment", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        # Inlined Event.__init__: timeouts are the single most created
-        # object in any simulation.  (Environment.timeout additionally
-        # inlines this whole constructor plus the queue insert.)
-        self.env = env
-        self.callbacks = []
-        self._value = value
-        self._ok = True
-        self._defused = False
-        self.delay = delay
-        env._push(env._now + delay, NORMAL, self)
 
     def __repr__(self) -> str:
         return f"<Timeout delay={self.delay}>"
@@ -208,7 +165,7 @@ class Process(Event):
     :meth:`_resume` in sync with that inline copy when changing either.
     """
 
-    __slots__ = ("generator", "_send", "_target", "name")
+    __slots__ = ("generator", "_send", "name")
 
     def __init__(self, env: "Environment", generator: ProcessGenerator,
                  name: Optional[str] = None):
@@ -218,35 +175,14 @@ class Process(Event):
         self.generator = generator
         self._send = generator.send
         self.name = name or getattr(generator, "__name__", "process")
-        #: The event this process is currently waiting on (None when ready).
-        self._target: Optional[Event] = None
         # Bootstrap: resume the generator at the current simulation time.
         # A Deferred is enough — nothing ever waits on the bootstrap event.
-        env._push(env._now, NORMAL, Deferred(self._resume, (_BOOT,)))
+        env._push(env._now, Deferred(self._resume, (_BOOT,)))
 
     @property
     def is_alive(self) -> bool:
         """True while the wrapped generator has not finished."""
         return self._value is PENDING
-
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its wait point."""
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated")
-        if self._target is None:
-            raise SimulationError(f"{self!r} is not waiting; cannot interrupt")
-        # Detach from the event currently waited on, then schedule a
-        # poisoned resumption.
-        target = self._target
-        if target.callbacks is not None and self in target.callbacks:
-            target.callbacks.remove(self)
-        self._target = None
-        poison = Event(self.env)
-        poison.callbacks.append(self)
-        poison._ok = False
-        poison._value = Interrupt(cause)
-        poison._defused = True
-        self.env.schedule(poison)
 
     def _continue_processed(self, result: Event) -> None:
         """Re-arm on an event that has already been processed.
@@ -265,8 +201,7 @@ class Process(Event):
         if not result._ok:
             result._defused = True
             immediate._defused = True
-        env._push(env._now, NORMAL, immediate)
-        self._target = immediate
+        env._push(env._now, immediate)
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of ``event``.
@@ -275,7 +210,6 @@ class Process(Event):
         behavioral change here must be made there too.
         """
         env = self.env
-        self._target = None
         try:
             if event._ok:
                 result = self._send(event._value)
@@ -285,12 +219,12 @@ class Process(Event):
         except StopIteration as stop:
             self._ok = True
             self._value = stop.value
-            env._push(env._now, NORMAL, self)
+            env._push(env._now, self)
             return
         except BaseException as exc:
             self._ok = False
             self._value = exc
-            env._push(env._now, NORMAL, self)
+            env._push(env._now, self)
             return
 
         try:
@@ -304,7 +238,6 @@ class Process(Event):
             self._continue_processed(result)
         else:
             callbacks.append(self)
-            self._target = result
             if not result._ok and result._value is not PENDING:
                 result._defused = True
 

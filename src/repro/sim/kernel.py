@@ -8,10 +8,9 @@ library; helpers for microseconds/nanoseconds live in
 
 Scheduler
 ---------
-Every scheduled entry is a ``(time, priority, seq, event)`` tuple, and
-entries dispatch in exactly that tuple order: earliest time first,
-URGENT before NORMAL at the same instant, then FIFO by ``seq``.  The
-schedule has two parts:
+Every scheduled entry is a ``(time, seq, event)`` tuple, and entries
+dispatch in exactly that tuple order: earliest time first, then FIFO by
+``seq``.  The schedule has two parts:
 
 * a one-entry **head slot** holding an entry that sorts before
   everything else queued.  In chain-style workloads (an event's handler
@@ -27,9 +26,9 @@ against a plain-``heapq`` reference scheduler.
 
 Performance
 -----------
-``run()`` is the innermost loop of every experiment, so it inlines the
-work of :meth:`Environment.step` (pop, callback dispatch) with all hot
-names bound locally, plus two dispatch fast paths:
+``run()`` is the innermost loop of every experiment and the only way to
+advance time.  It binds its hot names locally and has two dispatch fast
+paths:
 
 * an event whose only waiter is a :class:`~repro.sim.events.Process` is
   resumed inline (no bound-method allocation, no extra frame);
@@ -54,9 +53,7 @@ from heapq import heapify, heappop, heappush
 from typing import Any, Callable, Optional, Tuple
 
 from .events import (
-    NORMAL,
     PENDING,
-    URGENT,
     Deferred,
     Event,
     Process,
@@ -65,14 +62,9 @@ from .events import (
     Timeout,
 )
 
-__all__ = ["EmptySchedule", "Environment", "NORMAL", "URGENT"]
+__all__ = ["Environment"]
 
 _INF = float("inf")
-
-#: Priority of a bounded run's stop sentinel: sorts after every URGENT
-#: and NORMAL event scheduled at the same instant, so a run(until=t)
-#: still processes everything due at exactly ``t`` first.
-_LAST = 2
 
 
 class _StopRun(BaseException):
@@ -84,15 +76,11 @@ class _StopRun(BaseException):
     """
 
 
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    The schedule holds ``(time, priority, seq, event)`` tuples in a head
-    slot plus one binary heap (see the module docstring).  ``seq`` is a
+    The schedule holds ``(time, seq, event)`` tuples in a head slot plus
+    one binary heap (see the module docstring).  ``seq`` is a
     monotonically increasing tie-breaker so that events scheduled at the
     same instant are processed in FIFO order, which keeps runs
     deterministic.
@@ -126,14 +114,6 @@ class Environment:
         """Number of scheduled entries."""
         return len(self._heap) + (self._head is not None)
 
-    def peek(self) -> float:
-        """Return the time of the next scheduled event, or ``inf``."""
-        head = self._head
-        if head is not None:
-            return head[0]
-        heap = self._heap
-        return heap[0][0] if heap else _INF
-
     # ------------------------------------------------------------------
     # Event creation
     # ------------------------------------------------------------------
@@ -145,8 +125,8 @@ class Environment:
         """Create an event that succeeds ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Inlined Timeout.__init__ + push: timeouts are the single most
-        # created object in any simulation.
+        # Slots filled and push inlined here: timeouts are the single
+        # most created object in any simulation.
         t = Timeout.__new__(Timeout)
         t.env = self
         t.callbacks = []
@@ -156,7 +136,7 @@ class Environment:
         t.delay = delay
         seq = self._seq
         self._seq = seq + 1
-        entry = (self._now + delay, NORMAL, seq, t)
+        entry = (self._now + delay, seq, t)
         head = self._head
         if head is None:
             heap = self._heap
@@ -178,12 +158,14 @@ class Environment:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push(self, when: float, priority: int, event: Any) -> Tuple:
-        """Schedule ``event`` at absolute time ``when`` (no validation);
-        return its schedule entry."""
+    def _push(self, when: float, event: Any) -> None:
+        """Schedule ``event`` at absolute time ``when`` (no validation)."""
         seq = self._seq
         self._seq = seq + 1
-        entry = (when, priority, seq, event)
+        self._insert((when, seq, event))
+
+    def _insert(self, entry: Tuple) -> None:
+        """Place ``entry`` in the head slot or the heap."""
         head = self._head
         if head is None:
             # Arm the head slot only when the new entry provably beats
@@ -191,13 +173,12 @@ class Environment:
             heap = self._heap
             if not heap or entry < heap[0]:
                 self._head = entry
-                return entry
+                return
         elif entry < head:
             heappush(self._heap, head)
             self._head = entry
-            return entry
+            return
         heappush(self._heap, entry)
-        return entry
 
     def _remove_entry(self, entry: Tuple) -> None:
         """Remove a specific queued ``entry``.
@@ -210,11 +191,6 @@ class Environment:
             return
         self._heap.remove(entry)
         heapify(self._heap)
-
-    def schedule(self, event: Event, priority: int = NORMAL,
-                 delay: float = 0.0) -> None:
-        """Place a triggered event on the schedule ``delay`` s from now."""
-        self._push(self._now + delay, priority, event)
 
     def call_later(self, delay: float, fn: Callable[..., None],
                    *args: Any) -> None:
@@ -230,7 +206,7 @@ class Environment:
             raise ValueError(f"negative call_later delay: {delay}")
         seq = self._seq
         self._seq = seq + 1
-        entry = (self._now + delay, NORMAL, seq, Deferred(fn, args))
+        entry = (self._now + delay, seq, Deferred(fn, args))
         head = self._head
         if head is None:
             heap = self._heap
@@ -249,47 +225,17 @@ class Environment:
         if when < self._now:
             raise ValueError(
                 f"call_at({when}) is in the past (now={self._now})")
-        self._push(when, NORMAL, Deferred(fn, args))
+        self._push(when, Deferred(fn, args))
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Process the single next event; raise :class:`EmptySchedule` if none."""
-        entry = self._head
-        if entry is not None:
-            self._head = None
-        elif self._heap:
-            entry = heappop(self._heap)
-        else:
-            raise EmptySchedule("no scheduled events remain")
-        when = entry[0]
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        self.events_processed += 1
-        event = entry[3]
-        if event.__class__ is Deferred:
-            event.fn(*event.args)
-            return
-        callbacks, event.callbacks = event.callbacks, None
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failed event nobody handled: surface the error.
-            raise event._value
-
-    def run(self, until: Optional[Any] = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be ``None`` (run to exhaustion), a number (run until
-        that simulation time) or an :class:`Event` (run until it triggers and
-        return its value).
-        """
+    def run(self, until: Optional[float] = None) -> None:
+        """Run the simulation: to exhaustion when ``until`` is None,
+        else through every event due at or before time ``until``, ending
+        with the clock at ``until``."""
         if until is None:
             stop_time = _INF
-        elif isinstance(until, Event):
-            return self._run_until_event(until)
         else:
             stop_time = float(until)
             if stop_time < self._now:
@@ -308,21 +254,22 @@ class Environment:
         if stop_time != _INF:
             # Bounded run.  Comparing ``entry[0] > stop_time`` on every
             # pop costs ~40% of loop throughput, so instead a sentinel is
-            # scheduled *at* the stop time with a priority that sorts
-            # after every simulation event due at that instant;
+            # scheduled *at* the stop time, keyed with an infinite seq so
+            # it sorts after every simulation event due at that instant;
             # dispatching it raises :class:`_StopRun`, ending the run.
             # The head-slot invariant (head <= heap min) guarantees the
             # chain fast path below can never overtake the sentinel.  A
             # run that terminates with an exception removes its own
             # sentinel in the ``finally`` below — left behind, it would
-            # be a phantom entry (``len``/``peek`` would report a
-            # nonexistent event at ``stop_time``) that the next bounded
-            # run would pop and miscount.  The identity token
-            # additionally keeps any stale sentinel from stopping a
-            # later run.
+            # be a phantom entry (``len`` would count a nonexistent
+            # event at ``stop_time``) that the next bounded run would pop
+            # and miscount.  It draws no seq, so the sequence accounting
+            # below never sees it.  The identity token additionally
+            # keeps any stale sentinel from stopping a later run.
             token = self._stop_token = object()
-            sentinel = push(stop_time, _LAST,
-                            Deferred(self._raise_stop, (token,)))
+            sentinel = (stop_time, _INF,
+                        Deferred(self._raise_stop, (token,)))
+            self._insert(sentinel)
         consumed = False
         try:
             while True:
@@ -334,7 +281,7 @@ class Environment:
                 else:
                     break
                 self._now = entry[0]
-                event = entry[3]
+                event = entry[2]
                 if event.__class__ is Deferred:
                     event.fn(*event.args)
                     continue
@@ -348,7 +295,6 @@ class Environment:
                     # dispatch, and the inline saves a bound-method
                     # allocation plus a frame per event.
                     while True:
-                        proc._target = None
                         try:
                             if event._ok:
                                 result = proc._send(event._value)
@@ -359,12 +305,12 @@ class Environment:
                         except StopIteration as stop:
                             proc._ok = True
                             proc._value = stop.value
-                            push(self._now, NORMAL, proc)
+                            push(self._now, proc)
                             break
                         except BaseException as exc:
                             proc._ok = False
                             proc._value = exc
-                            push(self._now, NORMAL, proc)
+                            push(self._now, proc)
                             break
                         try:
                             rcb = result.callbacks
@@ -377,7 +323,6 @@ class Environment:
                             break
                         sole = not rcb
                         rcb.append(proc)
-                        proc._target = result
                         if not result._ok and \
                                 result._value is not PENDING:
                             result._defused = True
@@ -386,7 +331,7 @@ class Environment:
                         # has no other waiter), dispatch it without
                         # re-entering the generic loop.
                         head = self._head
-                        if head is None or head[3] is not result \
+                        if head is None or head[2] is not result \
                                 or not sole:
                             break
                         self._head = None
@@ -402,40 +347,15 @@ class Environment:
             consumed = True
         finally:
             self._stop_token = None
-            if sentinel is not None:
-                if not consumed:
-                    # An exception escaped mid-window: pull the unspent
-                    # sentinel back out so repeated bounded runs stay
-                    # exactly equivalent to one long run.
-                    self._remove_entry(sentinel)
-                # The sentinel's own seq draw is not a simulation event
-                # (whether it was dispatched or surgically removed).
-                seq0 += 1
+            if sentinel is not None and not consumed:
+                # An exception escaped mid-window: pull the unspent
+                # sentinel back out so repeated bounded runs stay
+                # exactly equivalent to one long run.
+                self._remove_entry(sentinel)
             self.events_processed += (self._seq - seq0) - (
                 len(heap) + (self._head is not None) - size0)
         if stop_time != _INF:
             self._now = stop_time
-        return None
-
-    def _run_until_event(self, stop_event: Event) -> Any:
-        """``run(until=event)``: step until ``stop_event`` is processed,
-        then return its value (or raise its failure)."""
-        if stop_event.callbacks is not None:
-            done = []
-            stop_event.callbacks.append(done.append)
-            while not done:
-                try:
-                    self.step()
-                except EmptySchedule:
-                    raise SimulationError(
-                        "simulation ended before the awaited event triggered"
-                    ) from None
-        if stop_event._ok:
-            return stop_event._value
-        # Re-raising counts as handling: defuse so teardown (or a later
-        # run) doesn't surface the same failure twice.
-        stop_event._defused = True
-        raise stop_event._value
 
     def _raise_stop(self, token: object) -> None:
         """Dispatch target of the bounded-run stop sentinel."""

@@ -31,25 +31,8 @@ Mbps = 1e6
 Gbps = 1e9
 
 
-def seconds_to_us(t: float) -> float:
-    """Convert seconds to microseconds."""
-    return t / US
-
-
-def us_to_seconds(t: float) -> float:
-    """Convert microseconds to seconds."""
-    return t * US
-
-
 def serialization_delay(nbytes: int, rate_bps: float) -> float:
     """Time to clock ``nbytes`` onto a link of ``rate_bps`` bits/second."""
     if rate_bps <= 0:
         raise ValueError("link rate must be positive")
     return (nbytes * 8) / rate_bps
-
-
-def cycles_to_seconds(cycles: float, freq_hz: float) -> float:
-    """Convert a cycle count at ``freq_hz`` into seconds."""
-    if freq_hz <= 0:
-        raise ValueError("frequency must be positive")
-    return cycles / freq_hz

@@ -48,9 +48,6 @@ class TorusTopology:
     def fail_node(self, node: int) -> None:
         self.failed.add(self.coord(node))
 
-    def repair_node(self, node: int) -> None:
-        self.failed.discard(self.coord(node))
-
     def neighbors(self, coord: Coordinate) -> List[Coordinate]:
         x, y = coord
         return [

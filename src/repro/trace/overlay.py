@@ -198,6 +198,9 @@ class _MacWireTransport:
         self.mac_rx = shell.mac_rx_latency
         self.peers: Dict[int, Any] = {}
 
+    def register(self, engine) -> None:
+        self.peers[engine.host_index] = engine
+
     def send_frame(self, dst_host: int, frame) -> None:
         env = self.env
         start = env.now
@@ -216,33 +219,22 @@ class _MacWireTransport:
         env.call_later(self.mac_tx + self.wire + self.mac_rx, deliver)
 
 
-class _LoopbackTransport:
-    """Zero-cost frame handoff: no MAC, no wire, no switch."""
-
-    def __init__(self, env: Environment):
-        self.env = env
-        self.peers: Dict[int, Any] = {}
-
-    def send_frame(self, dst_host: int, frame) -> None:
-        self.env.call_later(0.0, self.peers[dst_host].receive_frame, frame)
-
-
 def _engine_pair(env: Environment, transport) -> Tuple[Any, Any, int]:
     from ..ltl.engine import LtlEngine, connect_pair
 
     a = LtlEngine(env, 0, transport=transport, name="ltl-a")
     b = LtlEngine(env, 1, transport=transport, name="ltl-b")
-    transport.peers[0] = a
-    transport.peers[1] = b
+    transport.register(a)
+    transport.register(b)
     conn_ab, _conn_ba = connect_pair(a, b)
     return a, b, conn_ab
 
 
-def _run_engines(transport_cls, messages, payload_bytes, gap_seconds, seed,
+def _run_engines(make_transport, messages, payload_bytes, gap_seconds, seed,
                  sample_rate):
     env = Environment()
     recorder = TraceRecorder(sample_rate=sample_rate, seed=seed)
-    engine_a, engine_b, conn = _engine_pair(env, transport_cls(env))
+    engine_a, engine_b, conn = _engine_pair(env, make_transport(env))
     serve = _serve(recorder, env)
     engine_b.on_message = lambda _c, payload, n: serve(payload, n)
 
@@ -260,8 +252,12 @@ def _run_bypass_tor(messages, payload_bytes, gap_seconds, seed, sample_rate):
 
 def _run_loopback_shell(messages, payload_bytes, gap_seconds, seed,
                         sample_rate):
-    return _run_engines(_LoopbackTransport, messages, payload_bytes,
-                        gap_seconds, seed, sample_rate)
+    from ..ltl.transports import DirectTransport
+
+    # Zero-cost frame handoff: no MAC, no wire, no switch.
+    return _run_engines(lambda env: DirectTransport(env, delay=0.0),
+                        messages, payload_bytes, gap_seconds, seed,
+                        sample_rate)
 
 
 def _run_sim_kernel_only(messages, _payload_bytes, gap_seconds, seed,

@@ -1,27 +1,19 @@
-"""Workload generators: arrival processes, the five-day load trace, and
-surge (flash-crowd / diurnal-spike) profiles."""
+"""Workload generators: the five-day load trace, and flash-crowd surge
+profiles with their non-homogeneous Poisson arrivals."""
 
-from .arrivals import PoissonArrivals, closed_loop_arrivals
 from .diurnal import (
     DiurnalTraceConfig,
     LoadSample,
     apply_load_balancer_cap,
     five_day_trace,
 )
-from .surge import (
-    DiurnalSpikeProfile,
-    FlashCrowdProfile,
-    VariableRateArrivals,
-)
+from .surge import FlashCrowdProfile, VariableRateArrivals
 
 __all__ = [
-    "DiurnalSpikeProfile",
     "DiurnalTraceConfig",
     "FlashCrowdProfile",
     "LoadSample",
-    "PoissonArrivals",
     "VariableRateArrivals",
     "apply_load_balancer_cap",
-    "closed_loop_arrivals",
     "five_day_trace",
 ]

@@ -1,11 +1,11 @@
-"""Surge workloads: flash crowds and diurnal spikes.
+"""Surge workloads: flash crowds.
 
 The five-day trace (:mod:`repro.workloads.diurnal`) models *planned*
 load variation at half-hour granularity.  Overload experiments need the
 unplanned kind: a flash crowd that multiplies offered load within
-seconds.  This module provides time-varying rate profiles and a
+seconds.  This module provides a time-varying rate profile and a
 non-homogeneous Poisson arrival process (exact thinning, seeded) to
-drive them.
+drive it.
 
 All randomness flows through the caller-supplied ``random.Random`` so
 seeded runs replay bit-identically.
@@ -13,7 +13,6 @@ seeded runs replay bit-identically.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -63,42 +62,6 @@ class FlashCrowdProfile:
             return peak
         frac = (t - self.surge_end) / self.ramp
         return peak - (peak - base) * frac
-
-
-@dataclass
-class DiurnalSpikeProfile:
-    """A diurnal (sinusoidal) cycle with a superimposed spike.
-
-    A compressed version of the five-day trace for second-scale
-    experiments: the daily cycle is shrunk to ``period`` seconds and a
-    flash-crowd spike rides on top of it.
-    """
-
-    baseline_qps: float
-    #: Peak-to-mean amplitude of the cycle (0 = flat).
-    amplitude: float = 0.3
-    #: Cycle period in (simulated) seconds.
-    period: float = 2.0
-    #: Phase of the daily peak within the period.
-    peak_phase: float = 0.5
-    #: Optional spike window riding on the cycle.
-    spike_multiplier: float = 1.0
-    spike_start: float = 0.0
-    spike_duration: float = 0.0
-
-    def rate(self, t: float) -> float:
-        cycle = 1.0 + self.amplitude * math.cos(
-            2 * math.pi * (t / self.period - self.peak_phase))
-        rate = self.baseline_qps * max(0.05, cycle)
-        if self.spike_multiplier > 1.0 and \
-                self.spike_start <= t < self.spike_start + self.spike_duration:
-            rate *= self.spike_multiplier
-        return rate
-
-    @property
-    def peak_qps(self) -> float:
-        return self.baseline_qps * (1.0 + self.amplitude) \
-            * max(1.0, self.spike_multiplier)
 
 
 class VariableRateArrivals:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core import ConfigurableCloud, LatencyRecorder, normalize
-from repro.core.metrics import ThroughputMeter
+from repro.core import ConfigurableCloud, LatencyRecorder
 from repro.net import TopologyConfig, idle
 
 
@@ -32,26 +31,6 @@ class TestLatencyRecorder:
         recorder.record(1.0)
         assert set(recorder.summary()) == {
             "count", "mean", "p50", "p95", "p99", "p999", "max"}
-
-
-class TestThroughputMeter:
-    def test_rate(self):
-        meter = ThroughputMeter(started_at=0.0)
-        for t in (1.0, 2.0, 3.0, 4.0):
-            meter.record(t)
-        assert meter.rate() == pytest.approx(1.0)
-
-    def test_zero_elapsed(self):
-        assert ThroughputMeter().rate() == 0.0
-
-
-class TestNormalize:
-    def test_divides(self):
-        assert normalize([2.0, 4.0], 2.0) == [1.0, 2.0]
-
-    def test_zero_reference_rejected(self):
-        with pytest.raises(ValueError):
-            normalize([1.0], 0.0)
 
 
 class TestConfigurableCloud:
@@ -134,30 +113,6 @@ class TestLatencyRecorderCachedView:
         summary = recorder.summary()
         assert summary["max"] == max(recorder.samples)
         assert summary["count"] == 601.0
-
-
-class TestThroughputMeterWindow:
-    def test_first_record_opens_window(self):
-        meter = ThroughputMeter()
-        assert meter.rate() == 0.0
-        # Regression: a meter created mid-simulation used to measure from
-        # t=0, silently inflating the window and under-reporting rate.
-        meter.record(100.0)
-        meter.record(101.0)
-        meter.record(102.0)
-        assert meter.started_at == 100.0
-        assert meter.rate() == pytest.approx(3 / 2.0)
-
-    def test_reset_rebases_window(self):
-        meter = ThroughputMeter(started_at=0.0)
-        meter.record(1.0)
-        meter.reset(10.0)
-        assert meter.completions == 0
-        assert meter.rate() == 0.0
-        meter.record(11.0)
-        meter.record(12.0)
-        assert meter.rate() == pytest.approx(1.0)
-        assert meter.rate(now=14.0) == pytest.approx(0.5)
 
 
 def test_cloud_uses_caller_supplied_env():

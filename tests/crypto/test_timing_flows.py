@@ -55,10 +55,6 @@ class TestSoftwareModel:
         with pytest.raises(KeyError):
             SoftwareCryptoModel().packet_latency("rot13", 100)
 
-    def test_ceiling_helper(self):
-        model = SoftwareCryptoModel()
-        assert model.cores_for_line_rate_int("aes-gcm-128") == 6
-
 
 class TestFpgaEngine:
     def test_cbc_sha1_11us_for_1500B(self):
@@ -94,9 +90,12 @@ class TestFpgaEngine:
             engine.latency("des", 100)
 
     def test_cores_freed(self):
+        """At the engine's line rate, CBC-SHA1 in software would take
+        at least 15 host cores (the §IV headline)."""
         engine = FpgaCryptoEngine()
         software = SoftwareCryptoModel()
-        assert engine.cpu_cores_freed("aes-cbc-128-sha1", software) >= 15
+        assert software.cores_for_line_rate(
+            "aes-cbc-128-sha1", engine.config.line_rate_bps) >= 15
 
 
 class TestFlowTable:
@@ -123,13 +122,6 @@ class TestFlowTable:
             FlowKey("10.0.0.1", "10.0.0.2", 1, 2), bytes(16))
         nonces = {entry.next_nonce() for _ in range(100)}
         assert len(nonces) == 100
-
-    def test_remove_flow(self):
-        table = FlowTable()
-        key = FlowKey("10.0.0.1", "10.0.0.2", 1, 2)
-        table.setup_flow(key, bytes(16))
-        table.remove_flow(key)
-        assert len(table) == 0
 
 
 class TestEncryptionTapEndToEnd:

@@ -34,16 +34,6 @@ class TestDnnPool:
         mean = pool.accelerators[0].mean_service_time
         assert env.now == pytest.approx(10 * mean, rel=0.35)
 
-    def test_remove_fpga_shrinks_pool(self):
-        env = Environment()
-        pool = DnnPool(env, num_fpgas=3,
-                       rng=RandomStreams(seed=3).stream("dnn-pool"))
-        pool.remove_fpga()
-        assert pool.num_fpgas == 2
-        with pytest.raises(ValueError):
-            pool.remove_fpga()
-            pool.remove_fpga()
-
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError):
             DnnPool(Environment(), num_fpgas=0,

@@ -44,8 +44,7 @@ class TestAreaBudget:
         assert round(100 * AreaBudget().fraction_of("Elastic Router")) == 2
 
     def test_role_is_32_percent(self):
-        budget = AreaBudget()
-        assert round(100 * budget.role_alms / TOTAL_ALMS) == 32
+        assert round(100 * AreaBudget().fraction_of("Role")) == 32
 
     def test_stratix_v_d5_capacity(self):
         assert TOTAL_ALMS == 172_600
@@ -53,24 +52,10 @@ class TestAreaBudget:
     def test_no_ltl_shell_variant_frees_area(self):
         """'Services using only their single local FPGA can choose to
         deploy a shell version without the LTL block.'"""
-        full = AreaBudget()
-        slim = full.without("LTL Protocol Engine", "LTL Packet Switch")
-        freed = full.used_alms - slim.used_alms
+        budget = AreaBudget()
+        freed = sum(budget.entry(name).alms for name in
+                    ("LTL Protocol Engine", "LTL Packet Switch"))
         assert freed == 11_839 + 4_815
-        assert slim.free_alms > full.free_alms
-
-    def test_unknown_block_drop_rejected(self):
-        with pytest.raises(KeyError):
-            AreaBudget().without("Warp Drive")
-
-    def test_with_role_replaces_role(self):
-        budget = AreaBudget().with_role("crypto", 20_000)
-        assert budget.role_alms == 20_000
-        assert budget.shell_alms == AreaBudget().shell_alms
-
-    def test_oversized_role_rejected(self):
-        with pytest.raises(ValueError):
-            AreaBudget().with_role("huge", 120_000)
 
     def test_rows_include_totals(self):
         rows = AreaBudget().rows()
@@ -88,15 +73,6 @@ class TestAreaBudget:
 
 
 class TestBoardSpec:
-    def test_pcie_aggregate_is_16_gbytes(self):
-        spec = BoardSpec()
-        assert spec.pcie_aggregate_bandwidth_bytes == pytest.approx(
-            16e9, rel=0.05)
-
-    def test_dram_peak_bandwidth(self):
-        assert BoardSpec().dram_peak_bandwidth_bytes == pytest.approx(
-            12.8e9)
-
     def test_power_limits(self):
         spec = BoardSpec()
         assert spec.max_power_w == 35.0

@@ -4,7 +4,6 @@ import pytest
 
 from repro.fpga import Shell, ShellConfig
 from repro.fpga.bridge import Bridge
-from repro.fpga.reconfig import Image
 from repro.net import DatacenterFabric, TopologyConfig, idle
 from repro.net.packet import EthernetHeader, Packet
 from repro.sim import Environment
@@ -180,9 +179,7 @@ class TestShell:
         env, fabric, (a, b) = self._cloud(0, 1)
         nic_got = []
         b.nic_receive = lambda p: nic_got.append(p)
-        image = Image("new-role", "r")
-        a.configuration.write_application_image(image)
-        env.process(a.configuration.full_reconfigure())
+        env.process(a.configuration.power_cycle())
 
         def send_during(env):
             yield env.timeout(0.5)  # mid-reconfig

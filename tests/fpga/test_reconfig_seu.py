@@ -5,14 +5,14 @@ import random
 import pytest
 
 from repro.fpga.reconfig import (
-    FULL_RECONFIG_SECONDS,
     GOLDEN_IMAGE,
     PARTIAL_RECONFIG_SECONDS,
+    POWER_CYCLE_SECONDS,
     ConfigurationError,
     ConfigurationManager,
     Image,
 )
-from repro.fpga.seu import SeuScrubber, expected_flips
+from repro.fpga.seu import MEAN_SECONDS_BETWEEN_FLIPS, SeuScrubber
 from repro.sim import Environment
 
 
@@ -22,26 +22,15 @@ class TestConfigurationManager:
         assert manager.live_image is GOLDEN_IMAGE
         assert manager.link_up
 
-    def test_full_reconfigure_loads_application(self):
+    def test_power_cycle_drops_link_temporarily(self):
         env = Environment()
-        app = Image("ranking-v3", "ffu")
-        manager = ConfigurationManager(env, application_image=app)
-        env.process(manager.full_reconfigure())
-        env.run()
-        assert manager.live_image is app
-        assert manager.full_reconfigs == 1
-        assert env.now == pytest.approx(FULL_RECONFIG_SECONDS)
-
-    def test_full_reconfigure_drops_link_temporarily(self):
-        env = Environment()
-        app = Image("role", "role")
-        manager = ConfigurationManager(env, application_image=app)
+        manager = ConfigurationManager(env)
         states = []
         manager.on_link_change = lambda up: states.append((env.now, up))
-        env.process(manager.full_reconfigure())
+        env.process(manager.power_cycle())
         env.run()
         assert states == [(0.0, False),
-                          (pytest.approx(FULL_RECONFIG_SECONDS), True)]
+                          (pytest.approx(POWER_CYCLE_SECONDS), True)]
 
     def test_partial_reconfigure_keeps_link_up(self):
         env = Environment()
@@ -64,8 +53,8 @@ class TestConfigurationManager:
     def test_power_cycle_restores_golden(self):
         env = Environment()
         app = Image("buggy", "role")
-        manager = ConfigurationManager(env, application_image=app)
-        env.process(manager.full_reconfigure())
+        manager = ConfigurationManager(env)
+        env.process(manager.partial_reconfigure(app))
         env.run()
         assert manager.live_image is app
         env.process(manager.power_cycle())
@@ -73,29 +62,15 @@ class TestConfigurationManager:
         assert manager.live_image is GOLDEN_IMAGE
         assert manager.power_cycles == 1
 
-    def test_golden_slot_never_rewritten(self):
-        manager = ConfigurationManager(Environment())
-        with pytest.raises(ConfigurationError):
-            manager.write_application_image(
-                Image("fake-golden", "x", is_golden=True))
-
-    def test_no_application_image_rejected(self):
-        env = Environment()
-        manager = ConfigurationManager(env)
-        with pytest.raises(ConfigurationError):
-            env.process(manager.full_reconfigure())
-            env.run()
-
     def test_concurrent_reconfig_rejected(self):
         env = Environment()
-        manager = ConfigurationManager(
-            env, application_image=Image("a", "a"))
-        env.process(manager.full_reconfigure())
+        manager = ConfigurationManager(env)
+        env.process(manager.partial_reconfigure(Image("a", "a")))
 
         def second(env):
             yield env.timeout(0.1)
             with pytest.raises(ConfigurationError):
-                gen = manager.full_reconfigure()
+                gen = manager.partial_reconfigure(Image("b", "b"))
                 next(gen)
 
         env.process(second(env))
@@ -146,4 +121,6 @@ class TestSeuScrubber:
 
     def test_expected_flips_matches_paper_scale(self):
         # 5760 machines for 30 days ~ 168.6 expected flips.
-        assert expected_flips(5760, 30) == pytest.approx(168.6, abs=0.1)
+        machine_seconds = 5760 * 30 * 24 * 3600.0
+        assert machine_seconds / MEAN_SECONDS_BETWEEN_FLIPS == \
+            pytest.approx(168.6, abs=0.1)

@@ -7,7 +7,6 @@ from repro.fpga import Image
 from repro.haas import (
     AllocationError,
     Constraints,
-    FpgaHealth,
     FpgaManager,
     LeaseState,
     Locality,
@@ -206,16 +205,24 @@ class TestServiceManager:
         assert len(cloud.resource_manager.free_hosts()) == 1
 
 
-class TestFpgaManager:
-    def test_status_snapshot(self):
-        cloud = make_cloud(0)
-        manager = cloud.resource_manager.manager(0)
-        status = manager.status()
-        assert status.host == 0
-        assert status.health is FpgaHealth.HEALTHY
-        assert status.live_image == "golden"
-        assert status.link_up
+class TestHeartbeatKeepsService:
+    def test_sm_heartbeat_prevents_expiry(self):
+        cloud = ConfigurableCloud(
+            topology=TopologyConfig(background=idle()), seed=5)
+        cloud.add_servers([0, 1])
+        rm = cloud.resource_manager
+        rm.lease_duration = 60.0
+        sm = ServiceManager(cloud.env, "svc", rm, Image("i", "r"),
+                            Constraints(count=1))
+        sm.grow(1)
+        sm.start_heartbeat()
+        cloud.run(until=400.0)
+        assert sm.stats.components_lost == 0
+        assert len(sm.hosts) == 1
+        assert rm.stats.expirations == 0
 
+
+class TestFpgaManager:
     def test_recover_power_cycles_to_golden(self):
         cloud = make_cloud(0)
         manager = cloud.resource_manager.manager(0)

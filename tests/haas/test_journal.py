@@ -27,15 +27,6 @@ class TestRecording:
         assert (second.seq, second.time) == (2, 2.5)
         assert len(journal) == 2
 
-    def test_jsonable_elides_rich_objects(self):
-        _, journal = make_journal()
-        rec = journal.record("grant", lease_id=7, hosts=[1, 2],
-                             constraints=object())
-        plain = rec.jsonable()
-        assert plain["lease_id"] == 7
-        assert plain["hosts"] == [1, 2]
-        assert "constraints" not in plain
-
 
 GRANT = dict(service="svc", granted_at=1.0, duration=10.0,
              epoch=1, fence=1, constraints=None, token="t1")

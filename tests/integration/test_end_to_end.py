@@ -113,7 +113,7 @@ class TestBumpInTheWireResilience:
         a = cloud.add_server(0)
         b = cloud.add_server(1)
         c = cloud.add_server(2)
-        # Server 1's FPGA link goes down (e.g. a buggy full reconfig).
+        # Server 1's FPGA link goes down (e.g. a wedged image).
         b.shell.bridge.link_up = False
         got_c = []
         c.on_packet(lambda p: got_c.append(p.payload))

@@ -1,4 +1,4 @@
-"""Tests for the LTL frame format and serialization."""
+"""Tests for the LTL frame format."""
 
 import pytest
 
@@ -40,32 +40,6 @@ class TestDataFrames:
         assert make_data_frame(0, 0, 0, 0, 1, b"", 0).is_data
         assert make_ack(0, 5).is_ack
         assert make_nack(0, (1, 2)).is_nack
-
-
-class TestHeaderSerialization:
-    def test_roundtrip(self):
-        frame = make_data_frame(connection_id=77, seq=1234,
-                                message_id=42, fragment=1,
-                                total_fragments=3, payload=b"zz",
-                                payload_bytes=2)
-        decoded = LtlFrame.header_from_bytes(frame.header_to_bytes())
-        assert decoded.connection_id == 77
-        assert decoded.seq == 1234
-        assert decoded.message_id == 42
-        assert decoded.fragment == 1
-        assert decoded.total_fragments == 3
-        assert decoded.payload_bytes == 2
-        assert decoded.frame_type == TYPE_DATA
-
-    def test_bad_magic_rejected(self):
-        raw = bytearray(make_ack(0, 1).header_to_bytes())
-        raw[0] ^= 0xFF
-        with pytest.raises(ValueError):
-            LtlFrame.header_from_bytes(bytes(raw))
-
-    def test_truncated_rejected(self):
-        with pytest.raises(ValueError):
-            LtlFrame.header_from_bytes(b"\x00" * 4)
 
 
 class TestAckNack:

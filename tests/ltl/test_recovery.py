@@ -179,19 +179,6 @@ class TestReorderBuffer:
         # The gap was NACKed exactly once while outstanding.
         assert b.stats.nacks_sent == 1
 
-    def test_close_clears_nack_bookkeeping(self):
-        env = Environment()
-        _t, a, b, conn_ab, _ = make_pair(env)
-        state = self._recv_state(a, b, conn_ab)
-        recv_id = state.connection_id
-        b.receive_frame(make_data_frame(
-            connection_id=recv_id, seq=3, message_id=1, fragment=0,
-            total_fragments=1, payload=b"z", payload_bytes=1))
-        env.run(until=1e-3)
-        assert recv_id in b._nack_outstanding
-        b.close_receive_connection(recv_id)
-        assert recv_id not in b._nack_outstanding
-        assert recv_id not in b.recv_table
 
 
 class TestNarrowedHandlers:

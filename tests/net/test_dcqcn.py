@@ -1,7 +1,5 @@
 """Tests for the DC-QCN congestion-control state machines."""
 
-import pytest
-
 from repro.net.dcqcn import CnpGenerator, DcqcnConfig, DcqcnRateController
 
 
@@ -59,11 +57,6 @@ class TestRateController:
         alpha = rc.alpha
         rc.on_increase_timer(now=1.0)
         assert rc.alpha < alpha
-
-    def test_seconds_per_byte(self):
-        rc = DcqcnRateController()
-        assert rc.seconds_per_byte() == pytest.approx(
-            8.0 / rc.config.line_rate_bps)
 
 
 class TestCnpGenerator:

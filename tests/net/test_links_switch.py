@@ -238,13 +238,16 @@ class TestQueuedBytesAccounting:
         """The O(1) running total must equal the per-class sums at every
         point of the drain, including across enqueues and transmits."""
         env = Environment()
-        port = Port(env, "p", rate_bps=40e9, distance_m=0.0,
-                    deliver=lambda p: None)
+        checked = []
 
-        def invariant():
+        def invariant(_packet=None):
             assert port.queued_bytes_total == sum(
                 port.queued_bytes(tc) for tc in TrafficClass.ALL)
+            checked.append(port.queued_bytes_total)
 
+        # deliver runs inside every transmit completion (zero distance).
+        port = Port(env, "p", rate_bps=40e9, distance_m=0.0,
+                    deliver=invariant)
         invariant()
         for size, tc in ((100, TrafficClass.BEST_EFFORT),
                          (500, TrafficClass.LOSSLESS),
@@ -252,9 +255,10 @@ class TestQueuedBytesAccounting:
                          (1400, TrafficClass.LOSSLESS)):
             port.enqueue(make_packet(payload_bytes=size, tc=tc))
             invariant()
-        while len(env):
-            env.step()
-            invariant()
+        env.run()
+        invariant()
+        assert len(env) == 0
+        assert len(checked) == 1 + 4 + 4 + 1
         assert port.queued_bytes_total == 0
 
     def test_running_total_unchanged_by_drop(self):

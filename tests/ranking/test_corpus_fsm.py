@@ -65,11 +65,6 @@ class TestSyntheticCorpus:
         docs = corpus.make_result_set(query, 15)
         assert len(docs) == 15
 
-    def test_size_bytes(self):
-        corpus = SyntheticCorpus(seed=0)
-        doc = corpus.make_document()
-        assert doc.size_bytes == 4 * doc.length
-
 
 class TestAhoCorasick:
     def test_single_pattern_count(self):

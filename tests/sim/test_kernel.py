@@ -1,8 +1,8 @@
-"""Tests for the discrete-event kernel (Environment, run/step)."""
+"""Tests for the discrete-event kernel (Environment, run)."""
 
 import pytest
 
-from repro.sim import EmptySchedule, Environment, SimulationError
+from repro.sim import Environment, SimulationError
 
 
 class TestEnvironmentBasics:
@@ -12,12 +12,11 @@ class TestEnvironmentBasics:
     def test_initial_time_configurable(self):
         assert Environment(initial_time=5.0).now == 5.0
 
-    def test_peek_empty_is_infinite(self):
-        assert Environment().peek() == float("inf")
-
-    def test_step_on_empty_schedule_raises(self):
-        with pytest.raises(EmptySchedule):
-            Environment().step()
+    def test_new_environment_is_empty(self):
+        env = Environment()
+        assert len(env) == 0
+        env.run()
+        assert env.now == 0.0 and env.events_processed == 0
 
     def test_timeout_advances_time(self):
         env = Environment()
@@ -43,15 +42,16 @@ class TestEnvironmentBasics:
         with pytest.raises(ValueError):
             env.run(until=0.5)
 
-    def test_run_until_event_returns_value(self):
+    def test_run_until_takes_only_a_time(self):
         env = Environment()
 
         def proc(env):
             yield env.timeout(1.0)
-            return "result"
 
         process = env.process(proc(env))
-        assert env.run(until=process) == "result"
+        with pytest.raises(TypeError):
+            env.run(until=process)
+        assert env.now == 0.0 and len(env) == 1
 
     def test_events_at_same_time_fifo(self):
         env = Environment()
@@ -171,35 +171,3 @@ class TestProcesses:
         env.process(late(env))
         env.run()
         assert results == [(5.0, "early")]
-
-
-class TestInterrupt:
-    def test_interrupt_delivers_cause(self):
-        from repro.sim import Interrupt
-        env = Environment()
-
-        def sleeper(env):
-            try:
-                yield env.timeout(100.0)
-            except Interrupt as interrupt:
-                return ("interrupted", interrupt.cause, env.now)
-
-        def interrupter(env, target):
-            yield env.timeout(1.0)
-            target.interrupt(cause="wake-up")
-
-        target = env.process(sleeper(env))
-        env.process(interrupter(env, target))
-        env.run()
-        assert target.value == ("interrupted", "wake-up", 1.0)
-
-    def test_interrupt_dead_process_raises(self):
-        env = Environment()
-
-        def quick(env):
-            yield env.timeout(0.1)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()

@@ -1,9 +1,8 @@
 """Determinism guarantees of the kernel scheduler.
 
-The kernel orders every entry by ``(time, priority, seq)`` whether it
-sits in the head slot or the heap.  The fixed tests pin the observable
-contract: same-instant FIFO, URGENT before NORMAL, ``call_at`` /
-``call_later`` interleaving.  The differential test runs random programs
+The kernel orders every entry by ``(time, seq)`` whether it sits in the
+head slot or the heap.  The fixed tests pin the observable contract:
+same-instant FIFO and ``call_at`` / ``call_later`` interleaving.  The differential test runs random programs
 on :class:`~repro.sim.Environment` and on a plain-``heapq`` reference
 scheduler (:mod:`tests.sim.reference_scheduler`) and requires the same
 dispatch order, clock, queue length and event count after every window.
@@ -13,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment
-from repro.sim.events import NORMAL, URGENT, Event
 
 from .reference_scheduler import ReferenceScheduler
 
@@ -42,27 +40,6 @@ class TestSameInstantFifo:
             env.call_at(when, order.append, i)
         env.run()
         assert order == list(range(20))
-
-
-class TestPriorities:
-    def test_urgent_before_normal_same_instant(self):
-        env = Environment()
-        order = []
-
-        def make(tag):
-            event = Event(env)
-            event.callbacks.append(lambda _e: order.append(tag))
-            event._ok = True
-            event._value = None
-            return event
-
-        # NORMAL scheduled first, URGENT second — URGENT must still win.
-        env.schedule(make("normal-0"), NORMAL, delay=1e-6)
-        env.schedule(make("urgent-0"), URGENT, delay=1e-6)
-        env.schedule(make("normal-1"), NORMAL, delay=1e-6)
-        env.schedule(make("urgent-1"), URGENT, delay=1e-6)
-        env.run()
-        assert order == ["urgent-0", "urgent-1", "normal-0", "normal-1"]
 
 
 class TestCallAtCallLaterInterleaving:
@@ -100,12 +77,12 @@ class _Node:
 
     def __init__(self, ident, kind, delays, children):
         self.ident = ident
-        self.kind = kind        # later | urgent | timeout | proc
+        self.kind = kind        # later | timeout | proc
         self.delays = delays    # proc: one delay per step, else one
         self.children = children
 
 
-_KINDS = st.sampled_from(["later", "urgent", "timeout", "proc"])
+_KINDS = st.sampled_from(["later", "timeout", "proc"])
 _DELAYS = st.lists(st.integers(0, 3), min_size=1, max_size=4)
 _TREES = st.recursive(
     st.tuples(_KINDS, _DELAYS, st.just(())),
@@ -142,12 +119,6 @@ class _EnvDriver:
         env = self.env
         if node.kind == "later":
             env.call_later(node.delays[0], self.fire, node)
-        elif node.kind == "urgent":
-            event = Event(env)
-            event._ok = True
-            event._value = None
-            event.callbacks.append(lambda _e: self.fire(node))
-            env.schedule(event, URGENT, delay=node.delays[0])
         elif node.kind == "timeout":
             env.timeout(node.delays[0]).callbacks.append(
                 lambda _e: self.fire(node))
@@ -205,8 +176,7 @@ class _RefDriver:
         if node.kind == "proc":
             ref.push(0.0, self._step, node, 0)
         else:
-            priority = URGENT if node.kind == "urgent" else NORMAL
-            ref.push(node.delays[0], self.fire, node, priority=priority)
+            ref.push(node.delays[0], self.fire, node)
 
     def _step(self, node, step):
         ref = self.ref
@@ -265,8 +235,7 @@ def _execute(driver, roots, bomb, windows):
             outcome = "ok"
         except Bomb:
             outcome = "bomb"
-        states.append((outcome, sched.now, len(sched), sched.peek(),
-                       driver.dispatched()))
+        states.append((outcome, sched.now, len(sched), driver.dispatched()))
     return states
 
 
@@ -275,10 +244,10 @@ def _execute(driver, roots, bomb, windows):
        windows=st.lists(st.integers(0, 14), max_size=5))
 @settings(max_examples=200, deadline=None)
 def test_dispatch_order_matches_reference(trees, bomb, windows):
-    """Random programs — zero and tied delays, URGENT/NORMAL, nested
-    scheduling, process timeout chains, bounded windows, one bomb that
-    aborts the window it fires in — dispatch identically on the kernel
-    and on the reference heap."""
+    """Random programs — zero and tied delays, nested scheduling, process
+    timeout chains, bounded windows, one bomb that aborts the window it
+    fires in — dispatch identically on the kernel and on the reference
+    heap."""
     windows = [w * DT for w in sorted(set(windows))]
     counter = iter(range(10_000))
     roots = [_build(tree, counter) for tree in trees]

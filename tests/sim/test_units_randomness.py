@@ -9,10 +9,7 @@ from repro.sim.units import (
     KB,
     MB,
     US,
-    cycles_to_seconds,
-    seconds_to_us,
     serialization_delay,
-    us_to_seconds,
 )
 
 
@@ -27,16 +24,6 @@ class TestUnits:
     def test_serialization_rejects_bad_rate(self):
         with pytest.raises(ValueError):
             serialization_delay(100, 0)
-
-    def test_us_roundtrip(self):
-        assert seconds_to_us(us_to_seconds(3.5)) == pytest.approx(3.5)
-
-    def test_cycles_to_seconds(self):
-        assert cycles_to_seconds(300e6, 300e6) == pytest.approx(1.0)
-
-    def test_cycles_rejects_bad_frequency(self):
-        with pytest.raises(ValueError):
-            cycles_to_seconds(100, 0)
 
     def test_size_constants(self):
         assert KB == 1024 and MB == KB ** 2 and GB == KB ** 3

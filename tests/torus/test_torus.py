@@ -79,12 +79,6 @@ class TestFailures:
             torus.fail_node(torus.node(neighbor))
         assert torus.hops(0, torus.node(victim)) is None
 
-    def test_repair_restores(self):
-        torus = TorusTopology()
-        torus.fail_node(5)
-        torus.repair_node(5)
-        assert torus.hops(0, 5) == 1
-
     def test_healthy_reroute_preserves_reachability(self):
         torus = TorusTopology()
         torus.fail_node(7)

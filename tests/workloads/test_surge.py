@@ -5,11 +5,7 @@ import random
 import pytest
 
 from repro.sim import Environment
-from repro.workloads import (
-    DiurnalSpikeProfile,
-    FlashCrowdProfile,
-    VariableRateArrivals,
-)
+from repro.workloads import FlashCrowdProfile, VariableRateArrivals
 
 
 class TestFlashCrowdProfile:
@@ -35,23 +31,6 @@ class TestFlashCrowdProfile:
             FlashCrowdProfile(baseline_qps=0.0)
         with pytest.raises(ValueError):
             FlashCrowdProfile(baseline_qps=10.0, surge_multiplier=0.5)
-
-
-class TestDiurnalSpikeProfile:
-    def test_cycle_peaks_at_phase(self):
-        p = DiurnalSpikeProfile(baseline_qps=100.0, amplitude=0.3,
-                                period=2.0, peak_phase=0.5)
-        assert p.rate(1.0) == pytest.approx(130.0)   # peak
-        assert p.rate(0.0) == pytest.approx(70.0)    # trough
-        assert p.peak_qps == pytest.approx(130.0)
-
-    def test_spike_rides_the_cycle(self):
-        p = DiurnalSpikeProfile(baseline_qps=100.0, amplitude=0.0,
-                                spike_multiplier=3.0, spike_start=1.0,
-                                spike_duration=0.5)
-        assert p.rate(0.5) == pytest.approx(100.0)
-        assert p.rate(1.2) == pytest.approx(300.0)
-        assert p.rate(1.6) == pytest.approx(100.0)
 
 
 class TestVariableRateArrivals:

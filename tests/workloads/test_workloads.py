@@ -1,62 +1,12 @@
-"""Tests for arrival processes and the five-day trace."""
+"""Tests for the five-day trace."""
 
 import pytest
 
-from repro.sim import Environment
 from repro.workloads import (
     DiurnalTraceConfig,
-    PoissonArrivals,
     apply_load_balancer_cap,
-    closed_loop_arrivals,
     five_day_trace,
 )
-
-
-class TestPoissonArrivals:
-    def test_generates_limit(self):
-        env = Environment()
-        count = []
-        PoissonArrivals(env, rate_per_second=1000,
-                        submit=lambda: count.append(env.now), limit=50)
-        env.run()
-        assert len(count) == 50
-
-    def test_rate_approximates_target(self):
-        env = Environment()
-        times = []
-        PoissonArrivals(env, rate_per_second=1000,
-                        submit=lambda: times.append(env.now), limit=2000)
-        env.run()
-        duration = times[-1] - times[0]
-        assert 2000 / duration == pytest.approx(1000, rel=0.15)
-
-    def test_bad_rate_rejected(self):
-        with pytest.raises(ValueError):
-            PoissonArrivals(Environment(), 0, lambda: None)
-
-
-class TestClosedLoop:
-    def test_concurrency_respected(self):
-        env = Environment()
-        active = []
-        peak = []
-
-        def one():
-            def proc():
-                active.append(1)
-                peak.append(len(active))
-                yield env.timeout(1.0)
-                active.pop()
-            return proc()
-
-        closed_loop_arrivals(env, concurrency=3, run_one=one, total=12)
-        env.run()
-        assert max(peak) == 3
-        assert len(peak) == 12
-
-    def test_bad_concurrency(self):
-        with pytest.raises(ValueError):
-            closed_loop_arrivals(Environment(), 0, lambda: None, 10)
 
 
 class TestFiveDayTrace:
