@@ -193,7 +193,7 @@ def run_ranking_fallback():
     def load(env):
         for _ in range(400):
             issued[0] += 1
-            env.process(server.handle_query())
+            server.submit()
             yield env.timeout(2e-3)
 
     def outage(env):

@@ -118,9 +118,9 @@ def run_hedging(num_requests: int = 2000, load: float = 0.4,
         def client(env, pool=pool, hedge=hedge, label=label):
             for _ in range(num_requests):
                 if label == "hedged":
-                    env.process(pool.request_hedged(hedge))
+                    pool.request_hedged(hedge)
                 else:
-                    env.process(pool.request())
+                    pool.request()
                 yield env.timeout(period)
 
         env.process(client(env), name="dnn-load")

@@ -49,14 +49,13 @@ class ConfigurableCloud:
     # ------------------------------------------------------------------
     def add_server(self, host_index: int,
                    shell_config: Optional[ShellConfig] = None,
-                   num_cores: int = 8, enroll: bool = True) -> Server:
+                   enroll: bool = True) -> Server:
         """Create a server at ``host_index`` and (optionally) enroll its
         FPGA into the HaaS pool."""
         if host_index in self.servers:
             raise ValueError(f"server {host_index} already exists")
         server = Server(
             self.env, host_index, self.fabric, shell_config=shell_config,
-            num_cores=num_cores,
             streams=self.streams.spawn(f"server-{host_index}"))
         self.servers[host_index] = server
         if enroll:

@@ -7,28 +7,25 @@ from typing import Callable, List, Optional
 from ..fpga.shell import Shell, ShellConfig
 from ..net.fabric import DatacenterFabric
 from ..net.packet import Packet
-from ..sim import Environment, RandomStreams, Resource
+from ..sim import Environment, RandomStreams
 
 
 class Server:
     """One server of the Configurable Cloud.
 
     The host's NIC is cabled to the FPGA, the FPGA to the TOR: all
-    network traffic crosses the shell's bridge.  ``cores`` models the
-    host CPU for experiments that co-schedule software work.
+    network traffic crosses the shell's bridge.
     """
 
     def __init__(self, env: Environment, host_index: int,
                  fabric: DatacenterFabric,
                  shell_config: Optional[ShellConfig] = None,
-                 num_cores: int = 8,
                  streams: Optional[RandomStreams] = None):
         self.env = env
         self.host_index = host_index
         self.shell = Shell(env, host_index, fabric, config=shell_config,
                            streams=streams)
         self.shell.nic_receive = self._nic_receive
-        self.cores = Resource(env, capacity=num_cores)
         self._nic_handlers: List[Callable[[Packet], None]] = []
         self.packets_received = 0
         self.packets_sent = 0

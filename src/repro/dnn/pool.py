@@ -22,7 +22,7 @@ from typing import Dict, List, Optional
 from ..core.metrics import LatencyRecorder
 from ..overload.deadline import expires_at_of
 from ..overload.hedging import HedgeController
-from ..sim import Environment, RandomStreams, Resource
+from ..sim import Environment, Pool, RandomStreams
 from ..trace.stages import Stage
 from .accelerator import DnnAccelerator, DnnAcceleratorConfig
 
@@ -93,7 +93,7 @@ class DnnPool:
         self.rng = rng
         self.accelerators = [
             DnnAccelerator(accelerator_config) for _ in range(num_fpgas)]
-        self._slots = [Resource(env, capacity=1) for _ in range(num_fpgas)]
+        self._slots = [Pool() for _ in range(num_fpgas)]
         self._queue_depth = [0] * num_fpgas
         #: Per-FPGA service-time multiplier (limplock knob: a slow peer
         #: serves at ``slow_factor`` x the nominal time until reset).
@@ -130,8 +130,8 @@ class DnnPool:
         return self.accelerators[index].sample_service_time(self.rng) \
             * self.slow_factor[index]
 
-    def request(self, deadline=None, trace=None):
-        """Process: one client request through the pool.
+    def request(self, deadline=None, trace=None) -> None:
+        """Send one client request through the pool.
 
         ``deadline`` (a Deadline or absolute expiry in seconds) makes
         the pool drop-and-account the request instead of serving it once
@@ -143,145 +143,141 @@ class DnnPool:
         """
         enqueued_at = self.env.now
         expires_at = expires_at_of(deadline)
-        if expires_at is not None and self.env.now > expires_at:
+        if expires_at is not None and enqueued_at > expires_at:
             self.deadline_drops += 1
-            return None
-        network = 0.0
-        if self.remote is not None:
-            network = self.remote.sample(self.rng)
+            return
+        network = self.remote.sample(self.rng) if self.remote else 0.0
         index = self._pick()
+        leg = _Leg(None, index, network, enqueued_at, expires_at, trace)
         self._queue_depth[index] += 1
-        # Outbound network half before the accelerator sees the request.
         if network > 0:
-            yield self.env.timeout(network / 2)
-            if trace is not None:
-                trace.tap(Stage.POOL_NET, self.env.now)
-        with self._slots[index].request() as slot:
-            yield slot
-            if trace is not None:
-                trace.tap(Stage.POOL_QUEUE, self.env.now)
-            if expires_at is not None and self.env.now > expires_at:
-                self._queue_depth[index] -= 1
-                self.deadline_drops += 1
-                return None
-            self.backend_served += 1
-            yield self.env.timeout(self._service_time(index))
-            if trace is not None:
-                trace.tap(Stage.ROLE_SERVICE, self.env.now)
-        self._queue_depth[index] -= 1
-        if network > 0:
-            yield self.env.timeout(network / 2)
-            if trace is not None:
-                trace.tap(Stage.POOL_NET, self.env.now)
-        latency = self.env.now - enqueued_at
-        self.latency.record(latency)
-        self.completed += 1
-        return latency
+            # Outbound network half before the accelerator sees it.
+            self.env.call_later(network / 2, self._slots[index].acquire,
+                                self._serve, leg)
+        else:
+            self._slots[index].acquire(self._serve, leg)
 
-    # ------------------------------------------------------------------
-    # Hedged requests (tail-at-scale)
-    # ------------------------------------------------------------------
-    def _race_leg(self, index: int, network: float, state: Dict,
-                  label: str, done) -> None:
-        """One leg of a hedged race; fills ``state[label]`` in place."""
-
-        def leg():
-            out = state[label]
-            if network > 0:
-                yield self.env.timeout(network / 2)
-            self._queue_depth[index] += 1
-            slot = self._slots[index].request()
-            out["slot"] = slot
-            yield slot
-            if state["winner"] is not None:
-                # Lost while queued: give the slot straight back.
-                self._slots[index].release(slot)
-                self._queue_depth[index] -= 1
-                return
-            out["started"] = True
-            self.backend_served += 1
-            service = self._service_time(index)
-            yield self.env.timeout(service)
-            self._slots[index].release(slot)
-            self._queue_depth[index] -= 1
-            if network > 0:
-                yield self.env.timeout(network / 2)
-            if state["winner"] is None:
-                state["winner"] = label
-                done.succeed(label)
-
-        self.env.process(leg(), name=f"dnn-{label}")
-
-    def request_hedged(self, hedge: HedgeController, deadline=None):
-        """Process: one request with tail hedging (Dean & Barroso).
+    def request_hedged(self, hedge: HedgeController, deadline=None) -> None:
+        """Send one request with tail hedging (Dean & Barroso).
 
         The primary goes to the JSQ-chosen FPGA.  If it has not answered
         after the controller's P95-derived delay — and the global hedge
         budget allows — one hedge goes to a *different* FPGA; the first
-        response wins.  The losing leg is cancelled if it has not yet
-        started service, so a queued loser adds zero backend load.
+        response wins.  The losing leg is cancelled if it is still
+        queued, so a queued loser adds zero backend load; a loser
+        granted its slot afterwards hands it straight back.
         """
         enqueued_at = self.env.now
         expires_at = expires_at_of(deadline)
-        if expires_at is not None and self.env.now > expires_at:
+        if expires_at is not None and enqueued_at > expires_at:
             self.deadline_drops += 1
-            return None
+            return
         hedge.on_primary()
-        done = self.env.event()
-        state: Dict = {"winner": None,
-                       "primary": {"slot": None, "started": False},
-                       "hedge": {"slot": None, "started": False},
-                       "hedge_issued": False}
+        race = _Race(hedge)
         network = self.remote.sample(self.rng) if self.remote else 0.0
-        primary_index = self._pick()
-        self._race_leg(primary_index, network, state, "primary", done)
-
+        race.primary = _Leg(race, self._pick(), network, enqueued_at)
+        self.env.call_later(network / 2, self._leg_arrive, race.primary)
         delay = hedge.hedge_delay()
-
-        def hedger():
-            yield self.env.timeout(delay)
-            if state["winner"] is not None or self.num_fpgas < 2:
-                return
-            if not hedge.try_acquire_hedge():
-                return
-            state["hedge_issued"] = True
-            hedge_network = self.remote.sample(self.rng) if self.remote \
-                else 0.0
-            self._race_leg(self._pick(exclude=primary_index),
-                           hedge_network, state, "hedge", done)
-
         if delay is not None and self.num_fpgas >= 2:
-            self.env.process(hedger(), name="dnn-hedger")
+            self.env.call_later(delay, self._hedge, race)
 
-        winner = yield done
-        # Cancel the losing leg if it is still *queued*: releasing an
-        # ungranted request removes it from the wait queue, so it never
-        # reaches an accelerator.  A granted-but-unstarted loser cleans
-        # itself up when its process resumes and sees the winner.
-        loser_cancelled = False
-        loser = "hedge" if winner == "primary" else "primary"
-        if loser == "primary" or state["hedge_issued"]:
-            out = state[loser]
-            slot = out["slot"]
-            if slot is not None and not out["started"] \
-                    and not slot.released and not slot.triggered:
-                self._slots_release_for(slot)
-                loser_cancelled = True
-        latency = self.env.now - enqueued_at
+    def _hedge(self, race: "_Race") -> None:
+        if race.winner is not None or not race.controller.try_acquire_hedge():
+            return
+        network = self.remote.sample(self.rng) if self.remote else 0.0
+        race.hedged = _Leg(race, self._pick(exclude=race.primary.index),
+                           network, race.primary.enqueued_at)
+        self.env.call_later(network / 2, self._leg_arrive, race.hedged)
+
+    def _leg_arrive(self, leg: "_Leg") -> None:
+        """A hedge leg reaches its FPGA.  Even with no network half this
+        is the end of its instant, after every request arriving in that
+        instant has picked its FPGA."""
+        self._queue_depth[leg.index] += 1
+        leg.waiter = self._slots[leg.index].acquire(self._serve, leg)
+
+    def _serve(self, leg: "_Leg") -> None:
+        leg.waiter = None
+        now = self.env.now
+        if leg.trace is not None:
+            if leg.network > 0:
+                # It reached the FPGA when the call_later queueing it fired.
+                leg.trace.tap(Stage.POOL_NET,
+                              leg.enqueued_at + leg.network / 2)
+            leg.trace.tap(Stage.POOL_QUEUE, now)
+        expired = leg.expires_at is not None and now > leg.expires_at
+        if expired or (leg.race is not None and leg.race.winner is not None):
+            # Expired, or lost its race, while queued: give the slot
+            # straight back.
+            if expired:
+                self.deadline_drops += 1
+            self._queue_depth[leg.index] -= 1
+            self._slots[leg.index].release()
+            return
+        self.backend_served += 1
+        self.env.call_later(self._service_time(leg.index), self._served, leg)
+
+    def _served(self, leg: "_Leg") -> None:
+        if leg.trace is not None:
+            leg.trace.tap(Stage.ROLE_SERVICE, self.env.now)
+        self._slots[leg.index].release()
+        self._queue_depth[leg.index] -= 1
+        if leg.network > 0:
+            self.env.call_later(leg.network / 2, self._respond, leg)
+        else:
+            self._respond(leg)
+
+    def _respond(self, leg: "_Leg") -> None:
+        race = leg.race
+        if race is None:
+            if leg.trace is not None and leg.network > 0:
+                leg.trace.tap(Stage.POOL_NET, self.env.now)
+            self.latency.record(self.env.now - leg.enqueued_at)
+            self.completed += 1
+            return
+        if race.winner is not None:
+            return
+        race.winner = leg
+        loser = race.hedged if leg is race.primary else race.primary
+        loser_cancelled = loser is not None and loser.waiter is not None
+        if loser_cancelled:
+            self._slots[loser.index].cancel(loser.waiter)
+            self._queue_depth[loser.index] -= 1
+        latency = self.env.now - leg.enqueued_at
         self.latency.record(latency)
         self.completed += 1
-        hedge.observe(latency)
-        if state["hedge_issued"]:
-            hedge.on_win(winner == "hedge",
-                         loser_cancelled_unstarted=loser_cancelled)
-        return latency
+        race.controller.observe(latency)
+        if race.hedged is not None:
+            race.controller.on_win(leg is race.hedged,
+                                   loser_cancelled_unstarted=loser_cancelled)
 
-    def _slots_release_for(self, slot_request) -> None:
-        """Release a leg's slot request on whichever FPGA issued it."""
-        resource = slot_request.resource
-        resource.release(slot_request)
-        index = self._slots.index(resource)
-        self._queue_depth[index] -= 1
+
+class _Race:
+    """A hedged request: its legs and the one that answered first."""
+
+    __slots__ = ("controller", "primary", "hedged", "winner")
+
+    def __init__(self, controller: HedgeController):
+        self.controller = controller
+        self.primary = self.hedged = self.winner = None
+
+
+class _Leg:
+    """One copy of a request on one FPGA (``race`` is None for a plain
+    request); ``waiter`` is set while it queues for the slot."""
+
+    __slots__ = ("race", "index", "network", "enqueued_at", "expires_at",
+                 "trace", "waiter")
+
+    def __init__(self, race, index, network, enqueued_at, expires_at=None,
+                 trace=None):
+        self.race = race
+        self.index = index
+        self.network = network
+        self.enqueued_at = enqueued_at
+        self.expires_at = expires_at
+        self.trace = trace
+        self.waiter = None
 
 
 @dataclass
@@ -321,14 +317,14 @@ def run_oversubscription_point(num_clients: int, num_fpgas: int,
                    accelerator_config=accelerator_config, remote=remote)
     client_rate = pool.accelerators[0].capacity_rps / 3.0
 
-    def client(client_id: int):
-        rng = streams.stream(f"client-{client_id}")
-        for _ in range(requests_per_client):
-            env.process(pool.request())
-            yield env.timeout(rng.expovariate(client_rate))
+    def client(rng: random.Random, left: int) -> None:
+        if left:
+            pool.request()
+            env.call_later(rng.expovariate(client_rate), client, rng,
+                           left - 1)
 
     for cid in range(num_clients):
-        env.process(client(cid), name=f"client-{cid}")
+        client(streams.stream(f"client-{cid}"), requests_per_client)
     env.run()
     recorder = LatencyRecorder("steady")
     warmup = int(0.05 * len(pool.latency.samples))

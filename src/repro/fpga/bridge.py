@@ -80,43 +80,58 @@ class Bridge:
         if not self.link_up:
             self.stats.dropped_link_down += 1
             return
-        self.env.process(self._cross(packet, self._tor_to_nic_taps,
-                                     "_to_nic"), name="bridge-t2n")
+        self.env.call_later(BRIDGE_LATENCY_SECONDS, self._pass_taps, packet,
+                            self._tor_to_nic_taps, True, 0)
 
     def from_nic(self, packet: Packet) -> None:
         """Packet arrived on the NIC-facing port."""
         if not self.link_up:
             self.stats.dropped_link_down += 1
             return
-        self.env.process(self._cross(packet, self._nic_to_tor_taps,
-                                     "_to_tor"), name="bridge-n2t")
+        self.env.call_later(BRIDGE_LATENCY_SECONDS, self._pass_taps, packet,
+                            self._nic_to_tor_taps, False, 0)
 
-    def _cross(self, packet: Packet, taps: List[TapFn], direction: str):
-        yield self.env.timeout(BRIDGE_LATENCY_SECONDS)
-        result: Optional[Packet] = packet
-        if not self.bypass_mode:
-            for tap in taps:
-                if result is None:
-                    break
-                # Taps exposing latency_for() (e.g. the crypto engine's
-                # pipeline) stall this packet for that long in the tap.
-                latency_for = getattr(tap, "latency_for", None)
-                if latency_for is not None:
-                    delay = latency_for(result)
-                    if delay > 0:
-                        yield self.env.timeout(delay)
-                result = tap(result)
-        if result is None:
+    def _pass_taps(self, packet: Packet, taps: List[TapFn], to_nic: bool,
+                   index: int) -> None:
+        """Run ``packet`` through ``taps[index:]``, then deliver it.  A
+        crossing reads bypass mode once, after the bridge latency."""
+        if not index and self.bypass_mode:
+            index = len(taps)
+        while index < len(taps):
+            tap = taps[index]
+            # Taps exposing latency_for() (e.g. the crypto engine's
+            # pipeline) stall this packet for that long in the tap.
+            latency_for = getattr(tap, "latency_for", None)
+            if latency_for is not None:
+                delay = latency_for(packet)
+                if delay > 0:
+                    self.env.call_later(delay, self._stalled_tap, tap,
+                                        packet, taps, to_nic, index)
+                    return
+            packet = tap(packet)
+            if packet is None:
+                self.stats.consumed_by_taps += 1
+                return
+            index += 1
+        self._deliver(packet, to_nic)
+
+    def _stalled_tap(self, tap: TapFn, packet: Packet, taps: List[TapFn],
+                     to_nic: bool, index: int) -> None:
+        packet = tap(packet)
+        if packet is None:
             self.stats.consumed_by_taps += 1
             return
-        if direction == "_to_nic":
+        self._pass_taps(packet, taps, to_nic, index + 1)
+
+    def _deliver(self, packet: Packet, to_nic: bool) -> None:
+        if to_nic:
             self.stats.tor_to_nic += 1
             if self.deliver_to_nic is not None:
-                self.deliver_to_nic(result)
+                self.deliver_to_nic(packet)
         else:
             self.stats.nic_to_tor += 1
             if self.deliver_to_tor is not None:
-                self.deliver_to_tor(result)
+                self.deliver_to_tor(packet)
 
     # ------------------------------------------------------------------
     # Role injection

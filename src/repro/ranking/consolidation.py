@@ -17,10 +17,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core.metrics import LatencyRecorder
-from ..sim import Environment, Resource
+from ..sim import Environment, Pool
 from .ffu import FfuConfig, FfuDpfRole, SoftwareTimingModel, WorkloadModel
 from .service import RemoteAccessConfig
 
@@ -72,8 +72,7 @@ class _SharedFfuPool:
         self.env = env
         self.config = config
         self.role = FfuDpfRole(config.ffu)
-        self._slots = [Resource(env, capacity=1)
-                       for _ in range(config.num_fpgas)]
+        self._slots = [Pool() for _ in range(config.num_fpgas)]
         self._depth = [0] * config.num_fpgas
         self.busy_time = 0.0
 
@@ -84,19 +83,25 @@ class _SharedFfuPool:
                 best = i
         return best
 
-    def extract(self, work):
-        """Process: remote feature extraction for one query."""
+    def extract(self, work, then: Callable[..., None], *args) -> None:
+        """Remote feature extraction for one query; ``then(*args)`` runs
+        when the result is back at the server."""
         network = self.config.remote.network_time(work.document_bytes)
         index = self._pick()
         self._depth[index] += 1
-        yield self.env.timeout(network / 2)
-        with self._slots[index].request() as slot:
-            yield slot
-            compute = self.role.compute_time(work)
-            self.busy_time += compute
-            yield self.env.timeout(compute)
+        self.env.call_later(network / 2, self._slots[index].acquire,
+                            self._compute, index, network, work, then, args)
+
+    def _compute(self, index, network, work, then, args) -> None:
+        compute = self.role.compute_time(work)
+        self.busy_time += compute
+        self.env.call_later(compute, self._computed, index, network, then,
+                            args)
+
+    def _computed(self, index, network, then, args) -> None:
+        self._slots[index].release()
         self._depth[index] -= 1
-        yield self.env.timeout(network / 2)
+        self.env.call_later(network / 2, then, *args)
 
 
 def run_consolidation_point(config: Optional[ConsolidationConfig] = None,
@@ -107,7 +112,6 @@ def run_consolidation_point(config: Optional[ConsolidationConfig] = None,
     env = Environment()
     pool = _SharedFfuPool(env, config)
     latency = LatencyRecorder("query")
-    completed = [0]
 
     # A server's software-stage capacity (pre + post on its cores).
     software = config.software
@@ -119,35 +123,35 @@ def run_consolidation_point(config: Optional[ConsolidationConfig] = None,
     per_server_qps = config.server_load * config.cores_per_server \
         / mean_core_time
 
-    def query(server_cores, work):
-        start = env.now
-        with server_cores.request() as core:
-            yield core
-            yield env.timeout(software.pre_time(work))
-        yield env.process(pool.extract(work))
-        with server_cores.request() as core:
-            yield core
-            yield env.timeout(software.post_time(work))
-        latency.record(env.now - start)
-        completed[0] += 1
+    # One query: pre on a core, features on the shared pool, post on a
+    # core.  A core, once granted, schedules the end of its stage.
+    def pre_done(cores, work, start):
+        cores.release()
+        pool.extract(work, cores.acquire, env.call_later,
+                     software.post_time(work), post_done, cores, start)
 
-    def server(index: int):
-        rng = random.Random(seed * 997 + index)
-        cores = Resource(env, capacity=config.cores_per_server)
-        for _ in range(queries_per_server):
+    def post_done(cores, start):
+        cores.release()
+        latency.record(env.now - start)
+
+    def arrive(rng, cores, left):
+        if left:
             work = config.workload.sample(rng)
-            env.process(query(cores, work))
-            yield env.timeout(rng.expovariate(per_server_qps))
+            cores.acquire(env.call_later, software.pre_time(work), pre_done,
+                          cores, work, env.now)
+            env.call_later(rng.expovariate(per_server_qps), arrive, rng,
+                           cores, left - 1)
 
     for index in range(config.num_servers):
-        env.process(server(index), name=f"server-{index}")
+        arrive(random.Random(seed * 997 + index),
+               Pool(config.cores_per_server), queries_per_server)
     env.run()
     utilization = pool.busy_time / (env.now * config.num_fpgas) \
         if env.now > 0 else 0.0
     return ConsolidationResult(
         servers_per_fpga=config.servers_per_fpga,
         fpga_utilization=utilization, latency=latency,
-        queries_completed=completed[0])
+        queries_completed=latency.count)
 
 
 def consolidation_sweep(ratios: List[int], num_fpgas: int = 2,

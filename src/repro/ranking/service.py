@@ -3,9 +3,10 @@
 One :class:`RankingServer` models a production web-search ranking server:
 queries arrive, pass a software *pre* stage (parse + candidate selection),
 a *feature extraction* stage (software, local FPGA, or remote FPGA over
-LTL) and a software *post* stage (ML scoring).  Host cores are a counted
-resource; the FPGA role is a pipeline with a handful of concurrent query
-slots.
+LTL) and a software *post* stage (ML scoring).  Host cores and the FPGA
+role's handful of concurrent query slots are FIFO pools
+(:class:`repro.sim.Pool`) that each query passes through as a chain of
+callbacks.
 
 The three modes reproduce the paper's three curves:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from ..core.metrics import LatencyRecorder, SloTracker
 from ..haas.fpga_manager import FpgaHealth, FpgaManager
@@ -32,7 +33,7 @@ from ..overload import (
     DeadlineStats,
     ServiceLevel,
 )
-from ..sim import Environment, Resource
+from ..sim import Environment, Pool
 from ..trace.stages import Stage
 from .ffu import FfuConfig, FfuDpfRole, QueryWork, SoftwareTimingModel, \
     WorkloadModel
@@ -101,6 +102,10 @@ class RankingServiceConfig:
     overload: Optional[OverloadConfig] = None
 
 
+def _ignore(_latency: Optional[float]) -> None:
+    """Default completion callback of :meth:`RankingServer.submit`."""
+
+
 class RankingServer:
     """One server under a given acceleration mode."""
 
@@ -109,9 +114,9 @@ class RankingServer:
         self.env = env
         self.config = config
         self.rng = rng or random.Random(0)
-        self.cores = Resource(env, capacity=config.num_cores)
+        self.cores = Pool(config.num_cores)
         self.role = FfuDpfRole(config.ffu)
-        self.fpga_slots = Resource(env, capacity=config.fpga_pipeline_slots)
+        self.fpga_slots = Pool(config.fpga_pipeline_slots)
         self.latency = LatencyRecorder("query")
         self.completed = 0
         #: Is the accelerator reachable?  While False, queries run every
@@ -134,11 +139,21 @@ class RankingServer:
         #: EWMA of per-grant core hold time, seeding the door-side
         #: queue-delay prediction before any query has been measured.
         self._core_hold_ewma = config.software.pre_seconds
+        #: A query's stages in order: the pool it holds a server of, the
+        #: stage tapped when it is granted one (where expired work is
+        #: dropped), the stage tapped when it is done, and its hold time.
+        self._software_plan = ((self.cores, Stage.CORE_QUEUE,
+                                Stage.CORE_SOFTWARE, self._software_time),)
+        self._accelerated_plan = (
+            (self.cores, Stage.CORE_QUEUE, Stage.SW_PRE,
+             config.software.pre_time),
+            # Core released while the FPGA does the heavy lifting.
+            (self.fpga_slots, Stage.FPGA_QUEUE, Stage.ROLE_SERVICE,
+             self.feature_stage_time),
+            (self.cores, Stage.POST_QUEUE, Stage.SW_POST,
+             config.software.post_time))
 
     # ------------------------------------------------------------------
-    def _note_core_hold(self, hold: float) -> None:
-        self._core_hold_ewma += 0.2 * (hold - self._core_hold_ewma)
-
     def predicted_core_delay(self) -> float:
         """Instantaneous estimate of the wait a new arrival would see."""
         return (len(self.cores.queue) * self._core_hold_ewma
@@ -191,7 +206,18 @@ class RankingServer:
             self.slo.expire()
 
     def handle_query(self, work: Optional[QueryWork] = None):
-        """Process: one query through pre -> features -> post.
+        """Process body that submits one query and finishes at once."""
+        self.submit(work)
+        yield from ()
+
+    def submit(self, work: Optional[QueryWork] = None,
+               done: Callable[[Optional[float]], None] = _ignore) -> None:
+        """Start one query now: pre -> features -> post.
+
+        The query is a chain of ``call_later`` steps, each holding a core
+        or an FPGA slot from a :class:`~repro.sim.Pool`.  ``done`` is
+        called with the query's latency when it completes, or with None
+        when it is shed or dropped.
 
         With :class:`OverloadConfig` attached this becomes the protected
         path: admission decides shed/degrade on arrival, the measured
@@ -201,113 +227,92 @@ class RankingServer:
         if work is None:
             work = self.config.workload.sample(self.rng)
         arrival = self.env.now
-        software = self.config.software
         ov = self.config.overload
 
-        deadline: Optional[Deadline] = work.deadline
         enforce = False
         if ov is not None:
-            if deadline is None:
-                deadline = Deadline.from_budget(arrival, ov.default_budget)
-                work.deadline = deadline
+            if work.deadline is None:
+                work.deadline = Deadline.from_budget(arrival,
+                                                     ov.default_budget)
             enforce = ov.protect
-            if self.slo is not None:
-                self.slo.offer()
+            self.slo.offer()
             degraded = False
-            if enforce and self.admission is not None:
+            if enforce:
                 level = self.admission.admit(
                     arrival, predicted_delay=self.predicted_core_delay())
                 if level is ServiceLevel.SHED:
                     # Reject-with-fast-error: the client hears in
                     # microseconds, the server spends ~nothing.
                     self.rejected += 1
-                    if self.slo is not None:
-                        self.slo.shed_one()
-                    yield self.env.timeout(ov.reject_latency)
-                    return None
+                    self.slo.shed_one()
+                    self.env.call_later(ov.reject_latency, done, None)
+                    return
                 if level is ServiceLevel.DEGRADED:
                     self.degraded_queries += 1
                     degraded = True
                     work = work.pruned(ov.degraded_fraction)
-            if self.slo is not None:
-                self.slo.admit(degraded=degraded)
+            self.slo.admit(degraded=degraded)
 
-        accelerated = (self.config.mode is not AccelerationMode.SOFTWARE
-                       and self.fpga_available)
-        if self.config.mode is not AccelerationMode.SOFTWARE \
-                and not self.fpga_available:
-            self.software_fallbacks += 1
-        trace = work.trace
-        if not accelerated:
-            # The owning thread runs all stages back to back.
-            with self.cores.request() as core:
-                yield core
-                queue_delay = self.env.now - arrival
-                if trace is not None:
-                    trace.tap(Stage.CORE_QUEUE, self.env.now)
-                if self.admission is not None:
-                    self.admission.on_queue_delay(queue_delay, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
-                    self._expire(Stage.CORE_QUEUE)
-                    return None
-                hold = (software.pre_time(work)
-                        + software.feature_time(work)
-                        + software.post_time(work))
-                self._note_core_hold(hold)
-                yield self.env.timeout(hold)
-                if trace is not None:
-                    trace.tap(Stage.CORE_SOFTWARE, self.env.now)
+        if self.config.mode is AccelerationMode.SOFTWARE:
+            plan = self._software_plan
+        elif self.fpga_available:
+            plan = self._accelerated_plan
         else:
-            with self.cores.request() as core:
-                yield core
-                queue_delay = self.env.now - arrival
-                if trace is not None:
-                    trace.tap(Stage.CORE_QUEUE, self.env.now)
-                if self.admission is not None:
-                    self.admission.on_queue_delay(queue_delay, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
-                    self._expire(Stage.CORE_QUEUE)
-                    return None
-                hold = software.pre_time(work)
-                self._note_core_hold(hold)
-                yield self.env.timeout(hold)
-                if trace is not None:
-                    trace.tap(Stage.SW_PRE, self.env.now)
-            # Core released while the FPGA does the heavy lifting.
-            with self.fpga_slots.request() as slot:
-                yield slot
-                if trace is not None:
-                    trace.tap(Stage.FPGA_QUEUE, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
-                    self._expire(Stage.FPGA_QUEUE)
-                    return None
-                yield self.env.timeout(self.feature_stage_time(work))
-                if trace is not None:
-                    trace.tap(Stage.ROLE_SERVICE, self.env.now)
-            with self.cores.request() as core:
-                yield core
-                if trace is not None:
-                    trace.tap(Stage.POST_QUEUE, self.env.now)
-                if enforce and deadline is not None \
-                        and deadline.expired(self.env.now):
-                    self._expire(Stage.POST_QUEUE)
-                    return None
-                hold = software.post_time(work)
-                self._note_core_hold(hold)
-                yield self.env.timeout(hold)
-                if trace is not None:
-                    trace.tap(Stage.SW_POST, self.env.now)
+            self.software_fallbacks += 1
+            plan = self._software_plan
+        plan[0][0].acquire(self._serve_late if enforce else self._serve,
+                           plan, 0, work, arrival, enforce, done)
 
+    def _software_time(self, work: QueryWork) -> float:
+        """The owning thread runs all stages back to back on one core."""
+        software = self.config.software
+        return (software.pre_time(work) + software.feature_time(work)
+                + software.post_time(work))
+
+    def _serve_late(self, *args) -> None:
+        # A grant updates what admission reads (the hold EWMA, the CoDel
+        # state), so under enforced protection it takes effect at the end
+        # of its instant, after every query arriving then is admitted.
+        self.env.call_later(0.0, self._serve, *args)
+
+    def _serve(self, plan, i, work, arrival, enforce, done) -> None:
+        """Stage ``i`` was granted its server: drop the query if its
+        deadline passed while it queued, else hold the server."""
+        pool, queued, _, hold_time = plan[i]
+        now = self.env.now
+        if work.trace is not None:
+            work.trace.tap(queued, now)
+        if not i and self.admission is not None:
+            self.admission.on_queue_delay(now - arrival, now)
+        if enforce and work.deadline.expired(now):
+            self._expire(queued)
+            done(None)
+            pool.release()
+            return
+        hold = hold_time(work)
+        if pool is self.cores:
+            self._core_hold_ewma += 0.2 * (hold - self._core_hold_ewma)
+        self.env.call_later(hold, self._served, plan, i, work, arrival,
+                            enforce, done)
+
+    def _served(self, plan, i, work, arrival, enforce, done) -> None:
+        pool, _, served, _ = plan[i]
+        now = self.env.now
+        if work.trace is not None:
+            work.trace.tap(served, now)
+        if i + 1 < len(plan):
+            pool.release()
+            plan[i + 1][0].acquire(
+                self._serve_late if enforce else self._serve, plan, i + 1,
+                work, arrival, enforce, done)
+            return
         self.completed += 1
-        latency = self.env.now - arrival
+        latency = now - arrival
         self.latency.record(latency)
         if self.slo is not None:
-            missed = deadline is not None and deadline.expired(self.env.now)
-            self.slo.complete(missed_deadline=missed)
-        return latency
+            self.slo.complete(missed_deadline=work.deadline.expired(now))
+        done(latency)
+        pool.release()
 
 
 @dataclass
@@ -335,14 +340,16 @@ def run_open_loop(config: RankingServiceConfig, arrival_rate_qps: float,
     env = Environment()
     rng = random.Random(seed)
     server = RankingServer(env, config, rng=random.Random(seed + 1))
-    finish_times: List[float] = []
 
-    def generator(env):
-        for _ in range(num_queries):
-            env.process(server.handle_query())
-            yield env.timeout(rng.expovariate(arrival_rate_qps))
+    def arrive(left: int) -> None:
+        # One more gap is drawn after the last query: the run ends at
+        # the later of that instant and the last completion.
+        if left:
+            server.submit()
+            env.call_later(rng.expovariate(arrival_rate_qps), arrive,
+                           left - 1)
 
-    env.process(generator(env))
+    arrive(num_queries)
     env.run()
     warmup = int(num_queries * warmup_fraction)
     recorder = LatencyRecorder("steady-state")
@@ -360,13 +367,8 @@ def saturation_qps(config: RankingServiceConfig, seed: int = 0,
     """
     env = Environment()
     server = RankingServer(env, config, rng=random.Random(seed + 1))
-
-    def closed_loop(env):
-        for _ in range(num_queries):
-            env.process(server.handle_query())
-        yield env.timeout(0)
-
-    env.process(closed_loop(env))
+    for _ in range(num_queries):
+        server.submit()
     env.run()
     return server.completed / env.now
 
@@ -466,15 +468,14 @@ def run_surge(config: RankingServiceConfig, profile,
                 return name
         return None
 
-    def one_query():
-        latency = yield from server.handle_query()
+    def record(latency: Optional[float]) -> None:
         if latency is not None:
             name = phase_of(env.now)
             if name is not None:
                 recorders[name].record(latency)
 
     def submit() -> None:
-        env.process(one_query())
+        server.submit(done=record)
 
     VariableRateArrivals(
         env, profile.rate, max_rate=profile.peak_qps * 1.001,

@@ -18,15 +18,15 @@ Quick example::
 from .events import Event, Process, SimulationError, Timeout
 from .kernel import Environment
 from .randomness import RandomStreams, percentile
-from .resources import Resource
+from .pool import Pool
 from . import units
 
 __all__ = [
     "Environment",
     "Event",
     "Process",
+    "Pool",
     "RandomStreams",
-    "Resource",
     "SimulationError",
     "Timeout",
     "percentile",

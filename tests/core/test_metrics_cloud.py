@@ -90,11 +90,6 @@ class TestConfigurableCloud:
         l2 = cloud.measure_ltl_rtt(2, 100_000, messages=10)
         assert min(l2) > max(l0)
 
-    def test_cores_resource(self):
-        cloud = self._cloud()
-        server = cloud.add_server(0, num_cores=4)
-        assert server.cores.capacity == 4
-
 
 class TestLatencyRecorderCachedView:
     def test_queries_match_fresh_sort_after_interleaved_updates(self):

@@ -17,7 +17,7 @@ class TestDnnPool:
         pool = DnnPool(env, num_fpgas=2,
                        rng=RandomStreams(seed=1).stream("dnn-pool"))
         for _ in range(10):
-            env.process(pool.request())
+            pool.request()
         env.run()
         assert pool.completed == 10
         assert pool.latency.count == 10
@@ -27,7 +27,7 @@ class TestDnnPool:
         pool = DnnPool(env, num_fpgas=4,
                        rng=RandomStreams(seed=2).stream("dnn-pool"))
         for _ in range(40):
-            env.process(pool.request())
+            pool.request()
         env.run()
         # With JSQ, finishing 40 identical requests on 4 FPGAs takes about
         # 10 rounds of the mean service time.
@@ -46,7 +46,7 @@ class TestDnnPool:
         local = DnnPool(env, num_fpgas=1,
                         rng=RandomStreams(seed=5).stream("dnn-pool"),
                         accelerator_config=deterministic)
-        env.process(local.request())
+        local.request()
         env.run()
         local_latency = local.latency.samples[0]
 
@@ -56,7 +56,7 @@ class TestDnnPool:
         remote = DnnPool(env2, num_fpgas=1, remote=remote_model,
                          rng=RandomStreams(seed=5).stream("dnn-pool"),
                          accelerator_config=deterministic)
-        env2.process(remote.request())
+        remote.request()
         env2.run()
         assert remote.latency.samples[0] > local_latency
 

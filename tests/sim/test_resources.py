@@ -1,8 +1,13 @@
-"""Tests for Resource."""
+"""Tests for the process-era `Resource` kept as the queue oracle.
+
+:mod:`tests.ranking.reference_queues` runs the reference query paths on
+it, so the differential test is only as good as its grants.
+"""
 
 import pytest
 
-from repro.sim import Environment, Resource
+from repro.sim import Environment
+from tests.ranking.reference_queues import Resource
 
 
 class TestResource:
