@@ -130,21 +130,20 @@ class DistributedMlp:
         shell = self.cloud.shell(host)
         env = self.cloud.env
 
-        def handle(payload: _StageMessage, _length: int) -> None:
-            def work():
-                yield env.timeout(self.stage_compute_time(stage_index))
-                result = self._stage_forward(stage_index,
-                                             payload.activations)
-                message = _StageMessage(payload.request_id, result)
-                if stage_index + 1 < len(self.hosts):
-                    shell.remote_send(
-                        self.hosts[stage_index + 1], message,
-                        self.activation_bytes(stage_index),
-                        dst_role=self.role, src_role=self.role)
-                else:
-                    self._complete(message)
+        def forward(payload: _StageMessage) -> None:
+            result = self._stage_forward(stage_index, payload.activations)
+            message = _StageMessage(payload.request_id, result)
+            if stage_index + 1 < len(self.hosts):
+                shell.remote_send(
+                    self.hosts[stage_index + 1], message,
+                    self.activation_bytes(stage_index),
+                    dst_role=self.role, src_role=self.role)
+            else:
+                self._complete(message)
 
-            env.process(work(), name=f"dmlp-stage-{stage_index}")
+        def handle(payload: _StageMessage, _length: int) -> None:
+            env.call_later(self.stage_compute_time(stage_index), forward,
+                           payload)
 
         return handle
 
