@@ -1,8 +1,8 @@
 """Result-file writer shared by the benchmarks that keep a run history.
 
-``bench_core_speed.py``, ``bench_overload_surge.py``, ``bench_scale.py``
-and ``bench_control_plane_soak.py`` each write one ``BENCH_*.json``: the
-top level is the latest run, and ``history`` carries the previous runs
+``bench_core_speed.py``, ``bench_scale.py`` and
+``bench_control_plane_soak.py`` each write one ``BENCH_*.json``: the top
+level is the latest run, and ``history`` carries the previous runs
 forward (the newest :data:`HISTORY_LIMIT` of them).
 """
 

@@ -1,4 +1,4 @@
-"""Latency and SLO measurement helpers used by every experiment.
+"""Latency measurement helpers used by every experiment.
 
 The measurement harness has to stay cheap relative to the modeled path:
 microsecond-scale RPC claims can't be reproduced if the recorder itself
@@ -10,7 +10,6 @@ exact order statistic of what was recorded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..sim.randomness import percentile
@@ -104,69 +103,4 @@ class LatencyRecorder:
             "p99": self.p99,
             "p999": self.p999,
             "max": self.max,
-        }
-
-
-@dataclass
-class SloTracker:
-    """Goodput and deadline-miss accounting for overload experiments.
-
-    Raw open-loop throughput does not collapse under overload — a
-    saturated server still completes ~capacity requests per second,
-    they are just all late.  What collapses is **goodput**:
-    completions that made their deadline.  This tracker therefore
-    classifies every offered request into exactly one terminal bucket:
-
-    * ``shed`` — rejected by admission control (fast error),
-    * ``expired`` — dropped mid-path because its deadline passed,
-    * ``deadline_misses`` — completed, but after its deadline,
-    * ``good`` — completed within its deadline (via ``complete()``).
-
-    ``snapshot()`` returns the running counters so a benchmark can diff
-    phases (pre-surge vs surge) without multiple tracker objects.
-    """
-
-    offered: int = 0
-    admitted: int = 0
-    degraded: int = 0
-    shed: int = 0
-    expired: int = 0
-    completed: int = 0
-    deadline_misses: int = 0
-
-    def offer(self) -> None:
-        self.offered += 1
-
-    def admit(self, degraded: bool = False) -> None:
-        self.admitted += 1
-        if degraded:
-            self.degraded += 1
-
-    def shed_one(self) -> None:
-        self.shed += 1
-
-    def expire(self) -> None:
-        self.expired += 1
-
-    def complete(self, missed_deadline: bool = False) -> None:
-        self.completed += 1
-        if missed_deadline:
-            self.deadline_misses += 1
-
-    @property
-    def good(self) -> int:
-        """Completions that made their deadline."""
-        return self.completed - self.deadline_misses
-
-    def snapshot(self) -> Dict[str, int]:
-        """Running counters, for phase diffing in benchmarks."""
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "degraded": self.degraded,
-            "shed": self.shed,
-            "expired": self.expired,
-            "completed": self.completed,
-            "deadline_misses": self.deadline_misses,
-            "good": self.good,
         }

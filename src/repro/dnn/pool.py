@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..core.metrics import LatencyRecorder
-from ..overload.deadline import expires_at_of
-from ..overload.hedging import HedgeController
 from ..sim import Environment, Pool, RandomStreams
 from ..trace.stages import Stage
 from .accelerator import DnnAccelerator, DnnAcceleratorConfig
@@ -95,189 +93,76 @@ class DnnPool:
             DnnAccelerator(accelerator_config) for _ in range(num_fpgas)]
         self._slots = [Pool() for _ in range(num_fpgas)]
         self._queue_depth = [0] * num_fpgas
-        #: Per-FPGA service-time multiplier (limplock knob: a slow peer
-        #: serves at ``slow_factor`` x the nominal time until reset).
-        self.slow_factor = [1.0] * num_fpgas
         self.latency = LatencyRecorder("dnn-request")
         self.completed = 0
-        #: Requests actually *served* by an accelerator (primaries plus
-        #: hedges that started service) — the hedge-budget denominator
-        #: measures extra backend load against this.
-        self.backend_served = 0
-        #: Requests dropped because their deadline expired in the pool.
-        self.deadline_drops = 0
 
     @property
     def num_fpgas(self) -> int:
         return len(self.accelerators)
 
-    def set_slow(self, index: int, factor: float) -> None:
-        """Limplock ``index``: it keeps serving, ``factor`` x slower."""
-        if factor < 1.0:
-            raise ValueError("slow factor must be >= 1.0")
-        self.slow_factor[index] = factor
-
-    def _pick(self, exclude: Optional[int] = None) -> int:
-        best = -1
-        for i in range(self.num_fpgas):
-            if i == exclude:
-                continue
-            if best < 0 or self._queue_depth[i] < self._queue_depth[best]:
+    def _pick(self) -> int:
+        best = 0
+        for i in range(1, self.num_fpgas):
+            if self._queue_depth[i] < self._queue_depth[best]:
                 best = i
         return best
 
-    def _service_time(self, index: int) -> float:
-        return self.accelerators[index].sample_service_time(self.rng) \
-            * self.slow_factor[index]
-
-    def request(self, deadline=None, trace=None) -> None:
+    def request(self, trace=None) -> None:
         """Send one client request through the pool.
 
-        ``deadline`` (a Deadline or absolute expiry in seconds) makes
-        the pool drop-and-account the request instead of serving it once
-        expired — checked at entry and again when the accelerator slot
-        is granted (the wait is where overload shows up).  ``trace`` (a
-        :class:`~repro.trace.TraceContext`) attributes the LTL network
-        halves to ``pool.net``, the slot wait to ``pool.queue`` and the
-        accelerator service to ``role.service``.
+        ``trace`` (a :class:`~repro.trace.TraceContext`) attributes the
+        LTL network halves to ``pool.net``, the slot wait to
+        ``pool.queue`` and the accelerator service to ``role.service``.
         """
-        enqueued_at = self.env.now
-        expires_at = expires_at_of(deadline)
-        if expires_at is not None and enqueued_at > expires_at:
-            self.deadline_drops += 1
-            return
         network = self.remote.sample(self.rng) if self.remote else 0.0
         index = self._pick()
-        leg = _Leg(None, index, network, enqueued_at, expires_at, trace)
+        request = _Request(index, network, self.env.now, trace)
         self._queue_depth[index] += 1
         if network > 0:
             # Outbound network half before the accelerator sees it.
             self.env.call_later(network / 2, self._slots[index].acquire,
-                                self._serve, leg)
+                                self._serve, request)
         else:
-            self._slots[index].acquire(self._serve, leg)
+            self._slots[index].acquire(self._serve, request)
 
-    def request_hedged(self, hedge: HedgeController, deadline=None) -> None:
-        """Send one request with tail hedging (Dean & Barroso).
-
-        The primary goes to the JSQ-chosen FPGA.  If it has not answered
-        after the controller's P95-derived delay — and the global hedge
-        budget allows — one hedge goes to a *different* FPGA; the first
-        response wins.  The losing leg is cancelled if it is still
-        queued, so a queued loser adds zero backend load; a loser
-        granted its slot afterwards hands it straight back.
-        """
-        enqueued_at = self.env.now
-        expires_at = expires_at_of(deadline)
-        if expires_at is not None and enqueued_at > expires_at:
-            self.deadline_drops += 1
-            return
-        hedge.on_primary()
-        race = _Race(hedge)
-        network = self.remote.sample(self.rng) if self.remote else 0.0
-        race.primary = _Leg(race, self._pick(), network, enqueued_at)
-        self.env.call_later(network / 2, self._leg_arrive, race.primary)
-        delay = hedge.hedge_delay()
-        if delay is not None and self.num_fpgas >= 2:
-            self.env.call_later(delay, self._hedge, race)
-
-    def _hedge(self, race: "_Race") -> None:
-        if race.winner is not None or not race.controller.try_acquire_hedge():
-            return
-        network = self.remote.sample(self.rng) if self.remote else 0.0
-        race.hedged = _Leg(race, self._pick(exclude=race.primary.index),
-                           network, race.primary.enqueued_at)
-        self.env.call_later(network / 2, self._leg_arrive, race.hedged)
-
-    def _leg_arrive(self, leg: "_Leg") -> None:
-        """A hedge leg reaches its FPGA.  Even with no network half this
-        is the end of its instant, after every request arriving in that
-        instant has picked its FPGA."""
-        self._queue_depth[leg.index] += 1
-        leg.waiter = self._slots[leg.index].acquire(self._serve, leg)
-
-    def _serve(self, leg: "_Leg") -> None:
-        leg.waiter = None
-        now = self.env.now
-        if leg.trace is not None:
-            if leg.network > 0:
+    def _serve(self, request: "_Request") -> None:
+        if request.trace is not None:
+            if request.network > 0:
                 # It reached the FPGA when the call_later queueing it fired.
-                leg.trace.tap(Stage.POOL_NET,
-                              leg.enqueued_at + leg.network / 2)
-            leg.trace.tap(Stage.POOL_QUEUE, now)
-        expired = leg.expires_at is not None and now > leg.expires_at
-        if expired or (leg.race is not None and leg.race.winner is not None):
-            # Expired, or lost its race, while queued: give the slot
-            # straight back.
-            if expired:
-                self.deadline_drops += 1
-            self._queue_depth[leg.index] -= 1
-            self._slots[leg.index].release()
-            return
-        self.backend_served += 1
-        self.env.call_later(self._service_time(leg.index), self._served, leg)
+                request.trace.tap(Stage.POOL_NET,
+                                  request.enqueued_at + request.network / 2)
+            request.trace.tap(Stage.POOL_QUEUE, self.env.now)
+        service = self.accelerators[request.index].sample_service_time(
+            self.rng)
+        self.env.call_later(service, self._served, request)
 
-    def _served(self, leg: "_Leg") -> None:
-        if leg.trace is not None:
-            leg.trace.tap(Stage.ROLE_SERVICE, self.env.now)
-        self._slots[leg.index].release()
-        self._queue_depth[leg.index] -= 1
-        if leg.network > 0:
-            self.env.call_later(leg.network / 2, self._respond, leg)
+    def _served(self, request: "_Request") -> None:
+        if request.trace is not None:
+            request.trace.tap(Stage.ROLE_SERVICE, self.env.now)
+        self._slots[request.index].release()
+        self._queue_depth[request.index] -= 1
+        if request.network > 0:
+            self.env.call_later(request.network / 2, self._respond, request)
         else:
-            self._respond(leg)
+            self._respond(request)
 
-    def _respond(self, leg: "_Leg") -> None:
-        race = leg.race
-        if race is None:
-            if leg.trace is not None and leg.network > 0:
-                leg.trace.tap(Stage.POOL_NET, self.env.now)
-            self.latency.record(self.env.now - leg.enqueued_at)
-            self.completed += 1
-            return
-        if race.winner is not None:
-            return
-        race.winner = leg
-        loser = race.hedged if leg is race.primary else race.primary
-        loser_cancelled = loser is not None and loser.waiter is not None
-        if loser_cancelled:
-            self._slots[loser.index].cancel(loser.waiter)
-            self._queue_depth[loser.index] -= 1
-        latency = self.env.now - leg.enqueued_at
-        self.latency.record(latency)
+    def _respond(self, request: "_Request") -> None:
+        if request.trace is not None and request.network > 0:
+            request.trace.tap(Stage.POOL_NET, self.env.now)
+        self.latency.record(self.env.now - request.enqueued_at)
         self.completed += 1
-        race.controller.observe(latency)
-        if race.hedged is not None:
-            race.controller.on_win(leg is race.hedged,
-                                   loser_cancelled_unstarted=loser_cancelled)
 
 
-class _Race:
-    """A hedged request: its legs and the one that answered first."""
+class _Request:
+    """One client request on the FPGA ``index`` it was sent to."""
 
-    __slots__ = ("controller", "primary", "hedged", "winner")
+    __slots__ = ("index", "network", "enqueued_at", "trace")
 
-    def __init__(self, controller: HedgeController):
-        self.controller = controller
-        self.primary = self.hedged = self.winner = None
-
-
-class _Leg:
-    """One copy of a request on one FPGA (``race`` is None for a plain
-    request); ``waiter`` is set while it queues for the slot."""
-
-    __slots__ = ("race", "index", "network", "enqueued_at", "expires_at",
-                 "trace", "waiter")
-
-    def __init__(self, race, index, network, enqueued_at, expires_at=None,
-                 trace=None):
-        self.race = race
+    def __init__(self, index, network, enqueued_at, trace):
         self.index = index
         self.network = network
         self.enqueued_at = enqueued_at
-        self.expires_at = expires_at
         self.trace = trace
-        self.waiter = None
 
 
 @dataclass

@@ -39,7 +39,8 @@ class FaultKind(enum.Enum):
     #: Control-plane stall: heartbeats stop, leases may expire.
     CONTROL_STALL = "control_stall"
     #: Flash crowd: offered load multiplied by ``magnitude`` for
-    #: ``duration`` — the overload fault (ISSUE 6).
+    #: ``duration``.  Drawn but elided (no harness drives an offered
+    #: load); kept so every later kind's seeded draws stay put.
     LOAD_SPIKE = "load_spike"
     #: Limplock: the target serves/forwards ``magnitude`` x slower for
     #: ``duration`` without failing health checks.
@@ -140,9 +141,9 @@ class CampaignConfig:
             # per-host ones in practice.
             FaultKind.TOR_OUTAGE: cable / 10.0,
             FaultKind.CONTROL_STALL: cable / 10.0,
-            # Overload events: flash crowds hit the datacenter, not a
-            # host, so they arrive at TOR-outage-like rarity; limplocked
-            # peers show up about as often as other gray cable faults.
+            # Flash crowds hit the datacenter, not a host, so they
+            # arrive at TOR-outage-like rarity; limplocked peers show up
+            # about as often as other gray cable faults.
             FaultKind.LOAD_SPIKE: cable / 10.0,
             FaultKind.SLOW_PEER: cable,
             # Control-plane process death is the rarest event in the

@@ -29,8 +29,8 @@ FRAME_DROP       retransmissions observed fleet-wide         masked online by
 CONTROL_STALL    RM lease expirations observed               SMs drain their
                                                              pending
                                                              replacements
-LOAD_SPIKE       immediately (the spike is applied through   spike expires
-                 the injector's ``load_hook``)
+LOAD_SPIKE       immediately (drawn and elided: no harness   at once
+                 drives an offered load)
 SLOW_PEER        tap removal (frames observably slowed; the  masked online by
                  victim never fails a health check — that    delivery; ends
                  is the point of a limplock)                 with ``duration``
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace as dc_replace
-from typing import Callable, Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.cloud import ConfigurableCloud
 from ..fpga.seu import SeuScrubber
@@ -138,11 +138,6 @@ class FaultInjector:
         self.hosts = list(hosts)
         self.service_managers = list(service_managers)
         self.rng = random.Random(seed)
-        #: LOAD_SPIKE effector: called with the load multiplier when a
-        #: spike starts and with 1.0 when it ends.  Harnesses that drive
-        #: an offered-load process set this; without it spikes are
-        #: elided (recorded but no-op).
-        self.load_hook: Optional[Callable[[float], None]] = None
         self.records: List[InjectionRecord] = []
         self.stats = InjectorStats()
         #: host -> open (unresolved) health-watched records.
@@ -424,27 +419,17 @@ class FaultInjector:
             record.note += "; no leases expired"
 
     def _do_load_spike(self, event: FaultEvent, record: InjectionRecord):
-        """Flash crowd: offered load x ``magnitude`` for ``duration``.
+        """Flash crowd: counted and elided.
 
-        The injector does not own the workload, so the spike is applied
-        through :attr:`load_hook`; overload defense (admission control,
-        shedding, deadline drops) lives in the serving path and is
-        measured by the harness, so the record closes when the spike
-        expires.  Without a hook the spike is elided.
+        The injector does not own a workload, and no harness drives an
+        offered load, so the record closes at once.  The kind stays in
+        the campaign because dropping it would move every later seeded
+        draw.
         """
         self.stats.load_spikes += 1
-        if self.load_hook is None:
-            record.detected_at = record.recovered_at = self.env.now
-            record.note = "no load hook installed; spike elided"
-            yield self.env.timeout(0)
-            return
-        self.load_hook(event.magnitude)
-        record.detected_at = self.env.now
-        record.note = (f"offered load x{event.magnitude:.1f} for "
-                       f"{event.duration:.3f}s")
-        yield self.env.timeout(event.duration)
-        self.load_hook(1.0)
-        record.recovered_at = self.env.now
+        record.detected_at = record.recovered_at = self.env.now
+        record.note = "no load hook installed; spike elided"
+        yield self.env.timeout(0)
 
     def _do_slow_peer(self, event: FaultEvent, record: InjectionRecord):
         """Limplock: the victim's NIC serves frames ``magnitude`` x
@@ -453,8 +438,7 @@ class FaultInjector:
         Modeled as extra per-frame delivery delay proportional to each
         frame's wire size: ``(magnitude - 1) * wire_time``.  Unlike a
         gray node the slowdown is load-dependent — big frames hurt more
-        — and stays below any health threshold, which is exactly the
-        gray-failure shape hedged requests exist to mask.
+        — and stays below any health threshold: the gray-failure shape.
         """
         host = event.target
         fabric = self.cloud.fabric

@@ -79,8 +79,6 @@ class RemoteEnvelope:
     payload: Any
     #: Role slot addressed on the destination FPGA.
     dst_role: int = 0
-    #: Absolute deadline of the carried request (seconds), or ``None``.
-    deadline: Optional[float] = None
     #: Optional :class:`repro.trace.TraceContext` riding the request.
     trace: Any = None
 
@@ -91,8 +89,6 @@ class RemoteMessage:
 
     dst_role: int
     payload: Any
-    #: Absolute deadline, mirrored into the LTL frame headers.
-    deadline: Optional[float] = None
     #: Trace context carried across so the receiving shell's ER and role
     #: taps continue the same span.
     trace: Any = None
@@ -286,24 +282,20 @@ class Shell:
 
     def remote_send(self, dst_host: int, payload: Any,
                     length_bytes: int, dst_role: int = 0,
-                    src_role: int = 0,
-                    deadline: Optional[float] = None,
-                    trace: Any = None) -> None:
+                    src_role: int = 0, trace: Any = None) -> None:
         """Role-level API: send a message to a role on another FPGA.
 
         (Short-hand for pushing a :class:`RemoteEnvelope` through the ER's
-        Remote port.)  ``deadline`` (absolute seconds) travels the whole
-        hop: ER virtual channel here, LTL frame headers on the wire, and
-        the ER on the receiving shell — each stage drops the message
-        instead of forwarding once it expires.  ``trace`` (a
-        :class:`~repro.trace.TraceContext`) rides the same route and is
-        tapped at every datapath stage along the way.
+        Remote port.)  ``trace`` (a :class:`~repro.trace.TraceContext`)
+        travels the whole hop: ER virtual channel here, LTL on the wire,
+        and the ER on the receiving shell, and is tapped at every
+        datapath stage along the way.
         """
         event = self.er.send(
             self.role_port(src_role), ER_PORT_REMOTE,
             RemoteEnvelope(dst_host, payload, dst_role=dst_role,
-                           deadline=deadline, trace=trace),
-            length_bytes, deadline=deadline, trace=trace)
+                           trace=trace),
+            length_bytes, trace=trace)
         event._defused = True
 
     def _er_remote_out(self, message) -> None:
@@ -318,25 +310,20 @@ class Shell:
                 f"{envelope.dst_host}; call connect_to() first")
         self.ltl.send_message(
             conn, RemoteMessage(envelope.dst_role, envelope.payload,
-                                deadline=envelope.deadline,
                                 trace=envelope.trace),
-            message.length_bytes, deadline=envelope.deadline,
-            trace=envelope.trace)
+            message.length_bytes, trace=envelope.trace)
 
     def _ltl_message_in(self, _conn_id: int, payload: Any,
                         length_bytes: int) -> None:
         """LTL delivered a message: route it to its role through the ER."""
-        deadline: Optional[float] = None
         trace: Any = None
         if isinstance(payload, RemoteMessage):
             dst_role, inner = payload.dst_role, payload.payload
-            deadline = payload.deadline
             trace = payload.trace
         else:
             dst_role, inner = 0, payload
         event = self.er.send(ER_PORT_REMOTE, self.role_port(dst_role),
-                             inner, length_bytes, deadline=deadline,
-                             trace=trace)
+                             inner, length_bytes, trace=trace)
         event._defused = True
 
     def _role_in(self, role: int, payload: Any,

@@ -22,8 +22,8 @@ from typing import Any, Callable, Dict, List, Optional
 #: (``fence_reject``, ``crash``, ``restart`` ...) are evidence for the
 #: auditor but do not change recovered state.
 REPLAYED_KINDS = frozenset({
-    "epoch", "register", "unregister", "grant", "renew", "release",
-    "revoke", "expire", "quarantine", "fence_barrier", "snapshot",
+    "epoch", "register", "grant", "renew", "release", "revoke",
+    "expire", "quarantine", "fence_barrier", "snapshot",
 })
 
 
@@ -127,8 +127,6 @@ class Journal:
                 state.max_epoch = max(state.max_epoch, data["epoch"])
             elif kind == "register":
                 registered.add(data["host"])
-            elif kind == "unregister":
-                registered.discard(data["host"])
             elif kind == "grant":
                 state.leases[data["lease_id"]] = {
                     "service": data["service"],

@@ -133,15 +133,6 @@ class ResourceManager:
         manager.journal = self.journal
         self.journal.record("register", host=host)
 
-    def unregister(self, host: int) -> None:
-        manager = self._managers.pop(host, None)
-        if manager is None:
-            raise KeyError(f"host {host} not registered")
-        self._fm_links.pop(host, None)
-        manager.journal = None
-        self.journal.record("unregister", host=host)
-        self._evict(host)
-
     def manager(self, host: int) -> FpgaManager:
         return self._managers[host]
 

@@ -42,11 +42,6 @@ from .connection import (
     SendConnectionState,
     UnackedFrame,
 )
-from ..overload.deadline import (
-    decode_deadline_us,
-    encode_deadline_us,
-    expires_at_of,
-)
 from .frames import (
     LtlFrame,
     make_ack,
@@ -129,12 +124,6 @@ class LtlStats:
     corrupt_dropped: int = 0
     reconnect_probes: int = 0
     reorder_drops: int = 0
-    #: Messages refused at the send side: deadline already expired when
-    #: the sender handed them to the engine.
-    deadline_expired_tx: int = 0
-    #: Messages reassembled but not delivered to the role: the frame
-    #: header's deadline had expired by delivery time.
-    deadline_expired_rx: int = 0
 
 
 class LtlEngine:
@@ -218,16 +207,8 @@ class LtlEngine:
     # Send path
     # ------------------------------------------------------------------
     def send_message(self, connection_id: int, payload: Any,
-                     length_bytes: int, deadline: Any = None,
-                     trace: Any = None) -> int:
+                     length_bytes: int, trace: Any = None) -> int:
         """Fragment and queue a message; returns its message id.
-
-        ``deadline`` (a :class:`~repro.overload.deadline.Deadline` or an
-        absolute expiry in seconds) rides in every DATA frame header.  A
-        message whose deadline has *already* expired is refused here —
-        before sequence numbers are assigned, so the go-back-N stream
-        stays gapless — accounted in ``stats.deadline_expired_tx``, and
-        ``-1`` is returned instead of a message id.
 
         ``trace`` (a :class:`~repro.trace.TraceContext`) rides every DATA
         frame as simulation metadata: ``ltl.tx`` is tapped at first
@@ -238,11 +219,6 @@ class LtlEngine:
         if state.failed:
             raise RuntimeError(
                 f"connection {connection_id} has failed; reprovision it")
-        expires_at = expires_at_of(deadline)
-        if expires_at is not None and self.env.now > expires_at:
-            self.stats.deadline_expired_tx += 1
-            return -1
-        deadline_us = encode_deadline_us(expires_at)
         message_id = next(self._message_ids)
         mtu = self.config.mtu_payload_bytes
         total_fragments = max(1, -(-length_bytes // mtu))
@@ -260,8 +236,7 @@ class LtlEngine:
                 connection_id=state.remote_connection_id,
                 seq=state.next_seq, message_id=message_id,
                 fragment=fragment, total_fragments=total_fragments,
-                payload=frag_payload, payload_bytes=frag_bytes,
-                deadline_us=deadline_us)
+                payload=frag_payload, payload_bytes=frag_bytes)
             frame.trace = trace
             state.next_seq += 1
             state.send_queue.append(frame)
@@ -590,18 +565,6 @@ class LtlEngine:
             if frame.trace is not None:
                 # Reassembled delivery: rx pipeline + reassembly wait.
                 frame.trace.tap(_STAGE_LTL_RX, self.env.now)
-            # Drop-and-account at the delivery point: the protocol still
-            # ACKs the frames (the go-back-N stream must stay gapless),
-            # but an expired message is not handed to the role — the
-            # paper's "degrade statistically" applied end to end.
-            expires_at = decode_deadline_us(frame.deadline_us)
-            if expires_at is not None and self.env.now > expires_at:
-                self.stats.deadline_expired_rx += 1
-                if frame.trace is not None:
-                    # The frames are ACKed but the message dies here:
-                    # close the span so the recorder counts the drop.
-                    frame.trace.abandon(self.env.now)
-                return
             self.stats.messages_delivered += 1
             if self.on_message is not None:
                 self.on_message(state.connection_id, payload, total_bytes)

@@ -10,7 +10,8 @@ detected).
 
 Frames travel as objects, never as bytes.  The header's byte layout
 exists for two things only: its size (:data:`LTL_HEADER_BYTES`) and the
-CRC-32 that the receiving engine checks.
+CRC-32 that the receiving engine checks.  One u32 of it is reserved and
+always 0.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ FLAG_FIRST_FRAG = 1 << 0
 FLAG_LAST_FRAG = 1 << 1
 FLAG_CONGESTION = 1 << 2  # DC-QCN CNP piggybacked on an ACK
 
+# magic, type, flags, connection, seq, message, fragment, fragments,
+# payload bytes, ack seq, a reserved word (always 0), checksum.
 _HEADER_FMT = "!HBBIIIHHHIII"
 #: Size of the LTL header on the wire.
 LTL_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
@@ -56,9 +59,6 @@ class LtlFrame:
     total_fragments: int = 1
     flags: int = 0
     ack_seq: int = 0
-    #: Absolute deadline of the carried message in microseconds of sim
-    #: time (see :mod:`repro.overload.deadline`); 0 means "no deadline".
-    deadline_us: int = 0
     payload: Any = b""
     payload_bytes: int = 0
     #: CRC-32 sealing header + payload; auto-computed when left ``None``.
@@ -115,7 +115,7 @@ class LtlFrame:
             _HEADER_FMT, MAGIC, self.frame_type, self.flags,
             self.connection_id, self.seq, self.message_id, self.fragment,
             self.total_fragments, self.payload_bytes & 0xFFFF,
-            self.ack_seq, self.deadline_us & 0xFFFFFFFF, 0)
+            self.ack_seq, 0, 0)  # reserved word, zeroed checksum
         crc = zlib.crc32(head)
         if isinstance(self.payload, (bytes, bytearray)):
             crc = zlib.crc32(bytes(self.payload), crc)
@@ -127,7 +127,7 @@ class LtlFrame:
 
 def make_data_frame(connection_id: int, seq: int, message_id: int,
                     fragment: int, total_fragments: int, payload: Any,
-                    payload_bytes: int, deadline_us: int = 0) -> LtlFrame:
+                    payload_bytes: int) -> LtlFrame:
     """Build a DATA frame with first/last-fragment flags set correctly."""
     flags = 0
     if fragment == 0:
@@ -137,7 +137,6 @@ def make_data_frame(connection_id: int, seq: int, message_id: int,
     return LtlFrame(frame_type=TYPE_DATA, connection_id=connection_id,
                     seq=seq, message_id=message_id, fragment=fragment,
                     total_fragments=total_fragments, flags=flags,
-                    deadline_us=deadline_us,
                     payload=payload, payload_bytes=payload_bytes)
 
 

@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
-from ..overload.deadline import Deadline
 from .corpus import Document, Query
 from .features import FeatureExtractor, FeatureVector
 
@@ -32,9 +31,6 @@ class QueryWork:
     num_docs: int
     total_terms: int
     query_terms: int
-    #: Latency budget riding with the query (see :mod:`repro.overload`);
-    #: ``None`` means the query is not under deadline control.
-    deadline: Optional[Deadline] = None
     #: Optional :class:`repro.trace.TraceContext` riding the query
     #: through the ranking pipeline's stage taps.
     trace: Any = None
@@ -47,22 +43,6 @@ class QueryWork:
     @property
     def document_bytes(self) -> int:
         return 4 * self.total_terms
-
-    def pruned(self, fraction: float) -> "QueryWork":
-        """Brownout: the same query over a pruned candidate set.
-
-        Degraded service keeps the best-ranked ``fraction`` of candidate
-        documents (candidate selection already ordered them), trading
-        result quality for a proportionally smaller feature job.
-        """
-        if not 0 < fraction <= 1:
-            raise ValueError("pruning fraction must be in (0, 1]")
-        return QueryWork(
-            num_docs=max(1, int(self.num_docs * fraction)),
-            total_terms=max(1, int(self.total_terms * fraction)),
-            query_terms=self.query_terms,
-            deadline=self.deadline,
-            trace=self.trace)
 
 
 @dataclass

@@ -75,9 +75,6 @@ class RouterStats:
     injection_stall_cycles: int = 0
     peak_buffer_occupancy: int = 0
     per_vc_delivered: Dict[int, int] = field(default_factory=dict)
-    #: Messages fully switched but dropped at the output port because
-    #: their deadline expired in transit (see :mod:`repro.overload`).
-    deadline_drops: int = 0
 
 
 class ElasticRouter:
@@ -152,32 +149,27 @@ class ElasticRouter:
         self._endpoints[port] = deliver
 
     def send(self, src_port: int, dst_port: int, payload: Any,
-             length_bytes: int, vc: int = 0,
-             deadline: Optional[float] = None,
-             trace: Any = None) -> Event:
+             length_bytes: int, vc: int = 0, trace: Any = None) -> Event:
         """Inject a message; returns an event that succeeds once the last
         flit has entered the input buffer (i.e. the sender may reuse its
-        staging space).  ``deadline`` is an absolute expiry instant; a
-        message still in flight past it is dropped at delivery and
-        counted in ``stats.deadline_drops``.  ``trace`` is an optional
+        staging space).  ``trace`` is an optional
         :class:`~repro.trace.TraceContext`: ``er.ingress`` marks the
         instant the head flit wins a buffer credit, ``er.switch`` the
         instant the tail flit exits the crossbar."""
         return self._submit(src_port, dst_port, payload, length_bytes, vc,
-                            deadline, trace)[1]
+                            trace)[1]
 
     def inject(self, src_port: int, dst_port: int, payload: Any,
                length_bytes: int, vc: int = 0,
-               deadline: Optional[float] = None,
                trace: Any = None) -> Message:
         """Fire-and-forget variant of :meth:`send`."""
         message, done = self._submit(src_port, dst_port, payload,
-                                     length_bytes, vc, deadline, trace)
+                                     length_bytes, vc, trace)
         done._defused = True
         return message
 
     def _submit(self, src_port: int, dst_port: int, payload: Any,
-                length_bytes: int, vc: int, deadline: Optional[float],
+                length_bytes: int, vc: int,
                 trace: Any) -> Tuple[Message, Event]:
         self._check_port(src_port)
         self._check_port(dst_port)
@@ -186,8 +178,7 @@ class ElasticRouter:
         now = self.env.now
         message = Message(src_port=src_port, dst_port=dst_port, vc=vc,
                           payload=payload, length_bytes=length_bytes,
-                          injected_at=now, deadline=deadline,
-                          trace=trace)
+                          injected_at=now, trace=trace)
         done = self.env.event()
         self.stats.messages_injected += 1
         stream = self._stream
@@ -391,16 +382,6 @@ class ElasticRouter:
         if message.trace is not None:
             # Crossbar residency: buffer entry through tail-flit exit.
             message.trace.tap(_STAGE_ER_SWITCH, now)
-        # Deadline check at the output port: an expired message has
-        # already consumed its crossbar bandwidth, but the endpoint's
-        # time is still worth saving (drop-and-account).
-        if message.deadline is not None and now > message.deadline:
-            self.stats.deadline_drops += 1
-            if message.trace is not None:
-                # Terminal drop: close the span so the recorder counts
-                # the deadline-expired request instead of leaking it.
-                message.trace.abandon(now)
-            return
         vc = message.vc
         self.stats.messages_delivered += 1
         self.stats.per_vc_delivered[vc] = \

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import count
-from typing import Any, List, Optional
+from typing import Any, List
 
 _message_ids = count()
 
@@ -28,12 +28,8 @@ class Message:
     message_id: int = field(default_factory=lambda: next(_message_ids))
     injected_at: float = 0.0
     delivered_at: float = 0.0
-    #: Absolute expiry (seconds of sim time) of the carried request, or
-    #: ``None`` for no deadline.  The head flit carries it like routing
-    #: state; the ER drops expired messages at delivery.
-    deadline: Optional[float] = None
     #: Optional :class:`repro.trace.TraceContext`; rides the head flit's
-    #: message like ``deadline`` does.  Not part of the flit format.
+    #: message.  Not part of the flit format.
     trace: Any = None
 
     def __post_init__(self) -> None:

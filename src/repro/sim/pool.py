@@ -8,61 +8,40 @@ work queues.  A query holding a server is a chain of
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class Pool:
     """``capacity`` identical servers and a FIFO ``queue`` of waiters.
 
-    A waiter handed a server may give it straight back (a request whose
-    deadline passed while it queued).  That release does not call the
-    next waiter itself: the handing loop already running moves on to
-    it, so a long run of such waiters never grows the stack.
+    ``free`` counts the idle servers; a waiter queues only while none
+    is idle.  A server given back goes straight to the next waiter, so
+    ``free`` grows only when nobody is waiting.  A waiter runs inside
+    :meth:`acquire` or :meth:`release`, so it only schedules its work:
+    one that released at once would run the next waiter on its stack.
     """
 
-    __slots__ = ("free", "queue", "_handing")
+    __slots__ = ("free", "queue")
 
     def __init__(self, capacity: int = 1):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.free = capacity
         self.queue: deque = deque()
-        self._handing = False
 
-    def acquire(self, fn: Callable[..., None],
-                *args: Any) -> Optional[tuple]:
+    def acquire(self, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` holding one server: now if one is free,
-        else after every waiter queued before it.  Returns the queued
-        waiter (for :meth:`cancel`), or None if ``fn`` already ran."""
-        if self.free and not self.queue:
+        else after every waiter queued before it."""
+        if self.free:
             self.free -= 1
             fn(*args)
-            return None
-        waiter = (fn, args)
-        self.queue.append(waiter)
-        return waiter
-
-    def cancel(self, waiter: tuple) -> None:
-        """Withdraw a waiter that is still queued."""
-        for index, queued in enumerate(self.queue):
-            if queued is waiter:
-                del self.queue[index]
-                return
-        raise ValueError("waiter is not queued")
+        else:
+            self.queue.append((fn, args))
 
     def release(self) -> None:
         """Give one server back, handing it straight to the next waiter."""
-        queue = self.queue
-        if not queue or self._handing:
-            self.free += 1
-            return
-        self._handing = True
-        try:
-            fn, args = queue.popleft()
+        if self.queue:
+            fn, args = self.queue.popleft()
             fn(*args)
-            while self.free and queue:
-                self.free -= 1
-                fn, args = queue.popleft()
-                fn(*args)
-        finally:
-            self._handing = False
+        else:
+            self.free += 1

@@ -4,9 +4,8 @@ Fig. 10 reports *end-to-end* LTL latency; production debugging needs to
 know *where* the microseconds go (role -> Elastic Router -> shell MAC ->
 TOR -> L1 -> remote role).  This subsystem provides:
 
-* :class:`~repro.trace.stages.Stage` — the canonical stage vocabulary,
-  shared with :mod:`repro.overload`'s drop attribution so trace hops and
-  deadline drops name the same places,
+* :class:`~repro.trace.stages.Stage` — the canonical stage vocabulary
+  every tap site names its hop with,
 * :class:`~repro.trace.context.TraceContext` — a context that rides
   packets and LTL frames end to end, collecting timestamp taps at every
   datapath stage,

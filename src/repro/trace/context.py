@@ -94,7 +94,7 @@ class TraceContext:
     # -- drop handling -----------------------------------------------------
 
     def abandon(self, now: float) -> None:
-        """Close the span at a drop point (packet dropped, deadline hit).
+        """Close the span at a drop point (a packet tail-dropped at a port).
 
         Routes to the owning recorder's :meth:`~repro.trace.recorder.
         TraceRecorder.abandon` so dropped requests are counted instead of

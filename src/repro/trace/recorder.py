@@ -102,8 +102,8 @@ class TraceRecorder:
         self._spans: List[SpanRecord] = []
         self.started = 0
         self.completed = 0
-        #: Spans closed at a drop point (queue overflow, expired
-        #: deadline) instead of delivery.  Their attributed hop time is
+        #: Spans closed at a drop point (queue overflow) instead of
+        #: delivery.  Their attributed hop time is
         #: recorded per hop — the time was really spent — but
         #: they do not contribute to the end-to-end latency quantiles.
         self.abandoned = 0

@@ -1,10 +1,7 @@
 """Canonical datapath stage vocabulary.
 
-Trace hops and :mod:`repro.overload` deadline drop attribution share this
-one enum so the names cannot drift: when a query dies at the FPGA input
-queue it shows up as ``fpga.queue`` in ``DeadlineStats`` and the same
-``fpga.queue`` is the hop under which a traced query's wait is
-accumulated.
+Every trace tap site names its hop with a member of this one enum, so
+the names cannot drift between the sites that tap the same hop.
 
 The values are dotted lower-case strings grouped by subsystem prefix
 (``core.``, ``er.``, ``shell.``, ``link.``, ``switch.``, ``ltl.``,
@@ -33,7 +30,6 @@ class Stage(str, enum.Enum):
 
     # FPGA-side queues and role compute.
     FPGA_QUEUE = "fpga.queue"
-    ROLE_ENQUEUE = "role.enqueue"
     ROLE_SERVICE = "role.service"
     POST_QUEUE = "post.queue"
 

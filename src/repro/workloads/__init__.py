@@ -1,5 +1,5 @@
-"""Workload generators: the five-day load trace, and flash-crowd surge
-profiles with their non-homogeneous Poisson arrivals."""
+"""Workload generators: the five-day load trace and the load balancer's
+cap on it."""
 
 from .diurnal import (
     DiurnalTraceConfig,
@@ -7,13 +7,10 @@ from .diurnal import (
     apply_load_balancer_cap,
     five_day_trace,
 )
-from .surge import FlashCrowdProfile, VariableRateArrivals
 
 __all__ = [
     "DiurnalTraceConfig",
-    "FlashCrowdProfile",
     "LoadSample",
-    "VariableRateArrivals",
     "apply_load_balancer_cap",
     "five_day_trace",
 ]

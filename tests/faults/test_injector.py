@@ -196,22 +196,6 @@ class TestControlStall:
 
 
 class TestLoadSpike:
-    def test_spike_drives_the_load_hook(self):
-        cloud, service, client, delivered = build()
-        env = cloud.env
-        injector = FaultInjector(cloud, hosts=POOL, seed=1)
-        multipliers = []
-        injector.load_hook = multipliers.append
-        injector.run_campaign([FaultEvent(
-            at=env.now + 0.5, kind=FaultKind.LOAD_SPIKE,
-            duration=2.0, magnitude=5.0)])
-        env.run(until=env.now + 5.0)
-        rec = injector.records[0]
-        # Hook sees the spike on, then restored to 1.0 at expiry.
-        assert multipliers == [5.0, 1.0]
-        assert rec.recovered_at - rec.detected_at == 2.0
-        assert injector.stats.load_spikes == 1
-
     def test_spike_elided_without_hook(self):
         """No workload attached: the record closes immediately instead
         of dangling unresolved in a chaos soak."""
@@ -226,6 +210,7 @@ class TestLoadSpike:
         assert rec.resolved
         assert rec.recovered_at == rec.detected_at
         assert "elided" in rec.note
+        assert injector.stats.load_spikes == 1
 
 
 class TestSlowPeer:

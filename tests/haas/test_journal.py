@@ -68,10 +68,9 @@ class TestReplay:
         _, journal = make_journal()
         journal.record("register", host=3)
         journal.record("quarantine", host=3, until=9.0)
-        journal.record("unregister", host=3)
         state = journal.replay()
         assert state.quarantine == {3: 9.0}
-        assert state.registered == []
+        assert state.registered == [3]
 
     def test_fence_barrier_advances_max_fence(self):
         _, journal = make_journal()

@@ -306,41 +306,6 @@ class TestFpgaMonitor:
         assert states[-1][1] is FpgaHealth.HEALTHY
 
 
-class TestUnregisterReregister:
-    def test_unregister_of_allocated_host_revokes_its_lease(self):
-        cloud = make_cloud(0, 1, lease=60.0)
-        env, rm = cloud.env, cloud.resource_manager
-        settle(cloud, 2.0)
-        sm = ServiceManager(env, "svc", rm, IMAGE)
-        lease = sm.grow(1)[0]
-        victim = lease.hosts[0]
-        rm.unregister(victim)
-        assert lease.state is LeaseState.REVOKED
-        assert not rm.is_allocated(victim)
-        # The SM replaced onto the remaining host straight away.
-        assert len(sm.hosts) == 1
-        assert sm.hosts[0] != victim
-
-    def test_reregistered_host_leasable_with_fence_discipline(self):
-        cloud = make_cloud(0, 1, lease=60.0)
-        env, rm = cloud.env, cloud.resource_manager
-        settle(cloud, 2.0)
-        sm = ServiceManager(env, "svc", rm, IMAGE)
-        old = sm.grow(1)[0]
-        victim = old.hosts[0]
-        manager = rm.manager(victim)
-        rm.unregister(victim)
-        rm.register(manager)  # the host re-enrolls (e.g. re-racked)
-        assert victim in rm.free_hosts()
-        fresh = rm.acquire("other", Constraints(count=1,
-                                                exclude_hosts=[]))
-        # It may or may not pick the victim, but if it does, the new
-        # grant must outrank the revoked one.
-        if victim in fresh.hosts:
-            assert fresh.fence > old.fence
-            assert not manager.admit_traffic(old.fence)
-
-
 class TestRmCrashRecovery:
     def test_restart_replays_journal_and_bumps_epoch(self):
         cloud = make_cloud(0, 1, 2, lease=60.0)

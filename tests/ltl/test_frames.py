@@ -42,6 +42,19 @@ class TestDataFrames:
         assert make_nack(0, (1, 2)).is_nack
 
 
+class TestWireFormat:
+    def test_header_is_34_bytes(self):
+        # The reserved word at offset 26 keeps the header at 34 B, which
+        # every frame size (and so every Fig. 10 latency) depends on.
+        assert LTL_HEADER_BYTES == 34
+
+    def test_checksums_are_pinned(self):
+        # CRC-32 over the header with the reserved word packed as 0.
+        assert make_data_frame(1, 5, 2, 1, 3, b"x", 1).checksum == \
+            0xC8540FCB
+        assert make_ack(3, 17).checksum == 0x3EA5BD82
+
+
 class TestAckNack:
     def test_ack_carries_cumulative_seq(self):
         ack = make_ack(3, 17)

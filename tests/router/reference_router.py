@@ -42,11 +42,10 @@ class ReferenceRouter:
         self._endpoints[port] = deliver
 
     def send(self, src_port, dst_port, payload, length_bytes, vc=0,
-             deadline=None, trace=None):
+             trace=None):
         message = Message(src_port=src_port, dst_port=dst_port, vc=vc,
                           payload=payload, length_bytes=length_bytes,
-                          injected_at=self.env.now, deadline=deadline,
-                          trace=trace)
+                          injected_at=self.env.now, trace=trace)
         done = self.env.event()
         for flit in packetize(message, self.flit_bytes):
             self._pending[src_port].append((flit, done))
@@ -57,9 +56,9 @@ class ReferenceRouter:
         return done
 
     def inject(self, src_port, dst_port, payload, length_bytes, vc=0,
-               deadline=None, trace=None):
+               trace=None):
         event = self.send(src_port, dst_port, payload, length_bytes, vc,
-                          deadline=deadline, trace=trace)
+                          trace=trace)
         event._defused = True
         return self._pending[src_port][-1][0].message
 
@@ -138,11 +137,6 @@ class ReferenceRouter:
         message.delivered_at = now
         if message.trace is not None:
             message.trace.tap(Stage.ER_SWITCH, now)
-        if message.deadline is not None and now > message.deadline:
-            self.stats.deadline_drops += 1
-            if message.trace is not None:
-                message.trace.abandon(now)
-            return
         self.stats.messages_delivered += 1
         self.stats.per_vc_delivered[vc] = \
             self.stats.per_vc_delivered.get(vc, 0) + 1

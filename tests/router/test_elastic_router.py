@@ -232,25 +232,6 @@ class TestCreditPolicyAblation:
         assert sum(elastic_done) < sum(static_done)
 
 
-class TestDeadlineDropAbandonsSpan:
-    def test_expired_message_span_is_abandoned(self):
-        from repro.trace import TraceRecorder
-        env = Environment()
-        router = make_router(env)
-        recorder = TraceRecorder()
-        delivered = []
-        router.set_endpoint(1, delivered.append)
-        ctx = recorder.start(env.now)
-        # A deadline already in the past: the message traverses the
-        # crossbar but must be dropped (and its span closed) at output.
-        router.inject(0, 1, "late", 64, deadline=-1.0, trace=ctx)
-        env.run()
-        assert delivered == []
-        assert router.stats.deadline_drops == 1
-        assert recorder.abandoned == 1
-        assert ctx.closed
-
-
 class TestStreamAndHandover:
     """The streamed path, its handover to the per-cycle clock, and the
     latch rule, against the per-cycle reference router."""

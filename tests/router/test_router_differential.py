@@ -2,7 +2,7 @@
 reference (:mod:`tests.router.reference_router`).
 
 Random injection programs run on both routers: 1-5 ports, 1-3 VCs, both
-credit policies, 1-400-B messages, deadlines and trace contexts.  Sends
+credit policies, 1-400-B messages and trace contexts.  Sends
 land at continuous times, at the same instant as the previous send, on a
 clock's edge grid, from delivery callbacks, and from chained senders that
 ``yield send()`` and then wait a whole number of cycles.  A single router
@@ -66,11 +66,9 @@ def router_programs(draw):
     port, vc = st.integers(0, ports - 1), st.integers(0, vcs - 1)
     follow_up = st.fixed_dictionaries({
         "src": port, "dst": port, "vc": vc, "size": st.integers(1, 400),
-        "deadline": st.none(), "traced": st.just(False), "tap": st.none(),
-        "echo": st.none()})
+        "traced": st.just(False), "tap": st.none(), "echo": st.none()})
     message = st.fixed_dictionaries({
         "src": port, "dst": port, "vc": vc, "size": st.integers(1, 400),
-        "deadline": st.none() | st.floats(0.0, 100 * CYCLE),
         "traced": st.booleans(),
         # A foreign tap on the span (a go-back-N duplicate, say).
         "tap": st.none() | st.floats(0.0, 400 * CYCLE),
@@ -92,14 +90,11 @@ def run_router(router_cls, program):
     delivered, completed, contexts, echoes = [], [], {}, {}
 
     def submit(ident, spec, src=None):
-        deadline = spec["deadline"]
-        if deadline is not None:
-            deadline += env.now
         if spec["echo"] is not None:
             echoes[ident] = spec["echo"]
         done = router.send(spec["src"] if src is None else src, spec["dst"],
                            ident, spec["size"], vc=spec["vc"],
-                           deadline=deadline, trace=contexts.get(ident))
+                           trace=contexts.get(ident))
         done.callbacks.append(
             lambda _event: completed.append((env.now, ident)))
         return done
@@ -157,8 +152,8 @@ def run_router(router_cls, program):
 
 def plain(size, echo=None):
     """A single-router message spec: port 0 to port 0 on VC 0."""
-    return {"src": 0, "dst": 0, "vc": 0, "size": size, "deadline": None,
-            "traced": False, "tap": None, "echo": echo}
+    return {"src": 0, "dst": 0, "vc": 0, "size": size, "traced": False,
+            "tap": None, "echo": echo}
 
 
 @settings(max_examples=150, deadline=None)
