@@ -102,7 +102,8 @@ class DatacenterFabric:
         return attachment
 
     def detach(self, host_index: int) -> None:
-        """Remove a host (its TOR port stops delivering).
+        """Remove a host: its TOR port leaves the switch, withdrawing any
+        PFC pause it held, and delivers nothing it starts from now on.
 
         The attachment is stashed so :meth:`reattach` can bring the host
         back — modeling transient link loss as well as permanent death.
@@ -113,7 +114,8 @@ class DatacenterFabric:
         handler = self._handlers.pop(host_index, None)
         coords = self.topology.coords(host_index)
         tor = self.topology.tor(coords.pod, coords.tor)
-        port = tor.ports.pop(host_index, None)
+        port = tor.remove_port(host_index) \
+            if host_index in tor.ports else None
         if port is not None:
             port.deliver = None
         if handler is not None and port is not None:

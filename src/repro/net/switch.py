@@ -121,7 +121,24 @@ class Switch:
         if key in self.ports:
             raise ValueError(f"duplicate port key {key!r} on {self.name}")
         self.ports[key] = port
-        port.on_transmit = lambda pkt, k=key: self._after_transmit(k, pkt)
+
+    def remove_port(self, key: object) -> Port:
+        """Take the port under ``key`` out of the switch.
+
+        Its transmit hook is unhooked, and a pause it holds on the
+        upstreams is withdrawn: they resume unless another port still
+        pauses them.  The port itself keeps draining whatever it has
+        queued.
+        """
+        port = self.ports.pop(key)
+        port.on_transmit = None
+        tc = TrafficClass.LOSSLESS
+        if self._pausing.pop((key, tc), False):
+            self.stats.pfc_resume_sent += 1
+            if not any(self._pausing.values()):
+                for upstream in self._upstream.values():
+                    upstream.resume(tc)
+        return port
 
     def set_router(self, router: Callable[["Switch", Packet], object]) -> None:
         self._router = router
@@ -187,24 +204,27 @@ class Switch:
     # PFC
     # ------------------------------------------------------------------
     def _update_pfc(self, key: object, port: Port) -> None:
+        """Assert or withdraw the pause that ``port``'s lossless queue
+        holds on the upstreams.  While it is asserted, the port reports
+        each transmit completion back here, since only a draining queue
+        can withdraw it."""
         tc = TrafficClass.LOSSLESS
         occupancy = port.queued_bytes(tc)
         paused = self._pausing.get((key, tc), False)
         if not paused and occupancy > self.pfc.xoff_bytes:
             self._pausing[(key, tc)] = True
             self.stats.pfc_pause_sent += 1
+            port.on_transmit = \
+                lambda _packet: self._update_pfc(key, port)
             for upstream in self._upstream.values():
                 upstream.pause(tc)
         elif paused and occupancy < self.pfc.xon_bytes:
             self._pausing[(key, tc)] = False
             self.stats.pfc_resume_sent += 1
+            port.on_transmit = None
             if not any(self._pausing.values()):
                 for upstream in self._upstream.values():
                     upstream.resume(tc)
-
-    def _after_transmit(self, key: object, _packet: Packet) -> None:
-        port = self.ports[key]
-        self._update_pfc(key, port)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} tier={self.tier}>"

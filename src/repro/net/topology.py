@@ -89,6 +89,10 @@ class ThreeTierTopology:
         self._mac_cache: Dict[str, int] = {}
         self._coords_cache: Dict[int, HostCoordinates] = {}
         self._switch_pos: Dict[str, Tuple[int, int]] = {}
+        # Address strings per host index: every packet header carries
+        # both, and each is rebuilt by string formatting.
+        self._ip_by_host: Dict[int, str] = {}
+        self._mac_by_host: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # Coordinates and physics
@@ -115,10 +119,18 @@ class ThreeTierTopology:
         return pod_distance_m(self.config, self.streams.seed, pod)
 
     def ip_of(self, host_index: int) -> str:
-        return ip_address(self.coords(host_index))
+        ip = self._ip_by_host.get(host_index)
+        if ip is None:
+            # The first call validates the index (coords raises).
+            ip = self._ip_by_host[host_index] = \
+                ip_address(self.coords(host_index))
+        return ip
 
     def mac_of(self, host_index: int) -> str:
-        return mac_address(host_index)
+        mac = self._mac_by_host.get(host_index)
+        if mac is None:
+            mac = self._mac_by_host[host_index] = mac_address(host_index)
+        return mac
 
     # ------------------------------------------------------------------
     # Lazy switch construction

@@ -10,7 +10,9 @@ Scheduler
 ---------
 Every scheduled entry is a ``(time, seq, event)`` tuple, and entries
 dispatch in exactly that tuple order: earliest time first, then FIFO by
-``seq``.  The schedule has two parts:
+``seq``.  (A caller placing late work where it would have stood if
+scheduled earlier gets a half-step ``seq`` from ``_call_at_before``.)
+The schedule has two parts:
 
 * a one-entry **head slot** holding an entry that sorts before
   everything else queued.  In chain-style workloads (an event's handler
@@ -98,9 +100,10 @@ class Environment:
         #: (None outside a bounded run).  A sentinel left behind by a
         #: run that terminated with an exception no-ops on mismatch.
         self._stop_token: Optional[object] = None
-        #: Total events (including deferred callbacks) dispatched so far
-        #: — the numerator of every events/sec benchmark.
-        self.events_processed: int = 0
+        #: ``(events_processed, now)`` of the latest launch by a
+        #: transmit port (see :class:`repro.net.links.Port`): at most
+        #: one port launches per event.
+        self._port_launch: Optional[Tuple[int, float]] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -113,6 +116,21 @@ class Environment:
     def __len__(self) -> int:
         """Number of scheduled entries."""
         return len(self._heap) + (self._head is not None)
+
+    @property
+    def events_processed(self) -> int:
+        """Total entries (events and deferred callbacks) dispatched so
+        far — the numerator of every events/sec benchmark.
+
+        Counted by sequence accounting rather than by an increment in
+        the dispatch loop: every seq draw enters the schedule exactly
+        once, so dispatches = draws - entries still queued.  The
+        bounded-run sentinel draws no seq; while it is armed it is
+        discounted.  The value is live: it also advances inside a run,
+        once per dispatched entry.
+        """
+        return (self._seq - len(self._heap) - (self._head is not None)
+                + (self._stop_token is not None))
 
     # ------------------------------------------------------------------
     # Event creation
@@ -180,6 +198,20 @@ class Environment:
             return
         heappush(self._heap, entry)
 
+    def _call_at_before(self, when: float, seq: int,
+                        fn: Callable[..., None], *args: Any) -> None:
+        """Run ``fn(*args)`` at ``when``, placed among the entries due
+        then just before one that drew ``seq`` (or would have).
+
+        For a caller scheduling late what it could have scheduled at
+        draw ``seq``, and wanting the place it would have had then (a
+        transmit port, see :class:`repro.net.links.Port`).  One seq is
+        drawn and left unused, so every draw still matches one entry and
+        :attr:`events_processed` stays exact.
+        """
+        self._seq += 1
+        self._insert((when, seq - 0.5, Deferred(fn, args)))
+
     def _remove_entry(self, entry: Tuple) -> None:
         """Remove a specific queued ``entry``.
 
@@ -221,11 +253,28 @@ class Environment:
 
     def call_at(self, when: float, fn: Callable[..., None],
                 *args: Any) -> None:
-        """Run ``fn(*args)`` at absolute virtual time ``when``."""
+        """Run ``fn(*args)`` at absolute virtual time ``when``.
+
+        (``_push`` is inlined, as in :meth:`call_later`: every port
+        arrival and every streamed router exit is scheduled here.)
+        """
         if when < self._now:
             raise ValueError(
                 f"call_at({when}) is in the past (now={self._now})")
-        self._push(when, Deferred(fn, args))
+        seq = self._seq
+        self._seq = seq + 1
+        entry = (when, seq, Deferred(fn, args))
+        head = self._head
+        if head is None:
+            heap = self._heap
+            if not heap or entry < heap[0]:
+                self._head = entry
+                return
+        elif entry < head:
+            heappush(self._heap, head)
+            self._head = entry
+            return
+        heappush(self._heap, entry)
 
     # ------------------------------------------------------------------
     # Execution
@@ -244,12 +293,9 @@ class Environment:
 
         heap = self._heap
         push = self._push
-        # Processed-event count via sequence accounting: every seq
-        # draw enters the schedule exactly once, so pops = draws
-        # minus the change in queued entries.  Saves an interpreted
-        # increment per event in the hottest loop of the repo.
-        seq0 = self._seq
-        size0 = len(heap) + (self._head is not None)
+        # No dispatch counter here: ``events_processed`` is derived
+        # from the seq accounting, saving an interpreted increment per
+        # event in the hottest loop of the repo.
         sentinel: Optional[Tuple] = None
         if stop_time != _INF:
             # Bounded run.  Comparing ``entry[0] > stop_time`` on every
@@ -263,9 +309,10 @@ class Environment:
             # sentinel in the ``finally`` below — left behind, it would
             # be a phantom entry (``len`` would count a nonexistent
             # event at ``stop_time``) that the next bounded run would pop
-            # and miscount.  It draws no seq, so the sequence accounting
-            # below never sees it.  The identity token additionally
-            # keeps any stale sentinel from stopping a later run.
+            # and miscount.  It draws no seq, and ``events_processed``
+            # discounts it while the token is set.  The identity token
+            # additionally keeps any stale sentinel from stopping a
+            # later run.
             token = self._stop_token = object()
             sentinel = (stop_time, _INF,
                         Deferred(self._raise_stop, (token,)))
@@ -352,8 +399,6 @@ class Environment:
                 # sentinel back out so repeated bounded runs stay
                 # exactly equivalent to one long run.
                 self._remove_entry(sentinel)
-            self.events_processed += (self._seq - seq0) - (
-                len(heap) + (self._head is not None) - size0)
         if stop_time != _INF:
             self._now = stop_time
 

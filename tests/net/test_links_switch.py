@@ -233,6 +233,32 @@ class TestSwitch:
         assert not upstream.is_paused(TrafficClass.LOSSLESS)
 
 
+    def test_remove_port_keeps_a_pause_another_port_holds(self):
+        env = Environment()
+        switch = self._switch(
+            env, pfc=PfcConfig(xoff_bytes=2000, xon_bytes=500))
+        for key in ("a", "b"):
+            switch.add_port(key, Port(env, key, rate_bps=1e6,
+                                      distance_m=0.0))
+        switch.set_router(lambda sw, pkt: pkt.payload)
+        upstream = Port(env, "up", rate_bps=40e9)
+        switch.register_upstream("neighbor", upstream)
+        for key in ("a", "b"):
+            for _ in range(3):
+                packet = make_packet(payload_bytes=1000,
+                                     tc=TrafficClass.LOSSLESS)
+                packet.payload = key
+                switch.receive(packet)
+        env.run(until=1e-5)
+        assert switch.stats.pfc_pause_sent == 2
+        removed = switch.remove_port("a")
+        assert removed.on_transmit is None
+        assert upstream.is_paused(TrafficClass.LOSSLESS)
+        switch.remove_port("b")
+        assert switch.stats.pfc_resume_sent == 2
+        assert not upstream.is_paused(TrafficClass.LOSSLESS)
+
+
 class TestQueuedBytesAccounting:
     def test_running_total_tracks_per_class_dicts(self):
         """The O(1) running total must equal the per-class sums at every

@@ -5,6 +5,7 @@ import pytest
 from repro.net import (
     DatacenterFabric,
     LatencyModel,
+    PfcConfig,
     TopologyConfig,
     TrafficClass,
     idle,
@@ -72,6 +73,16 @@ class TestThreeTierTopology:
         assert topo.ip_of(0) == "10.0.0.0"
         assert topo.mac_of(5).startswith("02:")
 
+    def test_address_strings_cached_per_host(self):
+        topo = self._topo()
+        assert topo.ip_of(30) is topo.ip_of(30)
+        assert topo.mac_of(30) is topo.mac_of(30)
+        for _ in range(2):  # not cached when invalid
+            with pytest.raises(ValueError):
+                topo.ip_of(topo.config.total_hosts)
+            with pytest.raises(ValueError):
+                topo.mac_of(-1)
+
 
 class TestFabric:
     def _fabric(self):
@@ -122,6 +133,51 @@ class TestFabric:
         a.send(a.make_packet(1, b"gone"))
         env.run()
         assert got == []
+
+    def test_detach_while_the_tor_port_drains(self):
+        """The TOR port keeps draining after its host detaches; its
+        transmit completions must not reach the switch it left."""
+        env, fabric = self._fabric()
+        got = []
+        a = fabric.attach(0, lambda p: None)
+        fabric.attach(1, got.append)
+        for _ in range(5):
+            a.send(a.make_packet(1, b"", payload_bytes=1000))
+        env.run(until=0.9e-6)
+        fabric.detach(1)
+        env.run(until=1e-3)
+        assert got == []
+
+    def test_detach_withdraws_the_pause_its_port_held(self):
+        """A host detached while its TOR port holds a PFC pause must not
+        leave every lossless upstream of that TOR paused."""
+        env = Environment()
+        config = TopologyConfig(
+            background=idle(),
+            pfc=PfcConfig(xoff_bytes=8 * 1024, xon_bytes=4 * 1024))
+        fabric = DatacenterFabric(env, config)
+        got = []
+        senders = [fabric.attach(host, lambda p: None) for host in (0, 2)]
+        fabric.attach(1, lambda p: None)
+        fabric.attach(3, got.append)
+        for _ in range(20):
+            for sender in senders:
+                sender.send(sender.make_packet(
+                    1, b"", payload_bytes=1000,
+                    traffic_class=TrafficClass.LOSSLESS))
+        env.run(until=2e-6)
+        tor = fabric.topology.tor(0, 0)
+        assert tor.stats.pfc_pause_sent == 1
+        fabric.detach(1)
+        assert tor.stats.pfc_resume_sent == 1
+        env.run(until=50e-6)
+        a = senders[0]
+        assert not a.uplink.is_paused(TrafficClass.LOSSLESS)
+        for _ in range(5):
+            a.send(a.make_packet(3, b"", payload_bytes=100,
+                                 traffic_class=TrafficClass.LOSSLESS))
+        env.run(until=1e-3)
+        assert len(got) == 5
 
     def test_detach_unknown_raises(self):
         env, fabric = self._fabric()

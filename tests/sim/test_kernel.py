@@ -69,6 +69,31 @@ class TestEnvironmentBasics:
         assert order == ["a", "b", "c"]
 
 
+class TestSeqAccounting:
+    def test_events_processed_is_live_inside_a_run(self):
+        env = Environment()
+        seen = []
+        for delay in (1.0, 1.0, 2.0):
+            env.call_later(delay, lambda: seen.append(env.events_processed))
+        env.run(until=1.5)
+        assert seen == [1, 2] and env.events_processed == 2
+        env.run()
+        assert seen == [1, 2, 3] and env.events_processed == 3
+
+    def test_call_at_before_takes_the_place_of_an_earlier_draw(self):
+        env = Environment()
+        order = []
+        first = env._seq
+        env.call_at(1.0, order.append, "a")
+        env.call_at(1.0, order.append, "b")
+        # Scheduled last, dispatched as if drawn just before "b".
+        env._call_at_before(1.0, first + 1, order.append, "late")
+        assert len(env) == 3
+        env.run()
+        assert order == ["a", "late", "b"]
+        assert env.events_processed == 3
+
+
 class TestProcesses:
     def test_process_return_value(self):
         env = Environment()
