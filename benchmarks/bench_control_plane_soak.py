@@ -92,8 +92,9 @@ SOAK_RPC = dict(loss_probability=0.05, duplicate_probability=0.05,
 PAPER_SCALE = 1.2e7
 
 #: The kinds this soak exercises: the host-scoped §II-B core plus the
-#: control-plane trio.  (Traffic-scoped frame faults live in
-#: bench_chaos_soak.py — this pool carries no LTL traffic to tap.)
+#: control-plane trio.  (Traffic-scoped frame faults live in the chaos
+#: soak, ``repro.experiments.chaos_soak`` — this pool carries no LTL
+#: traffic to tap.)
 CONTROL_SOAK_KINDS = (
     FaultKind.FPGA_DEATH, FaultKind.LINK_FLAP, FaultKind.ROLE_HANG,
     FaultKind.TOR_OUTAGE, FaultKind.CONTROL_STALL, FaultKind.RM_CRASH,

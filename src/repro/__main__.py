@@ -1,59 +1,45 @@
-"""Command-line experiment runner.
+"""Command-line runner for the experiment table.
 
 Usage::
 
     python -m repro                 # list experiments
-    python -m repro E6              # run Fig. 10 and print its rows
+    python -m repro E6              # run Fig. 10, print it, check it
     python -m repro E10 E1          # run several
 
-For the full harness (with shape assertions and the remaining
-experiments) use ``pytest benchmarks/ --benchmark-only -s``.
+Each id prints the block ``pytest benchmarks/bench_paper.py
+--benchmark-only -s`` prints for it.  Exit status 1 means a paper claim
+failed, 2 an unknown id.
 """
-
-from __future__ import annotations
 
 import sys
 
-from . import experiments
-
-
-def _print_result(key: str, result) -> None:
-    print(f"\n== {key}: {experiments.REGISTRY[key][0]} ==")
-    rows = getattr(result, "rows", None)
-    if callable(rows):
-        for row in rows():
-            if isinstance(row, dict):
-                print("  " + "  ".join(f"{k}={v}"
-                                       for k, v in row.items()))
-            else:
-                print("  " + "  ".join(str(c) for c in row))
-        return
-    as_dict = getattr(result, "as_dict", None)
-    if callable(as_dict):
-        result = as_dict()
-    if isinstance(result, dict):
-        for name, value in result.items():
-            print(f"  {name}: {value}")
-        return
-    print(f"  {result!r}")
+from .experiments.harness import ClaimFailed, render
+from .experiments.table import TABLE
 
 
 def main(argv: list[str]) -> int:
     if not argv:
         print("Available experiments (see DESIGN.md / EXPERIMENTS.md):")
-        for key, (description, _runner) in experiments.REGISTRY.items():
-            print(f"  {key:>4}  {description}")
+        for key, entry in TABLE.items():
+            print(f"  {key:>5}  {entry.TITLE}")
         print("\nRun one with: python -m repro <id>")
         return 0
-    unknown = [key for key in argv if key not in experiments.REGISTRY]
+    unknown = [key for key in argv if key not in TABLE]
     if unknown:
         print(f"unknown experiment id(s): {', '.join(unknown)}",
               file=sys.stderr)
         return 2
+    status = 0
     for key in argv:
-        _description, runner = experiments.REGISTRY[key]
-        _print_result(key, runner())
-    return 0
+        entry = TABLE[key]
+        result = entry.run()
+        print(render(entry.rows(result)))
+        try:
+            entry.check(result)
+        except ClaimFailed as failure:
+            print(f"{key} check failed: {failure}", file=sys.stderr)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":

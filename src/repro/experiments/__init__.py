@@ -1,48 +1,6 @@
-"""Programmatic experiment registry.
+"""The paper's experiments, one module each; :mod:`.table` lists them.
 
-Every table/figure in the paper's evaluation can be regenerated either
-through the pytest benchmark harness (``pytest benchmarks/
---benchmark-only -s``) or directly from Python::
-
-    from repro import experiments
-    result = experiments.fig10.run()
-
-The registry maps experiment ids (DESIGN.md's E-numbers) to their
-modules; modules expose a ``run(...)`` returning a structured result.
-Experiments whose canonical implementation lives elsewhere in the
-library (Fig. 7/8's five-day study, the §II-B deployment study) are
-referenced by the registry too, for discoverability.
+Each entry module runs one experiment at its pinned seeds, says what it
+prints and checks its paper claims (:mod:`.harness`).  Importing one
+entry (perfbench imports :mod:`.fig10`) loads only that entry.
 """
-
-from ..deployment.failures import MirroredTrafficStudy, expected_report
-from ..fpga.area import AreaBudget
-from ..fpga.power import validate_envelope
-from ..ranking.production import run_five_day_study
-from . import fig06, fig10, fig11, fig12, sec4
-
-#: Experiment id -> (description, how to run it).
-REGISTRY = {
-    "E1": ("Fig. 5 — shell area/frequency breakdown",
-           AreaBudget),
-    "E2": ("Fig. 6 — ranking latency vs throughput", fig06.run),
-    "E3": ("Fig. 7 — five-day production trace", run_five_day_study),
-    "E4": ("Fig. 8 — latency vs offered load (same study)",
-           run_five_day_study),
-    "E5": ("§IV — crypto cost model", sec4.run),
-    "E6": ("Fig. 10 — LTL round-trip latency per tier", fig10.run),
-    "E7": ("Fig. 11 — software/local/remote ranking", fig11.run),
-    "E8": ("Fig. 12 — DNN pool oversubscription", fig12.run),
-    "E9": ("§II-B — deployment reliability",
-           lambda: MirroredTrafficStudy().run()),
-    "E10": ("§II — power envelope", validate_envelope),
-}
-
-__all__ = [
-    "REGISTRY",
-    "expected_report",
-    "fig06",
-    "fig10",
-    "fig11",
-    "fig12",
-    "sec4",
-]

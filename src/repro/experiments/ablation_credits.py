@@ -5,15 +5,16 @@ per VC, the ER supports an elastic policy that allows a pool of credits
 to be shared among multiple VCs, which is effective in reducing the
 aggregate flit buffering requirements."
 
-The experiment: one hot VC bursting through a contended output while the
-other VCs idle, at several total-buffering budgets.  The elastic policy
-needs a smaller buffer budget to reach the same injection performance.
+One hot VC bursts through a contended output while the other VCs idle,
+at several total-buffering budgets.  The elastic policy needs a smaller
+buffer budget to reach the same injection performance.
 """
 
-from repro.router import ElasticRouter
-from repro.sim import Environment
+from ..router import ElasticRouter
+from ..sim import Environment
+from .harness import Table, claim, fmt
 
-from conftest import fmt, print_table
+TITLE = "elastic vs static ER credits (§V-B)"
 
 BUDGETS = (8, 12, 16, 24)
 MESSAGES = 40
@@ -47,32 +48,33 @@ def run_one(policy: str, credits_per_port: int):
     }
 
 
-def run_ablation():
+def run():
     return [run_one(policy, budget)
             for budget in BUDGETS
             for policy in ("static", "elastic")]
 
 
-def test_ablation_elastic_credits(benchmark):
-    rows = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    print_table(
+def rows(result):
+    return [Table(
         "A1 — elastic vs static credits (hot VC on contended output)",
         ("policy", "credits/port", "inject stalls", "hot handoff us",
          "total us"),
         [(r["policy"], r["credits"], r["stall_cycles"],
           fmt(r["hot_handoff_mean_us"]), fmt(r["total_time_us"]))
-         for r in rows])
+         for r in result])]
 
-    by_key = {(r["policy"], r["credits"]): r for r in rows}
+
+def check(result) -> None:
+    by_key = {(r["policy"], r["credits"]): r for r in result}
     # At every budget, elastic stalls less and hands the burst off
     # sooner.
     for budget in BUDGETS:
         static = by_key[("static", budget)]
         elastic = by_key[("elastic", budget)]
-        assert elastic["stall_cycles"] <= static["stall_cycles"]
-        assert elastic["hot_handoff_mean_us"] < \
-            static["hot_handoff_mean_us"]
+        claim('elastic["stall_cycles"] <= static["stall_cycles"]',
+              'elastic["hot_handoff_mean_us"] < '
+              'static["hot_handoff_mean_us"]')
     # The buffering-reduction claim: elastic at the smallest budget
     # performs at least as well as static at twice the budget.
-    assert by_key[("elastic", 8)]["hot_handoff_mean_us"] <= \
-        by_key[("static", 16)]["hot_handoff_mean_us"] * 1.05
+    claim('by_key[("elastic", 8)]["hot_handoff_mean_us"] <= '
+          'by_key[("static", 16)]["hot_handoff_mean_us"] * 1.05')

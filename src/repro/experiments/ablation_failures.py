@@ -7,22 +7,23 @@ shares the existing datacenter networking infrastructure ... Failure
 handling also becomes much simpler in this case as there is an abundance
 of spare accessible nodes/FPGAs."
 
-The experiment: progressively fail nodes.  In the torus, mean latency
-between survivors climbs and some nodes become unreachable; in the
-Configurable Cloud, the HaaS pool replaces failed FPGAs and latency is
-unchanged (the replacement is just another node on the same Ethernet).
+Nodes fail progressively.  In the torus, mean latency between survivors
+climbs and some nodes become unreachable; in the Configurable Cloud, the
+HaaS pool replaces failed FPGAs and latency is unchanged (the
+replacement is just another node on the same Ethernet).
 """
 
 import random
 import statistics
 
-from repro.core import ConfigurableCloud
-from repro.fpga import Image
-from repro.haas import Constraints, ServiceManager
-from repro.net import TopologyConfig, idle
-from repro.torus import TorusLatencyModel, TorusTopology
+from ..core.cloud import ConfigurableCloud
+from ..fpga.reconfig import Image
+from ..haas import Constraints, ServiceManager
+from ..net import TopologyConfig, idle
+from ..torus import TorusLatencyModel, TorusTopology
+from .harness import Table, claim, fmt
 
-from conftest import fmt, print_table
+TITLE = "failure handling: torus vs Configurable Cloud (§V-C)"
 
 FAILURE_COUNTS = (0, 2, 4, 8)
 
@@ -38,13 +39,12 @@ def torus_under_failures():
         model = TorusLatencyModel(torus)
         rtts = model.all_pair_round_trips()
         survivors = [n for n in range(48) if n not in victims]
-        reachable = statistics.mean(
-            model.reachable_count(n) for n in survivors)
         rows.append({
             "failures": failures,
             "mean_rtt_us": 1e6 * statistics.mean(rtts),
             "max_rtt_us": 1e6 * max(rtts),
-            "mean_reachable": reachable,
+            "mean_reachable": statistics.mean(
+                model.reachable_count(n) for n in survivors),
         })
     return rows
 
@@ -52,9 +52,8 @@ def torus_under_failures():
 def cloud_under_failures():
     cloud = ConfigurableCloud(
         topology=TopologyConfig(background=idle()), seed=44)
-    client = cloud.add_server(100, enroll=False)
-    pool = list(range(12))
-    cloud.add_servers(pool)
+    cloud.add_server(100, enroll=False)
+    cloud.add_servers(list(range(12)))
     sm = ServiceManager(cloud.env, "svc", cloud.resource_manager,
                         Image("svc-v1", "role"), Constraints(count=1))
     sm.grow(4)
@@ -82,29 +81,33 @@ def cloud_under_failures():
     return rows
 
 
-def test_ablation_failure_handling(benchmark):
-    torus_rows, cloud_rows = benchmark.pedantic(
-        lambda: (torus_under_failures(), cloud_under_failures()),
-        rounds=1, iterations=1)
-    print_table(
-        "A3a — torus under node failures",
-        ("failures", "mean RTT us", "max RTT us", "mean reachable"),
-        [(r["failures"], fmt(r["mean_rtt_us"]), fmt(r["max_rtt_us"]),
-          fmt(r["mean_reachable"], 1)) for r in torus_rows])
-    print_table(
-        "A3b — Configurable Cloud + HaaS under node failures",
-        ("failures", "mean RTT us", "serving FPGAs", "replacements"),
-        [(r["failures"], fmt(r["mean_rtt_us"]), r["serving"],
-          r["replacements"]) for r in cloud_rows])
+def run():
+    return torus_under_failures(), cloud_under_failures()
 
+
+def rows(result):
+    torus_rows, cloud_rows = result
+    return [
+        Table("A3a — torus under node failures",
+              ("failures", "mean RTT us", "max RTT us", "mean reachable"),
+              [(r["failures"], fmt(r["mean_rtt_us"]), fmt(r["max_rtt_us"]),
+                fmt(r["mean_reachable"], 1)) for r in torus_rows]),
+        Table("A3b — Configurable Cloud + HaaS under node failures",
+              ("failures", "mean RTT us", "serving FPGAs", "replacements"),
+              [(r["failures"], fmt(r["mean_rtt_us"]), r["serving"],
+                r["replacements"]) for r in cloud_rows])]
+
+
+def check(result) -> None:
+    torus_rows, cloud_rows = result
     # Torus: latency grows and reachability shrinks with failures.
-    assert torus_rows[-1]["mean_rtt_us"] > torus_rows[0]["mean_rtt_us"]
-    assert torus_rows[-1]["mean_reachable"] < \
-        torus_rows[0]["mean_reachable"]
+    claim('torus_rows[-1]["mean_rtt_us"] > torus_rows[0]["mean_rtt_us"]',
+          'torus_rows[-1]["mean_reachable"] < '
+          'torus_rows[0]["mean_reachable"]')
     # Cloud: service keeps 4 FPGAs serving throughout, replacements
     # happened, and latency stays flat (within same-pod variation).
-    assert all(r["serving"] == 4 for r in cloud_rows)
-    assert cloud_rows[-1]["replacements"] == FAILURE_COUNTS[-1]
+    claim('all(r["serving"] == 4 for r in cloud_rows)',
+          'cloud_rows[-1]["replacements"] == FAILURE_COUNTS[-1]')
     spread = max(r["mean_rtt_us"] for r in cloud_rows) / \
         min(r["mean_rtt_us"] for r in cloud_rows)
-    assert spread < 1.5
+    claim("spread < 1.5")

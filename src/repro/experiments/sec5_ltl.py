@@ -10,16 +10,17 @@ currently set to 50 usec."
 
 import random
 
-from repro.ltl import (
+from ..ltl import (
     DirectTransport,
     FaultModel,
     LtlConfig,
     LtlEngine,
     connect_pair,
 )
-from repro.sim import Environment
+from ..sim import Environment
+from .harness import Table, claim
 
-from conftest import print_table
+TITLE = "§V-A — LTL reliability under injected faults"
 
 MESSAGES = 150
 FAULT_GRID = [
@@ -61,6 +62,7 @@ def run_fault_grid():
 
 
 def run_failure_detection():
+    """Times at which a sender declares its dead peer failed."""
     env = Environment()
     transport = DirectTransport(env, delay=1.5e-6, faults=FaultModel(
         drop_probability=1.0))
@@ -77,29 +79,34 @@ def run_failure_detection():
     return detected
 
 
-def test_sec5_ltl_reliability(benchmark):
-    grid, detected = benchmark.pedantic(
-        lambda: (run_fault_grid(), run_failure_detection()),
-        rounds=1, iterations=1)
-    print_table(
-        "§V-A — LTL under injected faults "
-        f"({MESSAGES} messages, 50 us timeout)",
-        ("fault model", "delivered", "in order", "retx", "timeouts",
-         "NACKs", "dups dropped"),
-        [(r["name"], r["delivered"], r["in_order"],
-          r["retransmissions"], r["timeouts"], r["nacks"],
-          r["duplicates_dropped"]) for r in grid])
-    print(f"\ndead peer detected after {detected[0] * 1e6:.0f} us "
-          f"(4 consecutive 50 us timeouts)")
+def run():
+    return run_fault_grid(), run_failure_detection()
 
+
+def rows(result):
+    grid, detected = result
+    return [Table("§V-A — LTL under injected faults "
+                  f"({MESSAGES} messages, 50 us timeout)",
+                  ("fault model", "delivered", "in order", "retx",
+                   "timeouts", "NACKs", "dups dropped"),
+                  [(r["name"], r["delivered"], r["in_order"],
+                    r["retransmissions"], r["timeouts"], r["nacks"],
+                    r["duplicates_dropped"]) for r in grid]),
+            f"dead peer detected after {detected[0] * 1e6:.0f} us (at the "
+            f"5th consecutive timeout; the 50 us timeout backs off to "
+            f"100 and 200 us)"]
+
+
+def check(result) -> None:
+    grid, detected = result
     for r in grid:
-        assert r["delivered"] == MESSAGES
-        assert r["in_order"]
+        claim('r["delivered"] == MESSAGES',
+              'r["in_order"]')
     clean = grid[0]
-    assert clean["retransmissions"] == 0
+    claim('clean["retransmissions"] == 0')
     drops = grid[2]
-    assert drops["retransmissions"] > 0
+    claim('drops["retransmissions"] > 0')
     reorder = grid[3]
-    assert reorder["nacks"] > 0
+    claim('reorder["nacks"] > 0')
     # Failure detection within ~max_timeouts * (timeout + timer slack).
-    assert detected and detected[0] < 1e-3
+    claim("detected and detected[0] < 1e-3")

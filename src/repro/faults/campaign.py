@@ -38,10 +38,6 @@ class FaultKind(enum.Enum):
     TOR_OUTAGE = "tor_outage"
     #: Control-plane stall: heartbeats stop, leases may expire.
     CONTROL_STALL = "control_stall"
-    #: Flash crowd: offered load multiplied by ``magnitude`` for
-    #: ``duration``.  Drawn but elided (no harness drives an offered
-    #: load); kept so every later kind's seeded draws stay put.
-    LOAD_SPIKE = "load_spike"
     #: Limplock: the target serves/forwards ``magnitude`` x slower for
     #: ``duration`` without failing health checks.
     SLOW_PEER = "slow_peer"
@@ -60,8 +56,7 @@ class FaultKind(enum.Enum):
 TRANSIENT_KINDS = frozenset({
     FaultKind.LINK_FLAP, FaultKind.FRAME_CORRUPT, FaultKind.FRAME_DROP,
     FaultKind.GRAY_NODE, FaultKind.TOR_OUTAGE, FaultKind.CONTROL_STALL,
-    FaultKind.LOAD_SPIKE, FaultKind.SLOW_PEER, FaultKind.RM_CRASH,
-    FaultKind.NETWORK_PARTITION,
+    FaultKind.SLOW_PEER, FaultKind.RM_CRASH, FaultKind.NETWORK_PARTITION,
 })
 
 #: Kinds aimed at the control plane rather than a host (target -1).
@@ -106,8 +101,6 @@ class CampaignConfig:
     gray_delay: float = 1e-3
     tor_outage_duration: float = 3.0
     control_stall_duration: float = 10.0
-    load_spike_duration: float = 2.0
-    load_spike_multiplier: float = 5.0
     slow_peer_duration: float = 2.0
     slow_peer_factor: float = 8.0
     rm_crash_duration: float = 3.0
@@ -141,10 +134,8 @@ class CampaignConfig:
             # per-host ones in practice.
             FaultKind.TOR_OUTAGE: cable / 10.0,
             FaultKind.CONTROL_STALL: cable / 10.0,
-            # Flash crowds hit the datacenter, not a host, so they
-            # arrive at TOR-outage-like rarity; limplocked peers show up
-            # about as often as other gray cable faults.
-            FaultKind.LOAD_SPIKE: cable / 10.0,
+            # Limplocked peers show up about as often as other gray
+            # cable faults.
             FaultKind.SLOW_PEER: cable,
             # Control-plane process death is the rarest event in the
             # taxonomy; partitions stranding a single SM arrive at the
@@ -175,9 +166,6 @@ class CampaignConfig:
                 duration=self.tor_outage_duration, magnitude=0.0),
             FaultKind.CONTROL_STALL: dict(
                 duration=self.control_stall_duration, magnitude=0.0),
-            FaultKind.LOAD_SPIKE: dict(
-                duration=self.load_spike_duration,
-                magnitude=self.load_spike_multiplier),
             FaultKind.SLOW_PEER: dict(
                 duration=self.slow_peer_duration,
                 magnitude=self.slow_peer_factor),

@@ -29,8 +29,6 @@ FRAME_DROP       retransmissions observed fleet-wide         masked online by
 CONTROL_STALL    RM lease expirations observed               SMs drain their
                                                              pending
                                                              replacements
-LOAD_SPIKE       immediately (drawn and elided: no harness   at once
-                 drives an offered load)
 SLOW_PEER        tap removal (frames observably slowed; the  masked online by
                  victim never fails a health check — that    delivery; ends
                  is the point of a limplock)                 with ``duration``
@@ -114,7 +112,6 @@ class InjectorStats:
     frames_dropped: int = 0
     frames_delayed: int = 0
     frames_slowed: int = 0
-    load_spikes: int = 0
 
     def count(self, kind: FaultKind) -> None:
         self.injections[kind.value] = \
@@ -215,8 +212,6 @@ class FaultInjector:
             yield from self._do_role_hang(event, record)
         elif kind is FaultKind.CONTROL_STALL:
             yield from self._do_control_stall(event, record)
-        elif kind is FaultKind.LOAD_SPIKE:
-            yield from self._do_load_spike(event, record)
         elif kind is FaultKind.SLOW_PEER:
             yield from self._do_slow_peer(event, record)
         elif kind is FaultKind.RM_CRASH:
@@ -417,19 +412,6 @@ class FaultInjector:
             # fault never manifested.
             record.detected_at = record.recovered_at = self.env.now
             record.note += "; no leases expired"
-
-    def _do_load_spike(self, event: FaultEvent, record: InjectionRecord):
-        """Flash crowd: counted and elided.
-
-        The injector does not own a workload, and no harness drives an
-        offered load, so the record closes at once.  The kind stays in
-        the campaign because dropping it would move every later seeded
-        draw.
-        """
-        self.stats.load_spikes += 1
-        record.detected_at = record.recovered_at = self.env.now
-        record.note = "no load hook installed; spike elided"
-        yield self.env.timeout(0)
 
     def _do_slow_peer(self, event: FaultEvent, record: InjectionRecord):
         """Limplock: the victim's NIC serves frames ``magnitude`` x

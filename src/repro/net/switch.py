@@ -69,7 +69,6 @@ class SwitchStats:
         self.ecn_marked = 0
         self.pfc_pause_sent = 0
         self.pfc_resume_sent = 0
-        self.lossless_overflow = 0
 
 
 class Switch:
@@ -183,11 +182,8 @@ class Switch:
             self.stats.routing_failures += 1
             return
         self._maybe_mark_ecn(port, packet)
-        accepted = port.enqueue(packet)
-        if accepted:
+        if port.enqueue(packet):
             self.stats.forwarded += 1
-        elif TrafficClass.is_lossless(packet.traffic_class):
-            self.stats.lossless_overflow += 1
         self._update_pfc(key, port)
 
     def _maybe_mark_ecn(self, port: Port, packet: Packet) -> None:

@@ -44,24 +44,17 @@ class TestConfig:
 
     def test_overload_kind_shapes(self):
         config = CampaignConfig.scaled_from_paper(
-            1e6, load_spike_multiplier=7.0, slow_peer_factor=16.0)
-        spike = config.event_shape(FaultKind.LOAD_SPIKE)
-        assert spike["magnitude"] == 7.0
-        assert spike["duration"] == config.load_spike_duration
+            1e6, slow_peer_factor=16.0)
         peer = config.event_shape(FaultKind.SLOW_PEER)
         assert peer["magnitude"] == 16.0
         assert peer["duration"] == config.slow_peer_duration
 
     def test_overload_kinds_are_transient(self):
-        assert FaultKind.LOAD_SPIKE in TRANSIENT_KINDS
         assert FaultKind.SLOW_PEER in TRANSIENT_KINDS
-        # Limplock is as common as a flaky cable; whole-service flash
-        # crowds are rarer.
+        # Limplock is as common as a flaky cable.
         config = paper_config()
         assert config.rates[FaultKind.SLOW_PEER] == pytest.approx(
             config.rates[FaultKind.LINK_FLAP])
-        assert config.rates[FaultKind.LOAD_SPIKE] == pytest.approx(
-            config.rates[FaultKind.LINK_FLAP] / 10.0)
 
 
 class TestGeneration:

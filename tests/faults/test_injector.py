@@ -195,24 +195,6 @@ class TestControlStall:
         assert len(service.hosts) == 2
 
 
-class TestLoadSpike:
-    def test_spike_elided_without_hook(self):
-        """No workload attached: the record closes immediately instead
-        of dangling unresolved in a chaos soak."""
-        cloud, service, client, delivered = build()
-        env = cloud.env
-        injector = FaultInjector(cloud, hosts=POOL, seed=1)
-        injector.run_campaign([FaultEvent(
-            at=env.now + 0.5, kind=FaultKind.LOAD_SPIKE,
-            duration=2.0, magnitude=5.0)])
-        env.run(until=env.now + 1.0)
-        rec = injector.records[0]
-        assert rec.resolved
-        assert rec.recovered_at == rec.detected_at
-        assert "elided" in rec.note
-        assert injector.stats.load_spikes == 1
-
-
 class TestSlowPeer:
     def test_limplock_slows_frames_without_tripping_health(self):
         cloud, service, inj, rec, delivered, sent = attack(

@@ -79,8 +79,7 @@ class Port:
         """Queue ``packet`` for transmission.
 
         Returns False (and drops) if a non-lossless queue is full.  Lossless
-        packets are always accepted — back-pressure is PFC's job; the switch
-        asserting PFC too late shows up in stats as ``lossless_overflow``.
+        packets are always accepted — back-pressure is PFC's job.
         """
         tc = packet.traffic_class
         size = packet.wire_bytes
