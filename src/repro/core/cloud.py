@@ -55,8 +55,7 @@ class ConfigurableCloud:
         if host_index in self.servers:
             raise ValueError(f"server {host_index} already exists")
         server = Server(
-            self.env, host_index, self.fabric, shell_config=shell_config,
-            streams=self.streams.spawn(f"server-{host_index}"))
+            self.env, host_index, self.fabric, shell_config=shell_config)
         self.servers[host_index] = server
         if enroll:
             self.resource_manager.register(

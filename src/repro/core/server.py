@@ -7,7 +7,7 @@ from typing import Callable, List, Optional
 from ..fpga.shell import Shell, ShellConfig
 from ..net.fabric import DatacenterFabric
 from ..net.packet import Packet
-from ..sim import Environment, RandomStreams
+from ..sim import Environment
 
 
 class Server:
@@ -19,12 +19,10 @@ class Server:
 
     def __init__(self, env: Environment, host_index: int,
                  fabric: DatacenterFabric,
-                 shell_config: Optional[ShellConfig] = None,
-                 streams: Optional[RandomStreams] = None):
+                 shell_config: Optional[ShellConfig] = None):
         self.env = env
         self.host_index = host_index
-        self.shell = Shell(env, host_index, fabric, config=shell_config,
-                           streams=streams)
+        self.shell = Shell(env, host_index, fabric, config=shell_config)
         self.shell.nic_receive = self._nic_receive
         self._nic_handlers: List[Callable[[Packet], None]] = []
         self.packets_received = 0

@@ -42,15 +42,14 @@ class HardwareService:
         """FPGAs currently serving this service."""
         return self.sm.hosts
 
-    def set_handler(self, handler: Callable[[Any, int], None],
-                    role: int = 0) -> None:
+    def set_handler(self, handler: Callable[[Any, int], None]) -> None:
         """Install the role's request handler on every serving FPGA.
 
         (Also re-applied to replacements on failover.)
         """
-        self._handler = (handler, role)
+        self._handler = handler
         for host in self.hosts:
-            self.cloud.shell(host).set_role_handler(role, handler)
+            self.cloud.shell(host).role_receive = handler
 
     # ------------------------------------------------------------------
     def attach_client(self, server: Server) -> None:
@@ -64,7 +63,7 @@ class HardwareService:
         server.shell.on_remote_degraded = self._on_remote_degraded
 
     def request(self, client: Server, payload: Any,
-                length_bytes: int, role: int = 0) -> int:
+                length_bytes: int) -> int:
         """Send one request from ``client`` to the next pool member.
 
         Returns the host index the request was dispatched to.
@@ -83,8 +82,7 @@ class HardwareService:
                     f"service {self.name!r} lease on host {host} is "
                     f"fenced off (stale fence {lease.fence})")
         self.cloud.connect(client.host_index, host)  # idempotent
-        client.shell.remote_send(host, payload, length_bytes,
-                                 dst_role=role)
+        client.shell.remote_send(host, payload, length_bytes)
         self.requests_sent += 1
         return host
 
@@ -125,7 +123,6 @@ class HardwareService:
         handler = getattr(self, "_handler", None)
         for host in self.hosts:
             if handler is not None:
-                self.cloud.shell(host).set_role_handler(
-                    handler[1], handler[0])
+                self.cloud.shell(host).role_receive = handler
             for attached in self._clients.values():
                 self.cloud.connect(attached.host_index, host)

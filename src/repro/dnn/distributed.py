@@ -71,8 +71,7 @@ class DistributedMlp:
 
     def __init__(self, cloud: ConfigurableCloud, hosts: List[int],
                  model: Mlp,
-                 accelerator_config: Optional[DnnAcceleratorConfig] = None,
-                 role: int = 0):
+                 accelerator_config: Optional[DnnAcceleratorConfig] = None):
         if len(hosts) < 1:
             raise ValueError("need at least one host")
         self.cloud = cloud
@@ -80,7 +79,6 @@ class DistributedMlp:
         self.model = model
         self.config = accelerator_config or DnnAcceleratorConfig(
             per_request_overhead=8e-6)
-        self.role = role
         self.stages = split_layers(model.num_layers, len(hosts))
         self.latency = LatencyRecorder("distributed-inference")
         self.completed = 0
@@ -90,9 +88,7 @@ class DistributedMlp:
         for a, b in zip(self.hosts, self.hosts[1:]):
             cloud.connect(a, b)
         for index, host in enumerate(self.hosts):
-            shell = cloud.shell(host)
-            shell.set_role_handler(
-                role, self._stage_handler(index))
+            cloud.shell(host).role_receive = self._stage_handler(index)
 
     # ------------------------------------------------------------------
     # Stage math and timing
@@ -136,8 +132,7 @@ class DistributedMlp:
             if stage_index + 1 < len(self.hosts):
                 shell.remote_send(
                     self.hosts[stage_index + 1], message,
-                    self.activation_bytes(stage_index),
-                    dst_role=self.role, src_role=self.role)
+                    self.activation_bytes(stage_index))
             else:
                 self._complete(message)
 
@@ -179,7 +174,7 @@ class DistributedMlp:
         if client_host is not None:
             self.cloud.connect(client_host, ingress)
             self.cloud.shell(client_host).remote_send(
-                ingress, message, input_bytes, dst_role=self.role)
+                ingress, message, input_bytes)
         else:
             # Local injection at the ingress role.
             shell = self.cloud.shell(ingress)

@@ -11,10 +11,11 @@ this FPGA).  Roles inject packets toward the network through
 :meth:`Bridge.inject_to_tor`.
 
 While a power cycle reloads the golden image the link is down and
-packets are lost (counted); in bypass/golden mode taps are skipped but traffic
-still flows — the failure property the paper highlights vs the torus:
-a broken *role* never takes down neighboring FPGAs, and even a broken
-image is recoverable by power-cycling to the golden (bypass) image.
+packets are lost (counted).  That is the failure property the paper
+highlights vs the torus: a broken *role* never takes down neighboring
+FPGAs, and even a broken image is recoverable by power-cycling to the
+golden image.  The golden image's tap-free bypass datapath is not
+modeled: taps stay installed across a power cycle.
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class Bridge:
         self.deliver_to_tor = deliver_to_tor
         self.stats = BridgeStats()
         self.link_up = True
-        #: Golden/bypass mode: taps are skipped entirely.
-        self.bypass_mode = False
         self._tor_to_nic_taps: List[TapFn] = []
         self._nic_to_tor_taps: List[TapFn] = []
 
@@ -93,10 +92,7 @@ class Bridge:
 
     def _pass_taps(self, packet: Packet, taps: List[TapFn], to_nic: bool,
                    index: int) -> None:
-        """Run ``packet`` through ``taps[index:]``, then deliver it.  A
-        crossing reads bypass mode once, after the bridge latency."""
-        if not index and self.bypass_mode:
-            index = len(taps)
+        """Run ``packet`` through ``taps[index:]``, then deliver it."""
         while index < len(taps):
             tap = taps[index]
             # Taps exposing latency_for() (e.g. the crypto engine's

@@ -9,8 +9,9 @@ One :class:`Shell` per server wires together:
 * the **LTL protocol engine**, whose transport encapsulates frames in
   UDP/IPv4 on the lossless traffic class and injects them at the
   TOR-facing port,
-* the **configuration manager** (golden image, reconfig) and the
-  **SEU scrubber**.
+* the **configuration manager** (golden image, reconfig) and, once
+  installed (the fault injector's role hang installs one), the **SEU
+  scrubber**.
 
 ER ports 0 (PCIe DMA) and 2 (DRAM) keep the paper's numbering but carry
 no model: the paper's PCIe and DRAM facts that the experiments use live
@@ -27,7 +28,7 @@ from ..ltl.frames import LTL_UDP_PORT, LtlFrame
 from ..net.fabric import Attachment, DatacenterFabric
 from ..net.packet import Packet, TrafficClass
 from ..router.elastic_router import ElasticRouter
-from ..sim import Environment, RandomStreams
+from ..sim import Environment
 from ..trace.stages import Stage
 from .board import Board
 from .bridge import Bridge
@@ -36,8 +37,7 @@ from .seu import SeuScrubber
 
 # Elastic Router port map for the example single-role deployment (§V-B):
 # "the ER is instantiated with 4 ports: (1) PCIe DMA, (2) Role, (3) DRAM,
-# and (4) Remote (to LTL)".  Fig. 4 shows "Role x N": additional roles
-# occupy ports 4, 5, ... (see :meth:`Shell.role_port`).
+# and (4) Remote (to LTL)".  Fig. 4's "Role x N" is not modeled.
 ER_PORT_DMA = 0
 ER_PORT_ROLE = 1
 ER_PORT_DRAM = 2
@@ -64,11 +64,6 @@ class ShellConfig:
     #: Traffic class LTL frames ride on.  Production uses the lossless
     #: (PFC-protected) class; the A2 ablation compares best-effort.
     ltl_traffic_class: int = TrafficClass.LOSSLESS
-    #: Number of role slots on the ER ("Role x N" in Fig. 4).
-    num_roles: int = 1
-    #: Enable the SEU injection/scrubbing model (off by default: most
-    #: experiments run for simulated milliseconds where SEUs are noise).
-    enable_seu: bool = False
 
 
 @dataclass
@@ -77,8 +72,6 @@ class RemoteEnvelope:
 
     dst_host: int
     payload: Any
-    #: Role slot addressed on the destination FPGA.
-    dst_role: int = 0
     #: Optional :class:`repro.trace.TraceContext` riding the request.
     trace: Any = None
 
@@ -87,7 +80,6 @@ class RemoteEnvelope:
 class RemoteMessage:
     """What actually rides the LTL connection between two shells."""
 
-    dst_role: int
     payload: Any
     #: Trace context carried across so the receiving shell's ER and role
     #: taps continue the same span.
@@ -123,22 +115,19 @@ class Shell:
 
     def __init__(self, env: Environment, host_index: int,
                  fabric: DatacenterFabric,
-                 config: Optional[ShellConfig] = None,
-                 streams: Optional[RandomStreams] = None):
+                 config: Optional[ShellConfig] = None):
         self.env = env
         self.host_index = host_index
         self.fabric = fabric
         self.config = config or ShellConfig()
-        streams = streams or RandomStreams(seed=host_index)
         self.board = Board(serial=host_index)
 
         # Configuration + health.
         self.configuration = ConfigurationManager(env)
         self.configuration.on_link_change = self._on_link_change
+        #: SEU model, absent until installed: most experiments run for
+        #: simulated milliseconds, where SEUs are noise.
         self.scrubber: Optional[SeuScrubber] = None
-        if self.config.enable_seu:
-            self.scrubber = SeuScrubber(
-                env, rng=streams.stream("seu"))
 
         # Bridge between NIC and TOR (the bump in the wire).
         self.bridge = Bridge(env)
@@ -152,20 +141,15 @@ class Shell:
         # Host NIC delivery callback, set by the owning server.
         self.nic_receive: Optional[Callable[[Packet], None]] = None
 
-        # On-chip interconnect: 4 base ports + one per additional role.
-        if self.config.num_roles < 1:
-            raise ValueError("shell needs at least one role slot")
-        num_ports = 4 + (self.config.num_roles - 1)
-        self.er = ElasticRouter(
-            env, name=f"er-{host_index}", num_ports=num_ports)
+        # On-chip interconnect.
+        self.er = ElasticRouter(env, name=f"er-{host_index}", num_ports=4)
         self.er.set_endpoint(ER_PORT_REMOTE, self._er_remote_out)
 
         # LTL engine + connection cache.
         self.ltl: Optional[LtlEngine] = None
         if self.config.with_ltl:
             self.ltl = LtlEngine(env, host_index, config=self.config.ltl,
-                                 name=f"ltl-{host_index}",
-                                 streams=streams)
+                                 name=f"ltl-{host_index}")
             self.ltl.transport = FabricLtlTransport(self)
             self.ltl.on_message = self._ltl_message_in
             self.ltl.on_connection_failed = self._remote_failed
@@ -180,16 +164,9 @@ class Shell:
         #: is gray (slow) — repeated timeouts short of failure.
         self.on_remote_degraded: Optional[Callable[[int], None]] = None
 
-        #: Role message handler (role 0): called with
-        #: (payload, length_bytes).  Additional roles register through
-        #: :meth:`set_role_handler`.
+        #: Role message handler: called with (payload, length_bytes).
         self.role_receive: Optional[Callable[[Any, int], None]] = None
-        self._role_handlers: Dict[int, Callable[[Any, int], None]] = {}
-        for role in range(self.config.num_roles):
-            self.er.set_endpoint(
-                self.role_port(role),
-                lambda msg, r=role: self._role_in(
-                    r, msg.payload, msg.length_bytes))
+        self.er.set_endpoint(ER_PORT_ROLE, self._role_in)
 
     # ------------------------------------------------------------------
     # Link management
@@ -267,23 +244,9 @@ class Shell:
         self._send_conns[other.host_index] = conn_here
         other._send_conns[self.host_index] = conn_there
 
-    def role_port(self, role: int = 0) -> int:
-        """ER port of role slot ``role`` (role 0 is the classic port 1)."""
-        if not 0 <= role < self.config.num_roles:
-            raise ValueError(f"role {role} out of range "
-                             f"(num_roles={self.config.num_roles})")
-        return ER_PORT_ROLE if role == 0 else 3 + role
-
-    def set_role_handler(self, role: int,
-                         handler: Callable[[Any, int], None]) -> None:
-        """Register the consumer for role slot ``role``."""
-        self.role_port(role)  # range check
-        self._role_handlers[role] = handler
-
     def remote_send(self, dst_host: int, payload: Any,
-                    length_bytes: int, dst_role: int = 0,
-                    src_role: int = 0, trace: Any = None) -> None:
-        """Role-level API: send a message to a role on another FPGA.
+                    length_bytes: int, trace: Any = None) -> None:
+        """Role-level API: send a message to the role on another FPGA.
 
         (Short-hand for pushing a :class:`RemoteEnvelope` through the ER's
         Remote port.)  ``trace`` (a :class:`~repro.trace.TraceContext`)
@@ -291,12 +254,9 @@ class Shell:
         and the ER on the receiving shell, and is tapped at every
         datapath stage along the way.
         """
-        event = self.er.send(
-            self.role_port(src_role), ER_PORT_REMOTE,
-            RemoteEnvelope(dst_host, payload, dst_role=dst_role,
-                           trace=trace),
-            length_bytes, trace=trace)
-        event._defused = True
+        self.er.inject(ER_PORT_ROLE, ER_PORT_REMOTE,
+                       RemoteEnvelope(dst_host, payload, trace=trace),
+                       length_bytes, trace=trace)
 
     def _er_remote_out(self, message) -> None:
         """ER delivered a message at the Remote port: hand it to LTL."""
@@ -309,35 +269,24 @@ class Shell:
                 f"no LTL connection from {self.host_index} to "
                 f"{envelope.dst_host}; call connect_to() first")
         self.ltl.send_message(
-            conn, RemoteMessage(envelope.dst_role, envelope.payload,
-                                trace=envelope.trace),
+            conn, RemoteMessage(envelope.payload, trace=envelope.trace),
             message.length_bytes, trace=envelope.trace)
 
-    def _ltl_message_in(self, _conn_id: int, payload: Any,
+    def _ltl_message_in(self, _conn_id: int, message: RemoteMessage,
                         length_bytes: int) -> None:
-        """LTL delivered a message: route it to its role through the ER."""
-        trace: Any = None
-        if isinstance(payload, RemoteMessage):
-            dst_role, inner = payload.dst_role, payload.payload
-            trace = payload.trace
-        else:
-            dst_role, inner = 0, payload
-        event = self.er.send(ER_PORT_REMOTE, self.role_port(dst_role),
-                             inner, length_bytes, trace=trace)
-        event._defused = True
+        """LTL delivered a message: route it to the role through the ER."""
+        self.er.inject(ER_PORT_REMOTE, ER_PORT_ROLE, message.payload,
+                       length_bytes, trace=message.trace)
 
-    def _role_in(self, role: int, payload: Any,
-                 length_bytes: int) -> None:
+    def _role_in(self, message) -> None:
+        """ER delivered a message at the Role port."""
         if self.scrubber is not None and self.scrubber.role_hung:
             # An SEU wedged the role region: messages go unanswered
             # until the ~30 s scrub pass recovers it (§II-B).  Senders'
             # LTL retransmissions mask short hangs.
             return
-        handler = self._role_handlers.get(role)
-        if handler is not None:
-            handler(payload, length_bytes)
-        elif role == 0 and self.role_receive is not None:
-            self.role_receive(payload, length_bytes)
+        if self.role_receive is not None:
+            self.role_receive(message.payload, message.length_bytes)
 
     def _remote_failed(self, connection_id: int, remote_host: int) -> None:
         # Drop the cached connection and free its table entry so a later

@@ -22,7 +22,7 @@ from ..fpga.reconfig import Image
 from ..fpga.shell import Shell
 from ..sim import Environment
 
-#: Default health-monitor scan period (control-plane scale).
+#: Health-monitor scan period (control-plane scale).
 MONITOR_PERIOD_SECONDS = 2.0
 #: Peer gray reports within the window needed before declaring DEGRADED —
 #: one transient timeout episode must not power-cycle a healthy node.
@@ -39,8 +39,7 @@ class FpgaHealth(enum.Enum):
 class FpgaManager:
     """One node's configuration/monitoring agent."""
 
-    def __init__(self, env: Environment, shell: Shell,
-                 monitor_period: Optional[float] = MONITOR_PERIOD_SECONDS):
+    def __init__(self, env: Environment, shell: Shell):
         self.env = env
         self.shell = shell
         self.health = FpgaHealth.HEALTHY
@@ -68,9 +67,7 @@ class FpgaManager:
         self.gray_report_window = GRAY_REPORT_WINDOW_SECONDS
         self._gray_reports: List[float] = []
         self._recovering = False
-        self.monitor_period = monitor_period
-        if monitor_period is not None:
-            env.process(self._monitor(), name=f"fm-monitor-{self.host}")
+        env.process(self._monitor(), name=f"fm-monitor-{self.host}")
 
     @property
     def host(self) -> int:
@@ -158,7 +155,7 @@ class FpgaManager:
         if self.on_failure is not None:
             self.on_failure(self.host)
 
-    def report_gray(self, reporter: Optional[int] = None) -> None:
+    def report_gray(self) -> None:
         """A peer suspects this node is gray (slow).  Enough reports in a
         short window escalate to DEGRADED and trigger repair."""
         now = self.env.now
@@ -186,7 +183,7 @@ class FpgaManager:
     # ------------------------------------------------------------------
     def _monitor(self):
         while True:
-            yield self.env.timeout(self.monitor_period)
+            yield self.env.timeout(MONITOR_PERIOD_SECONDS)
             self._scan()
 
     def _scan(self) -> None:

@@ -33,7 +33,7 @@ from .constraints import Constraints, select_hosts
 from .fpga_manager import FpgaHealth, FpgaManager
 from .journal import Journal
 from .leases import Lease, LeaseState, lease_id_for
-from .rpc import RpcChannel, RpcConfig, ServerUnavailable
+from .rpc import RpcChannel, ServerUnavailable
 
 #: Default lease duration (control-plane heartbeat scale, not data plane).
 DEFAULT_LEASE_SECONDS = 300.0
@@ -85,8 +85,7 @@ class ResourceManager:
                  lease_duration: float = DEFAULT_LEASE_SECONDS,
                  sweep_period: float = 30.0,
                  quarantine_seconds: float = DEFAULT_QUARANTINE_SECONDS,
-                 journal: Optional[Journal] = None,
-                 fm_rpc_config: Optional[RpcConfig] = None):
+                 journal: Optional[Journal] = None):
         self.env = env
         self.topology = topology
         self.lease_duration = lease_duration
@@ -100,10 +99,7 @@ class ResourceManager:
         self._lease_seq = 0
         self._fence = 0
         self._crashed = False
-        self._fm_rpc_config = fm_rpc_config
         self._managers: Dict[int, FpgaManager] = {}
-        #: host -> RM->FM control link (fence installs, failure reports).
-        self._fm_links: Dict[int, RpcChannel] = {}
         self._leases: Dict[int, Lease] = {}
         #: host -> lease_id for allocated hosts.
         self._allocation: Dict[int, int] = {}
@@ -125,26 +121,18 @@ class ResourceManager:
         if host in self._managers:
             raise ValueError(f"host {host} already registered")
         self._managers[host] = manager
-        link = RpcChannel(self.env, self._fm_dispatch,
-                          name=f"fm-{host}", config=self._fm_rpc_config)
-        self._fm_links[host] = link
-        manager.on_failure = lambda h=host: link.notify(
-            "node_failure", {"host": h})
+        manager.on_failure = self._fm_failure_report
         manager.journal = self.journal
         self.journal.record("register", host=host)
 
     def manager(self, host: int) -> FpgaManager:
         return self._managers[host]
 
-    def _fm_dispatch(self, channel: RpcChannel, method: str,
-                     payload: Dict[str, Any]) -> Any:
-        """Server side of the per-FM control link."""
-        if self._crashed:
-            raise ServerUnavailable("resource manager is down")
-        if method == "node_failure":
-            self._on_node_failure(payload["host"])
-            return True
-        raise ValueError(f"unknown FM RPC method {method!r}")
+    def _fm_failure_report(self, host: int) -> None:
+        """An FM reports its node failed.  A crashed RM misses the report;
+        :meth:`restart` reconciles against FM health instead."""
+        if not self._crashed:
+            self._on_node_failure(host)
 
     # ------------------------------------------------------------------
     # Pool queries

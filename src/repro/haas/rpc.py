@@ -1,7 +1,8 @@
 """The control-plane RPC seam: a simulated, failure-injectable channel.
 
-All SM<->RM and FM<->RM traffic flows through an :class:`RpcChannel`
-instead of plain method calls.  A channel has two operating modes:
+All SM<->RM traffic flows through an :class:`RpcChannel` instead of
+plain method calls (an FM reports failures to the RM directly).  A
+channel has two operating modes:
 
 * **inline** (the default, when the config specifies no loss, no
   duplication and no delay): every call executes the server handler

@@ -66,9 +66,6 @@ class ServiceManager:
         #: Called with the replacement lease after a lost component is
         #: re-acquired — services hook this to rewire connectivity.
         self.on_component_replaced: Optional[Callable[[Lease], None]] = None
-        #: Called with each lease adopted by an *asynchronous* grow
-        #: (lossy channel), where ``grow()`` could not return it.
-        self.on_component_acquired: Optional[Callable[[Lease], None]] = None
         #: Heartbeats are skipped until this time (control-plane stalls).
         self.heartbeat_suspended_until = 0.0
         self.channel = RpcChannel(env, rm.rpc_dispatch,
@@ -90,9 +87,9 @@ class ServiceManager:
         Over a lossless channel this is synchronous: the leases are
         returned and :class:`AllocationError` propagates.  Over a lossy
         channel acquisition is asynchronous — the returned list is empty
-        and adopted leases arrive via ``on_component_acquired``; a grow
-        the RM cannot satisfy becomes a pending replacement the backoff
-        loop keeps retrying.
+        and leases are adopted as their grants arrive; a grow the RM
+        cannot satisfy becomes a pending replacement the backoff loop
+        keeps retrying.
         """
         acquired = []
         for _ in range(components):
@@ -104,7 +101,7 @@ class ServiceManager:
             else:
                 self.channel.call(
                     "acquire", self._acquire_payload(),
-                    on_result=self._adopt_async_lease,
+                    on_result=self._adopt_lease,
                     on_error=self._acquire_failed)
         return acquired
 
@@ -131,11 +128,6 @@ class ServiceManager:
                 name=f"sm-{self.name}-{verb}-{host}")
         if replacement and self.on_component_replaced is not None:
             self.on_component_replaced(lease)
-
-    def _adopt_async_lease(self, lease: Lease) -> None:
-        self._adopt_lease(lease)
-        if self.on_component_acquired is not None:
-            self.on_component_acquired(lease)
 
     def _acquire_failed(self, _exc: Exception) -> None:
         self.pending_replacements += 1

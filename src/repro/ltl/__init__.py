@@ -26,12 +26,9 @@ from .frames import (
     make_nack,
     nack_range,
 )
-from .ratelimit import (BandwidthLimiter, RandomEarlyDropper, RedConfig,
-                        TokenBucket)
 from .transports import DirectTransport, FaultModel
 
 __all__ = [
-    "BandwidthLimiter",
     "ConnectionError_",
     "ConnectionTable",
     "DirectTransport",
@@ -43,14 +40,11 @@ __all__ = [
     "LtlFrame",
     "LtlStats",
     "PendingMessage",
-    "RandomEarlyDropper",
     "ReceiveConnectionState",
-    "RedConfig",
     "SendConnectionState",
     "TYPE_ACK",
     "TYPE_DATA",
     "TYPE_NACK",
-    "TokenBucket",
     "UnackedFrame",
     "connect_pair",
     "make_ack",

@@ -16,9 +16,8 @@ One engine lives in each FPGA shell.  Its blocks map to Fig. 9:
 * **Congestion control** — ECN-marked arrivals piggyback a DC-QCN
   congestion flag on the ACK; the sender's per-connection
   :class:`~repro.net.dcqcn.DcqcnRateController` paces transmission.
-* **Bandwidth limiting** — an optional
-  :class:`~repro.ltl.ratelimit.BandwidthLimiter` keeps the FPGA from
-  exceeding a configurable share of the host's network bandwidth.
+
+The paper's bandwidth limiting "via random early drops" is not modeled.
 
 The engine is transport-agnostic: anything implementing
 ``send_frame(dst_host, frame)`` and calling
@@ -33,7 +32,7 @@ from itertools import count
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..net.dcqcn import CnpGenerator, DcqcnConfig, DcqcnRateController
-from ..sim import Environment, RandomStreams
+from ..sim import Environment
 from .connection import (
     ConnectionError_,
     ConnectionTable,
@@ -49,7 +48,6 @@ from .frames import (
     make_nack,
     nack_range,
 )
-from .ratelimit import BandwidthLimiter, RandomEarlyDropper
 from ..trace.stages import Stage
 
 # Hoisted Stage members for the per-frame tap sites.
@@ -83,15 +81,8 @@ class LtlConfig:
     dcqcn: DcqcnConfig = field(default_factory=DcqcnConfig)
     #: Enable DC-QCN pacing of the send path.
     congestion_control: bool = True
-    #: Optional cap on this engine's injection bandwidth (bits/second).
-    rate_limit_bps: Optional[float] = None
-    #: Verify the per-frame CRC on receive; corrupt frames are dropped and
-    #: recovered by the normal NACK/timeout path.
-    verify_checksums: bool = True
-    #: Keep probing failed connections so they re-establish once the peer
-    #: comes back, instead of staying permanently failed.
-    reconnect: bool = True
-    #: Initial interval between reconnect probes (doubles per attempt).
+    #: Initial interval between reconnect probes of a failed connection
+    #: (doubles per attempt).
     reconnect_backoff: float = 200e-6
     #: Cap on the reconnect probe interval.
     reconnect_backoff_max: float = 5e-3
@@ -118,7 +109,6 @@ class LtlStats:
     retransmissions: int = 0
     timeouts: int = 0
     duplicates_dropped: int = 0
-    rate_limited_drops: int = 0
     connections_failed: int = 0
     connections_recovered: int = 0
     corrupt_dropped: int = 0
@@ -132,8 +122,7 @@ class LtlEngine:
     def __init__(self, env: Environment, host_index: int,
                  transport: Optional[Any] = None,
                  config: Optional[LtlConfig] = None,
-                 name: Optional[str] = None,
-                 streams: Optional[RandomStreams] = None):
+                 name: Optional[str] = None):
         self.env = env
         self.host_index = host_index
         self.transport = transport
@@ -157,22 +146,6 @@ class LtlEngine:
         #: connection's reconnect probe is ACKed and traffic resumes.
         self.on_connection_recovered: Optional[
             Callable[[int, int], None]] = None
-        self.limiter: Optional[BandwidthLimiter] = None
-        if self.config.rate_limit_bps is not None:
-            # Burst depth ~ 1 ms at the configured rate (min 4 frames),
-            # so the limiter actually shapes sustained traffic.
-            burst = max(4 * self.config.mtu_payload_bytes,
-                        int(self.config.rate_limit_bps / 8 * 1e-3))
-            # Anchor the bucket at *now* (an engine built mid-sim must
-            # not credit itself the simulated past) and route the RED
-            # draws through the seeded stream registry.
-            dropper = RandomEarlyDropper(
-                streams=streams or RandomStreams(seed=host_index),
-                stream_name=f"{self.name}.red")
-            self.limiter = BandwidthLimiter(self.config.rate_limit_bps,
-                                            burst_bytes=burst,
-                                            dropper=dropper,
-                                            start_time=env.now)
         self._cnp = CnpGenerator(self.config.dcqcn)
         # Send pump (see _kick): parked until there is something to send.
         self._pump_parked = True
@@ -284,19 +257,6 @@ class LtlEngine:
                 idx += 1
                 continue
             frame = state.send_queue.pop(0)
-            if self.limiter is not None and not self.limiter.admit(
-                    frame.wire_bytes, env.now):
-                # Random early drop at the tap: the frame is *not*
-                # transmitted now; it returns to the queue head and is
-                # retried after a pacing delay (the reliable layer
-                # means intent is never lost, only delayed).
-                state.send_queue.insert(0, frame)
-                self.stats.rate_limited_drops += 1
-                self._pump_idx = idx + 1
-                env.call_later(
-                    frame.wire_bytes * 8 / self.limiter.bucket.rate_bps,
-                    self._pump_advance)
-                return
             pacing = 0.0
             if cfg.congestion_control:
                 state.dcqcn.on_increase_timer(env.now)
@@ -367,17 +327,9 @@ class LtlEngine:
         return max(2, cfg.max_consecutive_timeouts // 2)
 
     def _timer_has_work(self) -> bool:
-        """True if any connection needs the periodic timer scan.
-
-        A live connection needs it while frames are unacked; a failed one
-        only if reconnect probing is enabled (otherwise its frames stay
-        unacked forever and scanning them is pure overhead).
-        """
-        reconnect = self.config.reconnect
-        for state in self.send_table.values():
-            if state.unacked and (reconnect or not state.failed):
-                return True
-        return False
+        """True while any connection has unacked frames: a live one needs
+        the retransmit scan, a failed one its reconnect probes."""
+        return any(state.unacked for state in self.send_table.values())
 
     def _timer_tick(self) -> None:
         """One timer-wheel scan pass.
@@ -390,8 +342,7 @@ class LtlEngine:
         now = self.env.now
         for state in list(self.send_table.values()):
             if state.failed:
-                if cfg.reconnect and state.unacked \
-                        and now >= state.reconnect_at:
+                if state.unacked and now >= state.reconnect_at:
                     self._probe(state, now)
                 continue
             if not state.unacked:
@@ -448,10 +399,10 @@ class LtlEngine:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
-    def receive_frame(self, frame: LtlFrame, ecn_marked: bool = False,
-                      src_host: Optional[int] = None) -> None:
+    def receive_frame(self, frame: LtlFrame,
+                      ecn_marked: bool = False) -> None:
         """Entry point from the transport (already past the MAC)."""
-        if self.config.verify_checksums and not frame.verify_checksum():
+        if not frame.verify_checksum():
             # Corrupt on the wire: drop silently.  The sender's NACK/
             # timeout machinery retransmits; no corrupt payload is ever
             # delivered to a role.

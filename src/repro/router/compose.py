@@ -89,10 +89,9 @@ class ComposedNetwork:
             out_port = self.next_hop_port(router_index, envelope.dst_router)
         # Re-inject at the neighbor's arrival port; the bridge reuses the
         # neighbor's own credit machinery for link-level flow control.
-        event = self.routers[router_index].send(
+        self.routers[router_index].inject(
             arrival_port, out_port, envelope, message.length_bytes,
             vc=message.vc)
-        event._defused = True
 
     def _deliver_local(self, router_index: int, message: Message) -> None:
         envelope: Envelope = message.payload

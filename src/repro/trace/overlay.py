@@ -173,7 +173,7 @@ def _run_bypass_er(messages, payload_bytes, gap_seconds, seed, sample_rate):
     def send_one(ctx):
         # No sending-side ER either: the role talks to LTL directly.
         shell_a.ltl.send_message(
-            conn, RemoteMessage(0, ctx, trace=ctx), payload_bytes,
+            conn, RemoteMessage(ctx, trace=ctx), payload_bytes,
             trace=ctx)
 
     _pace(env, recorder, messages, gap_seconds, send_one)

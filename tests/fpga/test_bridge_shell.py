@@ -63,16 +63,6 @@ class TestBridge:
         env.run()
         assert to_tor[0].payload == b"x-1-2"
 
-    def test_bypass_mode_skips_taps(self):
-        env = Environment()
-        to_tor = []
-        bridge = Bridge(env, deliver_to_tor=to_tor.append)
-        bridge.add_nic_to_tor_tap(lambda p: None)  # would consume
-        bridge.bypass_mode = True
-        bridge.from_nic(make_packet(b"still-flows"))
-        env.run()
-        assert [p.payload for p in to_tor] == [b"still-flows"]
-
     def test_link_down_drops_and_counts(self):
         env = Environment()
         to_nic = []

@@ -1,7 +1,5 @@
-"""Tests for multi-role shells ("Role x N", Fig. 4) and the LTL
+"""Tests for the shell's role slot on the Elastic Router and the LTL
 failure-detection hook."""
-
-import pytest
 
 from repro.fpga import Shell, ShellConfig
 from repro.ltl import LtlConfig
@@ -9,11 +7,10 @@ from repro.net import DatacenterFabric, TopologyConfig, idle
 from repro.sim import Environment
 
 
-def make_pair(num_roles=3, ltl_config=None):
+def make_pair(ltl_config=None):
     env = Environment()
     fabric = DatacenterFabric(env, TopologyConfig(background=idle()))
-    config = ShellConfig(num_roles=num_roles,
-                         ltl=ltl_config or LtlConfig())
+    config = ShellConfig(ltl=ltl_config or LtlConfig())
     a = Shell(env, 0, fabric, config=config)
     b = Shell(env, 1, fabric, config=config)
     a.connect_to(b)
@@ -21,58 +18,17 @@ def make_pair(num_roles=3, ltl_config=None):
 
 
 class TestMultiRole:
-    def test_role_port_mapping(self):
-        env, a, _b = make_pair(num_roles=3)
-        assert a.role_port(0) == 1   # classic 4-port mapping preserved
-        assert a.role_port(1) == 4
-        assert a.role_port(2) == 5
-        assert a.er.num_ports == 6
-
     def test_single_role_keeps_four_ports(self):
-        env, a, _b = make_pair(num_roles=1)
+        env, a, _b = make_pair()
         assert a.er.num_ports == 4
 
-    def test_out_of_range_role_rejected(self):
-        env, a, _b = make_pair(num_roles=2)
-        with pytest.raises(ValueError):
-            a.role_port(2)
-        with pytest.raises(ValueError):
-            a.set_role_handler(5, lambda p, n: None)
-
-    def test_zero_roles_rejected(self):
-        env = Environment()
-        fabric = DatacenterFabric(env, TopologyConfig(background=idle()))
-        with pytest.raises(ValueError):
-            Shell(env, 0, fabric, config=ShellConfig(num_roles=0))
-
-    def test_remote_message_routed_to_addressed_role(self):
-        env, a, b = make_pair(num_roles=3)
+    def test_role_receive_gets_remote_messages(self):
+        env, a, b = make_pair()
         got = []
-        for role in range(3):
-            b.set_role_handler(role, lambda p, n, r=role: got.append(
-                (r, p)))
-        a.remote_send(1, b"r0", 64)
-        a.remote_send(1, b"r1", 64, dst_role=1)
-        a.remote_send(1, b"r2", 64, dst_role=2, src_role=2)
+        b.role_receive = lambda p, n: got.append((p, n))
+        a.remote_send(1, b"to-role", 32)
         env.run(until=1e-3)
-        assert sorted(got) == [(0, b"r0"), (1, b"r1"), (2, b"r2")]
-
-    def test_legacy_role_receive_still_works(self):
-        env, a, b = make_pair(num_roles=2)
-        got = []
-        b.role_receive = lambda p, n: got.append(p)
-        a.remote_send(1, b"legacy", 32)
-        env.run(until=1e-3)
-        assert got == [b"legacy"]
-
-    def test_explicit_handler_overrides_legacy(self):
-        env, a, b = make_pair(num_roles=1)
-        legacy, explicit = [], []
-        b.role_receive = lambda p, n: legacy.append(p)
-        b.set_role_handler(0, lambda p, n: explicit.append(p))
-        a.remote_send(1, b"x", 16)
-        env.run(until=1e-3)
-        assert explicit == [b"x"] and legacy == []
+        assert got == [(b"to-role", 32)]
 
 
 class TestRemoteFailureHook:

@@ -1,6 +1,8 @@
 """SEU role-hang integration: a wedged role drops work until scrubbed."""
 
-from repro.fpga import Shell, ShellConfig
+import random
+
+from repro.fpga import SeuScrubber, Shell
 from repro.net import DatacenterFabric, TopologyConfig, idle
 from repro.sim import Environment
 
@@ -9,7 +11,8 @@ def make_pair_with_seu():
     env = Environment()
     fabric = DatacenterFabric(env, TopologyConfig(background=idle()))
     a = Shell(env, 0, fabric)
-    b = Shell(env, 1, fabric, config=ShellConfig(enable_seu=True))
+    b = Shell(env, 1, fabric)
+    b.scrubber = SeuScrubber(env, rng=random.Random(1))
     a.connect_to(b)
     return env, a, b
 
@@ -52,7 +55,7 @@ class TestRoleHang:
         env = Environment()
         fabric = DatacenterFabric(env, TopologyConfig(background=idle()))
         a = Shell(env, 0, fabric)
-        b = Shell(env, 1, fabric)  # enable_seu defaults off
+        b = Shell(env, 1, fabric)  # no scrubber installed
         a.connect_to(b)
         got = []
         b.role_receive = lambda p, n: got.append(p)

@@ -2,10 +2,12 @@
 lease expiry + renewal races, RM quarantine, the SM replacement retry
 loop, the FM periodic health monitor, and RM crash recovery."""
 
+import random
+
 import pytest
 
 from repro.core import ConfigurableCloud
-from repro.fpga import Image, ShellConfig
+from repro.fpga import Image, SeuScrubber, ShellConfig
 from repro.haas import (
     EPOCH_STRIDE,
     Constraints,
@@ -16,6 +18,7 @@ from repro.haas import (
     ServerUnavailable,
     ServiceManager,
 )
+from repro.haas.fpga_manager import MONITOR_PERIOD_SECONDS
 from repro.net import TopologyConfig, idle
 
 IMAGE = Image(name="svc", role_name="svc-role")
@@ -236,7 +239,7 @@ class TestFpgaMonitor:
         settle(cloud, 2.0)
         fm = rm.manager(0)
         cloud.fabric.detach(0)
-        env.run(until=env.now + 3 * fm.monitor_period)
+        env.run(until=env.now + 3 * MONITOR_PERIOD_SECONDS)
         assert fm.health is FpgaHealth.FAILED
         cloud.fabric.reattach(0)
         # Soft failure + cause cleared: auto-recover (power cycle ~10 s).
@@ -259,14 +262,14 @@ class TestFpgaMonitor:
         cloud._rm = ResourceManager(
             cloud.env, cloud.fabric.topology, lease_duration=30.0,
             sweep_period=1.0, quarantine_seconds=2.0)
-        cloud.add_server(0, shell_config=ShellConfig(
-            with_ltl=False, enable_seu=True))
+        cloud.add_server(0, shell_config=ShellConfig(with_ltl=False))
         env, rm = cloud.env, cloud.resource_manager
+        shell = cloud.shell(0)
+        shell.scrubber = SeuScrubber(env, rng=random.Random(1))
         settle(cloud, 2.0)
         fm = rm.manager(0)
-        shell = cloud.shell(0)
         shell.scrubber.inject_flip(role_hang=True)
-        env.run(until=env.now + 3 * fm.monitor_period)
+        env.run(until=env.now + 3 * MONITOR_PERIOD_SECONDS)
         assert fm.health in (FpgaHealth.DEGRADED, FpgaHealth.FAILED)
         env.run(until=env.now + 20.0)
         assert fm.health is FpgaHealth.HEALTHY
@@ -341,7 +344,7 @@ class TestRmCrashRecovery:
         rm.crash()
         cloud.fabric.detach(victim)  # the host dies during the outage
         fm = rm.manager(victim)
-        env.run(until=env.now + 3 * fm.monitor_period)
+        env.run(until=env.now + 3 * MONITOR_PERIOD_SECONDS)
         assert fm.health is FpgaHealth.FAILED
         rm.restart()
         # Replay recovered the lease, reconciliation then revoked it:

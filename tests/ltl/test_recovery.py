@@ -61,21 +61,6 @@ class TestChecksums:
         assert a.stats.retransmissions >= 1
         assert got == [b"fragile"]
 
-    def test_verification_can_be_disabled(self):
-        env = Environment()
-        config = LtlConfig(verify_checksums=False)
-        transport = CorruptingTransport(env, n=1)
-        a = LtlEngine(env, 0, config=config)
-        b = LtlEngine(env, 1, config=config)
-        transport.register(a)
-        transport.register(b)
-        conn_ab, _ = connect_pair(a, b)
-        got = []
-        b.on_message = lambda c, p, n: got.append(p)
-        a.send_message(conn_ab, b"unchecked", 9)
-        env.run(until=2e-3)
-        assert b.stats.corrupt_dropped == 0
-        assert got == [b"unchecked"]
 
 
 class TestReconnect:
@@ -112,23 +97,6 @@ class TestReconnect:
         a.send_message(conn_ab, b"fresh", 5)
         env.run(until=31e-3)
         assert got == [b"through-the-storm", b"fresh"]
-
-    def test_reconnect_disabled_stays_failed(self):
-        env = Environment()
-        transport = DirectTransport(env, delay=1e-6, faults=FaultModel(
-            drop_probability=1.0))
-        config = LtlConfig(max_consecutive_timeouts=4, reconnect=False)
-        a = LtlEngine(env, 0, config=config)
-        b = LtlEngine(env, 1, config=config)
-        transport.register(a)
-        transport.register(b)
-        conn_ab, _ = connect_pair(a, b)
-        a.send_message(conn_ab, b"doomed", 6)
-        env.run(until=2e-3)
-        transport.faults.drop_probability = 0.0
-        env.run(until=30e-3)
-        assert a.send_table.lookup(conn_ab).failed
-        assert a.stats.reconnect_probes == 0
 
 
 class TestGrayWarning:

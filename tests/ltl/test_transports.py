@@ -45,8 +45,7 @@ class TestDirectTransport:
         engine = LtlEngine(env, 1)
 
         class Spy:
-            def receive_frame(self, frame, ecn_marked=False,
-                              src_host=None):
+            def receive_frame(self, frame, ecn_marked=False):
                 received.append(env.now)
 
             host_index = 1
