@@ -1,23 +1,15 @@
-"""Scale benchmark: the analytic cross-TOR path against the real fabric.
+"""Scale benchmark: a Fig. 10-style idle-RTT sweep over the full fabric.
 
-Runs a Fig. 10-style idle-RTT sweep over the paper's full-size fabric
-(253,440 reachable hosts — "more than a quarter million") through
-``repro.experiments.scale.run_pings`` twice: once with cross-TOR packets
-on the analytic path, and once on the real fabric end to end as the
-reference.  Gates:
+Runs ``repro.experiments.scale.run_pings`` over the paper's full-size
+fabric (253,440 reachable hosts — "more than a quarter million"), every
+packet on the real fabric end to end.  Gates:
 
-* **agreement** — per-tier P50/P99 of the analytic run must match the
-  reference within the documented tolerance (5% / 10%; the analytic
-  path draws jitter from its own stream, so agreement is statistical,
-  not bitwise),
-* **determinism** — the sample digest must be bit-identical across two
-  runs of the same spec,
+* **scale** — the swept fabric must reach 100k+ hosts,
+* **coverage** — every tier (L0, L1, L2) must produce samples,
 * **calibration** — the L2 tier must stay inside the paper's envelope
   ("L2 latency never exceeded 23.5 us in any of our experiments"),
-* **scale** — the swept fabric must reach 100k+ hosts.
-
-Each tier's two-sample Kolmogorov–Smirnov distance between the analytic
-and reference samples is reported, not gated.
+* **determinism** — a second run of the same sweep must give a
+  bit-identical sample digest.
 
 Run standalone to append a run to the committed trajectory file::
 
@@ -42,15 +34,11 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.experiments.scale import (  # noqa: E402
-    PingTask, ks_distance, run_pings)
+from repro.experiments.scale import PingTask, run_pings  # noqa: E402
 from repro.net.topology import TopologyConfig  # noqa: E402
 
 from _harness import write_result  # noqa: E402
 
-#: Documented agreement tolerance vs the reference.
-P50_TOLERANCE = 0.05
-P99_TOLERANCE = 0.10
 #: Paper: "L2 latency never exceeded 23.5 us in any of our experiments."
 L2_MAX_SECONDS = 23.5e-6
 #: The sweep must cover the paper's >100k-host scale.
@@ -104,54 +92,37 @@ def run_suite(quick: bool = False) -> Dict[str, object]:
         workload = build_workload(4, 48, 460, messages=40, config=config)
 
     t0 = time.time()
-    analytic = run_pings(workload, SEED)
-    analytic_wall = time.time() - t0
-
-    t0 = time.time()
-    reference = run_pings(workload, SEED, analytic=False).tiers
-    reference_wall = time.time() - t0
+    result = run_pings(workload, SEED)
+    wall = time.time() - t0
 
     # Determinism gate: a second run of the same spec must produce a
     # bit-identical digest.
-    digests_stable = run_pings(workload, SEED).digest == analytic.digest
+    digests_stable = run_pings(workload, SEED).digest == result.digest
 
     metrics: Dict[str, object] = {
         "hosts_reachable": config.total_hosts,
         "hosts_active": len({t.src for t in workload}
                             | {t.dst for t in workload}),
         "pairs": len(workload),
-        "boundary_records": analytic.analytic_packets,
-        "events_processed": analytic.events_processed,
-        "rtt_samples": analytic.total_samples,
-        "sharded_wall_s": round(analytic_wall, 3),
-        "reference_wall_s": round(reference_wall, 3),
+        "events_processed": result.events_processed,
+        "rtt_samples": result.total_samples,
+        "wall_s": round(wall, 3),
         "digests_stable": bool(digests_stable),
-        "digest": analytic.digest,
+        "digest": result.digest,
         "cpu_count": os.cpu_count(),
     }
-    for tier in sorted(reference):
-        ref, got = reference[tier], analytic.tiers.get(tier)
-        metrics[f"{tier}_count"] = ref.count
-        metrics[f"{tier}_ref_p50_us"] = round(ref.p50 * 1e6, 4)
-        metrics[f"{tier}_ref_p99_us"] = round(ref.p99 * 1e6, 4)
-        if got is not None and got.count:
-            metrics[f"{tier}_p50_us"] = round(got.p50 * 1e6, 4)
-            metrics[f"{tier}_p99_us"] = round(got.p99 * 1e6, 4)
-            metrics[f"{tier}_max_us"] = round(got.max * 1e6, 4)
-            metrics[f"{tier}_p50_err"] = round(
-                abs(got.p50 - ref.p50) / ref.p50, 5)
-            metrics[f"{tier}_p99_err"] = round(
-                abs(got.p99 - ref.p99) / ref.p99, 5)
-            metrics[f"{tier}_ks"] = round(
-                ks_distance(got.samples, ref.samples), 5)
+    for tier, recorder in sorted(result.tiers.items()):
+        metrics[f"{tier}_count"] = recorder.count
+        if recorder.count:
+            metrics[f"{tier}_p50_us"] = round(recorder.p50 * 1e6, 4)
+            metrics[f"{tier}_p99_us"] = round(recorder.p99 * 1e6, 4)
+            metrics[f"{tier}_max_us"] = round(recorder.max * 1e6, 4)
     return {
         "schema": 1,
         "quick": quick,
         "python": platform.python_version(),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "gates": {
-            "p50_tolerance": P50_TOLERANCE,
-            "p99_tolerance": P99_TOLERANCE,
             "l2_max_us": L2_MAX_SECONDS * 1e6,
             "min_reachable_hosts": MIN_REACHABLE_HOSTS,
         },
@@ -168,17 +139,6 @@ def check_gates(metrics: Dict[str, object]) -> List[str]:
     for tier in ("L0", "L1", "L2"):
         if f"{tier}_p50_us" not in metrics:
             failures.append(f"tier {tier} produced no samples")
-            continue
-        if metrics[f"{tier}_p50_err"] > P50_TOLERANCE:
-            failures.append(
-                f"{tier} p50 off by "
-                f"{metrics[f'{tier}_p50_err']:.1%} "
-                f"(gate: <= {P50_TOLERANCE:.0%})")
-        if metrics[f"{tier}_p99_err"] > P99_TOLERANCE:
-            failures.append(
-                f"{tier} p99 off by "
-                f"{metrics[f'{tier}_p99_err']:.1%} "
-                f"(gate: <= {P99_TOLERANCE:.0%})")
     if "L2_max_us" in metrics and \
             metrics["L2_max_us"] > L2_MAX_SECONDS * 1e6:
         failures.append(
@@ -220,7 +180,6 @@ def test_scale_gates():
     result = run_suite(quick=True)
     metrics = result["metrics"]
     assert check_gates(metrics) == []
-    assert metrics["boundary_records"] > 0
 
 
 if __name__ == "__main__":

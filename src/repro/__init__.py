@@ -15,7 +15,7 @@ The package is organized bottom-up:
 * :mod:`repro.dnn` — pooled DNN accelerators (Fig. 12),
 * :mod:`repro.haas` — Hardware-as-a-Service control plane,
 * :mod:`repro.faults` — deterministic fault-injection campaigns,
-* :mod:`repro.trace` — per-hop latency attribution + overlay ablations,
+* :mod:`repro.trace` — per-hop latency attribution,
 * :mod:`repro.deployment` — the 5,760-server reliability study,
 * :mod:`repro.core` — the :class:`~repro.core.cloud.ConfigurableCloud`
   facade tying everything together.

@@ -33,12 +33,9 @@ from .packet import (
 )
 from .switch import EcnConfig, PfcConfig, Switch
 from .topology import ThreeTierTopology, TopologyConfig
-from .traffic import BackgroundLoadConfig, BackgroundLoadGenerator
 
 __all__ = [
     "Attachment",
-    "BackgroundLoadConfig",
-    "BackgroundLoadGenerator",
     "BackgroundTrafficModel",
     "CnpGenerator",
     "DatacenterFabric",

@@ -110,22 +110,6 @@ class BackgroundTrafficModel:
         exp_mean=0.18e-6, burst_prob=0.03, burst_min=0.3e-6,
         burst_max=1.0e-6))
 
-    def sample(self, tier: str, rng: random.Random) -> float:
-        """Draw one traversal's worth of jitter for ``tier``."""
-        jitter = getattr(self, tier, None)
-        if jitter is None:
-            raise ValueError(f"unknown switch tier: {tier}")
-        return jitter.sample(rng)
-
-    def sample_batch(self, tier: str, rng: random.Random,
-                     n: int) -> List[float]:
-        """``n`` jitter draws for ``tier`` (see
-        :meth:`TierJitter.sample_batch`)."""
-        jitter = getattr(self, tier, None)
-        if jitter is None:
-            raise ValueError(f"unknown switch tier: {tier}")
-        return jitter.sample_batch(rng, n)
-
     def batched(self, tier: str, rng: random.Random,
                 batch: int = 64) -> "JitterStream":
         """A buffered per-tier sampler for hot paths (one refill per

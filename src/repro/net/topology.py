@@ -55,9 +55,8 @@ class TopologyConfig:
 def pod_distance_m(config: TopologyConfig, seed: int, pod: int) -> float:
     """Deterministic per-pod fiber run to the L2 tier (metres).
 
-    A pure function of (config, seed, pod), so the analytic cross-TOR
-    path (:class:`~repro.experiments.scale.BoundaryPathModel`) uses it
-    without building a topology.
+    A pure function of (config, seed, pod), so a closed-form path sum
+    (the idle-RTT oracle in ``tests/net``) needs no topology.
     """
     lat = config.latency
     # Stable pseudo-random fraction derived from the pod id.  Uses the

@@ -45,10 +45,6 @@ class RandomStreams:
             self._streams[name] = random.Random(_derive_seed(self.seed, name))
         return self._streams[name]
 
-    def spawn(self, name: str) -> "RandomStreams":
-        """Return a child registry namespaced under ``name``."""
-        return RandomStreams(_derive_seed(self.seed, "spawn", name))
-
 
 def percentile(sorted_values, q: float) -> float:
     """Percentile (0..100) of a pre-sorted sequence, linear interpolation.

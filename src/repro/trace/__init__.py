@@ -14,16 +14,17 @@ TOR -> L1 -> remote role).  This subsystem provides:
   P50/P99/P99.9 and a decomposition whose hops are
   *guaranteed* to sum to the measured end-to-end latency (any
   uninstrumented interval is reported as an explicit residual, gated at
-  < 1%),
-* :mod:`repro.trace.overlay` — ablation configurations (full path,
-  bypass-ER, bypass-TOR, loopback-shell, sim-kernel-only) that disable
-  stages to isolate their cost, after hft-latency-lab's four-overlay
-  methodology.
+  < 1%).
+
+On an idle fabric every hop of a traced LTL request reads exactly its
+closed-form term (flits x ER cycle, the LTL and MAC pipelines, each
+link's propagation + serialization, each switch's forwarding latency);
+``tests/net/test_idle_rtt_oracle.py`` checks each one, so a failing
+case names the hop whose cost moved.
 
 Tracing is strictly opt-in per request: a request without a context
 costs the datapath one ``is not None`` check per tap point and allocates
-nothing — see ``benchmarks/bench_trace_breakdown.py`` for the enforced
-disabled-tracing overhead budget.
+nothing.
 """
 
 from .stages import SWITCH_STAGE_BY_TIER, Stage

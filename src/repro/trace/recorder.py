@@ -294,16 +294,3 @@ class TraceReport:
             f"residual (unattributed): {self.residual_fraction:.3%} "
             f"of end-to-end time over {self.spans} spans")
         return "\n".join(lines)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable view (used by ``BENCH_trace.json``)."""
-        return {
-            "spans": self.spans,
-            "abandoned_spans": self.abandoned_spans,
-            "hops": self.hops,
-            "e2e": self.e2e,
-            "hop_sum_total": self.hop_sum_total,
-            "e2e_total": self.e2e_total,
-            "residual_total": self.residual_total,
-            "residual_fraction": self.residual_fraction,
-        }

@@ -18,9 +18,6 @@ SEARCHED = ("src", "benchmarks", "examples", "perfbench")
 
 #: Names only tests reach, each with the reason it stays.
 ALLOWED = {
-    "BackgroundLoadGenerator":
-        "cross-traffic for the loaded differential checks of the "
-        "analytic cross-TOR path (ROADMAP item 8)",
     "RingNetwork":
         "test_router_differential checks the streamed ER through rings",
     "MeshNetwork":
@@ -34,8 +31,6 @@ ALLOWED = {
                    "checked against",
     "ctr_crypt": "one-shot reference the GcmContext fast path is "
                  "checked against",
-    "min_delay": "BoundaryPathModel's deterministic floor, which "
-                 "test_scale checks against the sampled delays",
     "max_hops": "the torus diameter that bounds its routes in the torus "
                 "tests",
     "shared_in_use": "credit-pool accessor the ER credit tests read",
@@ -46,8 +41,6 @@ ALLOWED = {
     "is_first_fragment": "fragment predicate the frame tests read",
     "is_last_fragment": "fragment predicate the frame tests read",
     "in_quarantine": "RM accessor the quarantine tests read",
-    "spawn": "RandomStreams namespacing, pinned by test_units_randomness; "
-             "no component draws per-server streams any more",
 }
 
 _WORD = re.compile(r"[A-Za-z_]\w*")

@@ -16,7 +16,6 @@ from typing import Callable, Deque, Dict, Optional, Tuple
 from repro.net.links import PortStats, propagation_delay
 from repro.net.packet import Packet, TrafficClass
 from repro.sim import Environment
-from repro.sim.units import serialization_delay
 
 #: Strict-priority drain order (highest traffic class first), precomputed
 #: once instead of re-sorting on every packet.
@@ -151,7 +150,7 @@ class Port:
             return
         packet, size = item
         self._busy = True
-        delay = serialization_delay(size, self.rate_bps)
+        delay = size * 8 / self.rate_bps
         self.env.call_later(delay, self._finish_tx, packet, size)
 
     def _finish_tx(self, packet: Packet, size: int) -> None:

@@ -38,7 +38,7 @@ class TestJitterStream:
         stream_rng, direct_rng = random.Random(7), random.Random(7)
         stream = model.batched("l2", stream_rng, batch=16)
         got = [stream.take() for _ in range(50)]
-        want = [model.sample("l2", direct_rng) for _ in range(50)]
+        want = [model.l2.sample(direct_rng) for _ in range(50)]
         assert got == want
 
     def test_batch_size_one(self):
@@ -46,7 +46,7 @@ class TestJitterStream:
         a, b = random.Random(3), random.Random(3)
         stream = model.batched("l1", a, batch=1)
         assert [stream.take() for _ in range(10)] == \
-            [model.sample("l1", b) for _ in range(10)]
+            [model.l1.sample(b) for _ in range(10)]
 
     def test_bad_batch_rejected(self):
         with pytest.raises(ValueError):
@@ -56,5 +56,3 @@ class TestJitterStream:
         model = BackgroundTrafficModel()
         with pytest.raises(ValueError):
             model.batched("spine", random.Random(0))
-        with pytest.raises(ValueError):
-            model.sample_batch("spine", random.Random(0), 4)

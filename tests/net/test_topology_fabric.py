@@ -224,19 +224,19 @@ class TestLatencyModelJitter:
         model = idle()
         rng = random.Random(0)
         for tier in ("tor", "l1", "l2"):
-            assert model.sample(tier, rng) == 0.0
+            assert model.batched(tier, rng).take() == 0.0
 
     def test_unknown_tier_rejected(self):
         import random
         with pytest.raises(ValueError):
-            idle().sample("l3", random.Random(0))
+            idle().batched("l3", random.Random(0))
 
     def test_default_l2_jitter_larger_than_tor(self):
         import random
         from repro.net import BackgroundTrafficModel
         model = BackgroundTrafficModel()
         rng = random.Random(1)
-        tor = sum(model.sample("tor", rng) for _ in range(500))
+        tor = sum(model.tor.sample(rng) for _ in range(500))
         rng = random.Random(1)
-        l2 = sum(model.sample("l2", rng) for _ in range(500))
+        l2 = sum(model.l2.sample(rng) for _ in range(500))
         assert l2 > tor

@@ -1,73 +1,67 @@
-"""Overlay ablation reports: the decomposition survives removing stages."""
+"""The full-path decomposition under the default background jitter.
+
+Traced one-way role-to-role requests over a ConfigurableCloud: the
+hops must explain the end-to-end latency (residual under 1%, at least
+five attributed hops, no tap out of time order), and a same-seed run
+must report the same numbers.  The idle per-hop values themselves are
+checked exactly in ``tests/net/test_idle_rtt_oracle.py``.
+"""
 
 import pytest
 
-from repro.trace.overlay import OVERLAYS, run_overlay
+from repro import ConfigurableCloud, Stage, TraceRecorder
 
 MESSAGES = 60
+PAYLOAD_BYTES = 256
+GAP_SECONDS = 20e-6
+ROLE_SERVICE_SECONDS = 1.2e-6
+
+
+def run_full_path(messages=MESSAGES, seed=0, sample_rate=0.05):
+    cloud = ConfigurableCloud(seed=seed)
+    cloud.add_server(0, enroll=False)
+    cloud.add_server(1, enroll=False)
+    cloud.connect(0, 1)
+    env, sender = cloud.env, cloud.shell(0)
+    recorder = TraceRecorder(sample_rate=sample_rate, seed=seed)
+
+    def serve(ctx, _length):
+        def finish():
+            ctx.tap(Stage.ROLE_SERVICE, env.now)
+            recorder.complete(ctx, env.now)
+        env.call_later(ROLE_SERVICE_SECONDS, finish)
+
+    cloud.shell(1).role_receive = serve
+
+    def send(request):
+        ctx = recorder.start(env.now, request_id=request)
+        sender.remote_send(1, ctx, PAYLOAD_BYTES, trace=ctx)
+
+    for request in range(messages):
+        env.call_later(request * GAP_SECONDS, send, request)
+    env.run(until=messages * GAP_SECONDS + 10e-3)
+    return recorder.report()
 
 
 @pytest.fixture(scope="module")
-def reports():
-    return {name: run_overlay(name, messages=MESSAGES) for name in OVERLAYS}
+def report():
+    return run_full_path()
 
 
-def test_full_path_attributes_at_least_five_hops(reports):
-    report = reports["full"]
+def test_full_path_attributes_at_least_five_hops(report):
     report.check(max_residual=0.01, min_hops=5)
     assert report.spans == MESSAGES
 
 
-@pytest.mark.parametrize("name", list(OVERLAYS))
-def test_every_overlay_accounts_honestly(reports, name):
-    report = reports[name]
-    assert report.spans == MESSAGES
+def test_hops_plus_residual_equal_end_to_end(report):
     assert report.hop_sum_total + report.residual_total == \
         pytest.approx(report.e2e_total)
-    assert report.residual_fraction < 0.01
 
 
-@pytest.mark.parametrize("name", list(OVERLAYS))
-def test_bypassed_stages_carry_no_cost(reports, name):
-    report = reports[name]
-    for stage in OVERLAYS[name].bypassed:
-        hop = report.hops.get(stage)
-        if hop is not None:
-            assert hop["share"] < 0.01, \
-                f"{name}: bypassed {stage} still at {hop['share']:.1%}"
-
-
-def test_ablation_ladder_is_monotone(reports):
-    order = ("full", "bypass_er", "bypass_tor", "loopback_shell",
-             "sim_kernel_only")
-    means = [reports[name].e2e["mean"] for name in order]
-    assert all(a > b for a, b in zip(means, means[1:])), means
-
-
-def test_surviving_hops_keep_their_costs(reports):
-    # Removing the ER must not change what the LTL engine itself costs.
-    full = reports["full"].hops
-    bypass = reports["bypass_er"].hops
-    for stage in ("ltl.tx", "ltl.rx", "role.service"):
-        assert bypass[stage]["mean"] == \
-            pytest.approx(full[stage]["mean"], rel=0.05)
-
-
-def test_kernel_floor_is_role_service_only(reports):
-    report = reports["sim_kernel_only"]
-    assert set(report.hops) == {"role.service"}
-    assert report.e2e["mean"] == \
-        pytest.approx(report.hops["role.service"]["mean"])
-
-
-def test_run_overlay_rejects_unknown_name():
-    with pytest.raises(ValueError, match="unknown overlay"):
-        run_overlay("nope")
-
-
-def test_overlay_runs_are_deterministic():
-    a = run_overlay("full", messages=20, seed=7)
-    b = run_overlay("full", messages=20, seed=7)
-    assert a.to_dict() == b.to_dict()
+def test_runs_are_deterministic():
+    a = run_full_path(messages=20, seed=7, sample_rate=0.25)
+    b = run_full_path(messages=20, seed=7, sample_rate=0.25)
+    assert (a.hops, a.e2e) == (b.hops, b.e2e)
+    assert a.sampled_spans
     assert [s.marks for s in a.sampled_spans] == \
         [s.marks for s in b.sampled_spans]

@@ -188,7 +188,7 @@ def test_recorder_rejects_bad_sample_rate():
         TraceRecorder(sample_rate=1.5)
 
 
-def test_report_format_table_and_to_dict():
+def test_report_format_table_and_fields():
     recorder = TraceRecorder()
     for i in range(10):
         _span(recorder, float(i),
@@ -197,11 +197,10 @@ def test_report_format_table_and_to_dict():
     table = report.format_table()
     assert "ltl.tx" in table and "role.service" in table
     assert "end-to-end" in table
-    payload = report.to_dict()
-    assert payload["spans"] == 10
-    assert payload["residual_fraction"] == 0.0
-    assert set(payload["hops"]) == {"ltl.tx", "role.service"}
-    for entry in payload["hops"].values():
+    assert report.spans == 10
+    assert report.residual_fraction == 0.0
+    assert set(report.hops) == {"ltl.tx", "role.service"}
+    for entry in report.hops.values():
         assert {"count", "total", "mean", "share",
                 "p50", "p99", "p99_9"} <= set(entry)
 
