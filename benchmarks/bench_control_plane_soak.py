@@ -185,7 +185,7 @@ def run_soak(quick: bool) -> Dict[str, float]:
                 samples.append(min(1.0, len(sm.hosts)
                                    / float(COMPONENTS_PER_SM)))
 
-    env.process(sampler(env), name="availability-sampler")
+    env.process(sampler(env))
 
     injector = FaultInjector(cloud, POOL, service_managers=sms, seed=5)
     events = soak_campaign(soak_seconds)
@@ -324,8 +324,7 @@ def run_split_brain() -> Dict[str, float]:
     # superseded fence arrive at the FpgaManager.
     manager = rm.manager(stranded_host)
     rejections_before = manager.fence_rejections
-    env.process(manager.configure(IMAGE, fence=stale_fence),
-                name="stale-configure")
+    env.process(manager.configure(IMAGE, fence=stale_fence))
     admitted = manager.admit_traffic(stale_fence)
     env.run(until=12.0)
     configure_rejected = manager.fence_rejections > rejections_before

@@ -68,7 +68,7 @@ def bench_kernel(n_timeouts: int) -> Dict[str, float]:
         for _ in range(n):
             yield timeout(1e-6)
 
-    env.process(ticker(env, n_timeouts), name="ticker")
+    env.process(ticker(env, n_timeouts))
     t0 = time.perf_counter()
     env.run()
     wall = time.perf_counter() - t0

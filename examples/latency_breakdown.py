@@ -43,7 +43,7 @@ def run_full_path():
             sender.remote_send(1, ctx, PAYLOAD_BYTES, trace=ctx)
             yield env.timeout(GAP_SECONDS)
 
-    env.process(driver(env), name="trace-driver")
+    env.process(driver(env))
     env.run(until=MESSAGES * GAP_SECONDS + 10e-3)
     return recorder.report()
 

@@ -108,7 +108,7 @@ class ConfigurableCloud:
                                     payload_bytes)
                 yield env.timeout(gap_seconds)
 
-        self.env.process(driver(self.env), name=f"rtt-{a}-{b}")
+        self.env.process(driver(self.env))
         self.env.run(until=self.env.now + messages * gap_seconds + 5e-3)
         return shell_a.ltl.rtt_samples()[before:]
 

@@ -15,7 +15,7 @@ stage's MAdds on the accelerator timing model plus the measured LTL hop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Callable, Dict, List, Optional
 

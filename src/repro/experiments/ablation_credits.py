@@ -28,16 +28,20 @@ def run_one(policy: str, credits_per_port: int):
     router.set_endpoint(3, lambda m: None)
     # Background flows keep output 3 contended.
     for _ in range(MESSAGES):
-        router.inject(1, 3, "bg", 128, vc=1)
-        router.inject(2, 3, "bg", 128, vc=2)
+        router.send(1, 3, "bg", 128, vc=1)
+        router.send(2, 3, "bg", 128, vc=2)
     hot_done = []
 
-    def hot(env):
-        for _ in range(MESSAGES):
-            yield router.send(0, 3, "hot", 128, vc=0)
-            hot_done.append(env.now)
+    def hot():
+        """Send one hot message; the next goes once it is buffered."""
+        router.send(0, 3, "hot", 128, vc=0, on_sent=sent)
 
-    env.process(hot(env))
+    def sent():
+        hot_done.append(env.now)
+        if len(hot_done) < MESSAGES:
+            hot()
+
+    env.call_later(0.0, hot)
     env.run()
     return {
         "policy": policy,

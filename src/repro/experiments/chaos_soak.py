@@ -165,7 +165,7 @@ def run_soak():
                 pass
             yield env.timeout(REQUEST_PERIOD)
 
-    env.process(driver(env), name="soak-driver")
+    env.process(driver(env))
     env.run(until=env.now + SOAK_SECONDS + DRAIN_SECONDS)
     return cloud, service, injector, attempts[0], len(delivered)
 
@@ -194,8 +194,8 @@ def run_ranking_fallback():
         manager.mark_failed("chaos: board lost", hard=False)
         # hard=False + cause cleared -> the FM monitor rehabilitates it.
 
-    env.process(load(env), name="ranking-load")
-    env.process(outage(env), name="ranking-outage")
+    env.process(load(env))
+    env.process(outage(env))
     env.run(until=30.0)
     return server, manager, issued[0]
 

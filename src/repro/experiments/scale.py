@@ -91,8 +91,7 @@ def run_pings(workload: Sequence[PingTask], seed: int = 0) -> PingResult:
     for task in workload:
         shell = cloud.shell(task.src)
         shell.connect_to(cloud.shell(task.dst))
-        env.process(_ping(env, shell, task),
-                    name=f"ping-{task.src}-{task.dst}")
+        env.process(_ping(env, shell, task))
     # The last ping's send time, plus 2 ms for its round trip.
     env.run(until=max(t.messages for t in workload) * PING_GAP + 2e-3)
 

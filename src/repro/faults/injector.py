@@ -152,8 +152,7 @@ class FaultInjector:
         """Schedule every event; effects unfold as the env runs."""
         self._ensure_watch()
         for event in events:
-            self.env.process(self._scheduled(event),
-                             name=f"fault-{event.kind.value}")
+            self.env.process(self._scheduled(event))
 
     def _scheduled(self, event: FaultEvent):
         delay = event.at - self.env.now
@@ -177,8 +176,7 @@ class FaultInjector:
                     for h in record.affected):
                 record.detected_at = record.injected_at
                 record.note += "target already unhealthy at injection"
-        self.env.process(self._execute(event, record),
-                         name=f"fault-exec-{event.kind.value}")
+        self.env.process(self._execute(event, record))
         return record
 
     def _targets_of(self, event: FaultEvent) -> List[int]:
@@ -288,7 +286,7 @@ class FaultInjector:
                 yield self.env.timeout(delay)
                 fabric.inject_delivery(host, packet)
 
-            self.env.process(redeliver(), name=f"gray-delay-{host}")
+            self.env.process(redeliver())
             return None
 
         fabric.install_tap(host, tap)
@@ -438,7 +436,7 @@ class FaultInjector:
                 yield self.env.timeout(extra)
                 fabric.inject_delivery(host, packet)
 
-            self.env.process(redeliver(), name=f"slow-peer-{host}")
+            self.env.process(redeliver())
             return None
 
         fabric.install_tap(host, tap)

@@ -66,8 +66,8 @@ class SeuScrubber:
         self.role_hung = False
         #: Called with the event when a hang is recovered by scrubbing.
         self.on_recovery: Optional[Callable[[SeuEvent], None]] = None
-        env.process(self._flip_injector(), name="seu-injector")
-        env.process(self._scrub_loop(), name="seu-scrubber")
+        env.process(self._flip_injector())
+        env.process(self._scrub_loop())
 
     def inject_flip(self, role_hang: bool = False) -> SeuEvent:
         """Force one upset now (fault-injection hook); returns the event."""

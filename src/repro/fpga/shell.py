@@ -254,9 +254,9 @@ class Shell:
         and the ER on the receiving shell, and is tapped at every
         datapath stage along the way.
         """
-        self.er.inject(ER_PORT_ROLE, ER_PORT_REMOTE,
-                       RemoteEnvelope(dst_host, payload, trace=trace),
-                       length_bytes, trace=trace)
+        self.er.send(ER_PORT_ROLE, ER_PORT_REMOTE,
+                     RemoteEnvelope(dst_host, payload, trace=trace),
+                     length_bytes, trace=trace)
 
     def _er_remote_out(self, message) -> None:
         """ER delivered a message at the Remote port: hand it to LTL."""
@@ -275,8 +275,8 @@ class Shell:
     def _ltl_message_in(self, _conn_id: int, message: RemoteMessage,
                         length_bytes: int) -> None:
         """LTL delivered a message: route it to the role through the ER."""
-        self.er.inject(ER_PORT_REMOTE, ER_PORT_ROLE, message.payload,
-                       length_bytes, trace=message.trace)
+        self.er.send(ER_PORT_REMOTE, ER_PORT_ROLE, message.payload,
+                     length_bytes, trace=message.trace)
 
     def _role_in(self, message) -> None:
         """ER delivered a message at the Role port."""

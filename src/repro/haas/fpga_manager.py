@@ -67,7 +67,7 @@ class FpgaManager:
         self.gray_report_window = GRAY_REPORT_WINDOW_SECONDS
         self._gray_reports: List[float] = []
         self._recovering = False
-        env.process(self._monitor(), name=f"fm-monitor-{self.host}")
+        env.process(self._monitor())
 
     @property
     def host(self) -> int:
@@ -175,8 +175,7 @@ class FpgaManager:
             self.on_failure(self.host)
         if not self._recovering and \
                 not self.shell.configuration.reconfiguring:
-            self.env.process(self.recover(),
-                             name=f"fm-recover-{self.host}")
+            self.env.process(self.recover())
 
     # ------------------------------------------------------------------
     # Periodic health monitor
@@ -201,8 +200,7 @@ class FpgaManager:
         if self.health is FpgaHealth.FAILED:
             # The failure cause has cleared (e.g. link flap ended):
             # repair and let the RM's quarantine gate re-admission.
-            self.env.process(self.recover(),
-                             name=f"fm-recover-{self.host}")
+            self.env.process(self.recover())
             return
         reason = None
         if not shell.bridge.link_up:

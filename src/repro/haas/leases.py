@@ -14,7 +14,7 @@ a host the recovered RM has since re-leased.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from .constraints import Constraints

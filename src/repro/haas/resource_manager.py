@@ -110,7 +110,7 @@ class ResourceManager:
         self._granted_tokens: Dict[str, Tuple[int, float]] = {}
         self._released_tokens: Dict[str, float] = {}
         self.journal.record("epoch", epoch=self.epoch)
-        env.process(self._expiry_sweeper(), name="rm-sweeper")
+        env.process(self._expiry_sweeper())
         self._sweep_period = sweep_period
 
     # ------------------------------------------------------------------

@@ -28,7 +28,7 @@ fencing (``Lease.fence`` checked by the FpgaManager) exists to defuse.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 from typing import Any, Callable, Dict, Optional
 
@@ -187,8 +187,7 @@ class RpcChannel:
             return self._call_inline(method, payload, on_result, on_error)
 
         call = _Call(method, payload, on_result, on_error)
-        self.env.process(self._call_process(call),
-                         name=f"rpc-{self.name}-{method}")
+        self.env.process(self._call_process(call))
         return None
 
     def notify(self, method: str,
@@ -319,8 +318,7 @@ class RpcChannel:
                 return
             fn(*args)
             return
-        self.env.process(self._push_process(fn, args),
-                         name=f"rpc-{self.name}-push")
+        self.env.process(self._push_process(fn, args))
 
     def _push_process(self, fn: Callable[..., None], args: tuple):
         config = self.config

@@ -116,16 +116,13 @@ class ServiceManager:
 
     def _adopt_lease(self, lease: Lease, replacement: bool = False) -> None:
         self.leases.append(lease)
-        verb = "reconfigure" if replacement else "configure"
         if replacement:
             self.stats.replacements += 1
         else:
             self.stats.components_acquired += 1
         for host in lease.hosts:
             self.env.process(
-                self.rm.manager(host).configure(self.image,
-                                                fence=lease.fence),
-                name=f"sm-{self.name}-{verb}-{host}")
+                self.rm.manager(host).configure(self.image, fence=lease.fence))
         if replacement and self.on_component_replaced is not None:
             self.on_component_replaced(lease)
 
@@ -207,8 +204,7 @@ class ServiceManager:
         if self._retry_loop_active:
             return
         self._retry_loop_active = True
-        self.env.process(self._retry_replacements(),
-                         name=f"sm-{self.name}-retry")
+        self.env.process(self._retry_replacements())
 
     def _retry_replacements(self):
         """Background exponential-backoff retry of pending replacements."""
@@ -279,7 +275,7 @@ class ServiceManager:
                     continue
                 self.renew_all()
 
-        self.env.process(beat(self.env), name=f"sm-{self.name}-heartbeat")
+        self.env.process(beat(self.env))
 
     # ------------------------------------------------------------------
     # RM restart handling

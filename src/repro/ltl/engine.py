@@ -217,7 +217,7 @@ class LtlEngine:
         self._kick()
         return message_id
 
-    # The send pump is a chain of Deferred callbacks, one scheduled entry
+    # The send pump is a chain of call_later callbacks, one scheduled entry
     # per frame.  It parks when nothing is sendable; a kick (new message,
     # or an ACK that opens the window) starts it again.  A running pump
     # ignores kicks: it re-snapshots the sendable connections whenever
@@ -245,7 +245,7 @@ class LtlEngine:
 
     def _pump_advance(self) -> None:
         """Drain the snapshot from the current index, pacing by DC-QCN
-        rate and the tx pipeline; one Deferred hop per frame."""
+        rate and the tx pipeline; one scheduled hop per frame."""
         cfg = self.config
         env = self.env
         ready = self._pump_ready

@@ -5,7 +5,6 @@ PCIe DMA, Role, DRAM, and Remote (to LTL) — which is exactly how
 :mod:`repro.fpga.shell` wires it.
 """
 
-from .compose import ComposedNetwork, Envelope, MeshNetwork, RingNetwork
 from .credits import (
     CreditError,
     CreditPool,
@@ -17,17 +16,13 @@ from .elastic_router import DEFAULT_FREQ_HZ, ElasticRouter, RouterStats
 from .flit import Flit, Message, packetize
 
 __all__ = [
-    "ComposedNetwork",
     "CreditError",
     "CreditPool",
     "DEFAULT_FREQ_HZ",
     "ElasticCreditPool",
     "ElasticRouter",
-    "Envelope",
     "Flit",
-    "MeshNetwork",
     "Message",
-    "RingNetwork",
     "RouterStats",
     "StaticCreditPool",
     "make_credit_pool",

@@ -51,7 +51,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..sim import Environment, Event
+from ..sim import Environment
 from ..trace.stages import Stage
 from .credits import CreditPool, make_credit_pool
 from .flit import Flit, Message, packetize
@@ -81,9 +81,8 @@ class ElasticRouter:
     """A single ER instance.
 
     Endpoints attach a delivery callback per port via :meth:`set_endpoint`
-    and inject messages with :meth:`send` (an event the caller can yield
-    on, succeeding when the last flit has been accepted into the input
-    buffer) or fire-and-forget :meth:`inject`.
+    and inject messages with :meth:`send`, which can call the sender
+    back once the last flit has been accepted into the input buffer.
     """
 
     def __init__(self, env: Environment, name: str = "er",
@@ -113,8 +112,8 @@ class ElasticRouter:
         # Input buffers: [port][vc] -> deque of flits.
         self._buffers: List[List[Deque[Flit]]] = [
             [deque() for _ in range(num_vcs)] for _ in range(num_ports)]
-        # Pending injections: [port] -> deque of (flit, done_event).
-        self._pending: List[Deque[Tuple[Flit, Event]]] = [
+        # Pending injections: [port] -> deque of (flit, on_sent).
+        self._pending: List[Deque[Tuple[Flit, Optional[Callable]]]] = [
             deque() for _ in range(num_ports)]
         # Output (port, vc) -> (in_port, vc) holding the wormhole lock.
         self._output_locks: Dict[Tuple[int, int],
@@ -132,9 +131,9 @@ class ElasticRouter:
         # re-sum every queue per cycle.
         self._occupancy = 0
         # The stream: messages of the one active input port, in exit
-        # order, as (message, flits, done_event, head_exit, tail_exit).
-        self._stream: Deque[Tuple[Message, int, Event, float, float]] = \
-            deque()
+        # order, as (message, flits, on_sent, head_exit, tail_exit).
+        self._stream: Deque[Tuple[Message, int, Optional[Callable],
+                                  float, float]] = deque()
         # Bumped by a handover; exit events carrying an older epoch are
         # void.
         self._epoch = 0
@@ -149,28 +148,15 @@ class ElasticRouter:
         self._endpoints[port] = deliver
 
     def send(self, src_port: int, dst_port: int, payload: Any,
-             length_bytes: int, vc: int = 0, trace: Any = None) -> Event:
-        """Inject a message; returns an event that succeeds once the last
-        flit has entered the input buffer (i.e. the sender may reuse its
-        staging space).  ``trace`` is an optional
+             length_bytes: int, vc: int = 0, trace: Any = None,
+             on_sent: Optional[Callable[[], None]] = None) -> Message:
+        """Inject a message and return it.  ``on_sent()``, if given, runs
+        once the last flit has entered the input buffer (i.e. the sender
+        may reuse its staging space), as an entry of its own at that
+        instant.  ``trace`` is an optional
         :class:`~repro.trace.TraceContext`: ``er.ingress`` marks the
         instant the head flit wins a buffer credit, ``er.switch`` the
         instant the tail flit exits the crossbar."""
-        return self._submit(src_port, dst_port, payload, length_bytes, vc,
-                            trace)[1]
-
-    def inject(self, src_port: int, dst_port: int, payload: Any,
-               length_bytes: int, vc: int = 0,
-               trace: Any = None) -> Message:
-        """Fire-and-forget variant of :meth:`send`."""
-        message, done = self._submit(src_port, dst_port, payload,
-                                     length_bytes, vc, trace)
-        done._defused = True
-        return message
-
-    def _submit(self, src_port: int, dst_port: int, payload: Any,
-                length_bytes: int, vc: int,
-                trace: Any) -> Tuple[Message, Event]:
         self._check_port(src_port)
         self._check_port(dst_port)
         if not 0 <= vc < self.num_vcs:
@@ -179,25 +165,25 @@ class ElasticRouter:
         message = Message(src_port=src_port, dst_port=dst_port, vc=vc,
                           payload=payload, length_bytes=length_bytes,
                           injected_at=now, trace=trace)
-        done = self.env.event()
         self.stats.messages_injected += 1
         stream = self._stream
         if not self._running and (not stream
                                   or src_port == stream[0][0].src_port):
-            self._stream_message(message, done,
+            self._stream_message(message, on_sent,
                                  stream[-1][4] if stream else now)
-            return message, done
+            return message
         if stream:
             self._handover()
         pending = self._pending[src_port]
         for flit in packetize(message, self.flit_bytes):
-            pending.append((flit, done))
-        return message, done
+            pending.append((flit, on_sent))
+        return message
 
     # ------------------------------------------------------------------
     # Stream: one event per message while one input port is active
     # ------------------------------------------------------------------
-    def _stream_message(self, message: Message, done: Event,
+    def _stream_message(self, message: Message,
+                        on_sent: Optional[Callable[[], None]],
                         start: float) -> None:
         """Queue ``message`` behind the stream, whose last tail exits at
         ``start`` (or the port is idle and ``start`` is now)."""
@@ -209,7 +195,7 @@ class ElasticRouter:
         for _ in range(flits - 1):
             edge = tail
             tail += cycle
-        self._stream.append((message, flits, done, head, tail))
+        self._stream.append((message, flits, on_sent, head, tail))
         # The per-cycle clock schedules the tick that delivers a message
         # on the edge before it.  Arming the exit there too gives it the
         # same place among same-instant events on both paths.
@@ -222,9 +208,10 @@ class ElasticRouter:
         """A streamed message's tail flit exits the crossbar."""
         if epoch != self._epoch:
             return  # voided by a handover
-        message, flits, done, head, _tail = self._stream.popleft()
+        message, flits, on_sent, head, _tail = self._stream.popleft()
         self._streamed(message, flits, head)
-        done.succeed()
+        if on_sent is not None:
+            self.env.call_later(0.0, on_sent)
         self._deliver(message)
 
     def _streamed(self, message: Message, flits: int, head: float) -> None:
@@ -248,7 +235,7 @@ class ElasticRouter:
         cycle = self.cycle_time
         stream = self._stream
         self._epoch += 1
-        message, _flits, done, head, _tail = stream.popleft()
+        message, _flits, on_sent, head, _tail = stream.popleft()
         pending = self._pending[message.src_port]
         flits = packetize(message, self.flit_bytes)
         # Flits on edges strictly before now have crossed; the tail edge
@@ -263,9 +250,9 @@ class ElasticRouter:
             self._output_locks[(message.dst_port, vc)] = \
                 (message.src_port, vc)
             self._reassembly[(message.dst_port, vc)] = flits[:switched]
-        pending.extend((flit, done) for flit in flits[switched:])
-        for message, _flits, done, _head, _tail in stream:
-            pending.extend((flit, done)
+        pending.extend((flit, on_sent) for flit in flits[switched:])
+        for message, _flits, on_sent, _head, _tail in stream:
+            pending.extend((flit, on_sent)
                            for flit in packetize(message, self.flit_bytes))
         stream.clear()
         self._running = True
@@ -299,7 +286,7 @@ class ElasticRouter:
             pending = self._pending[port]
             if not pending:
                 continue
-            flit, done = pending[0]
+            flit, on_sent = pending[0]
             if flit.message.injected_at >= now:
                 continue  # latch rule: sent this instant
             if self._credits[port].try_acquire(flit.vc):
@@ -309,8 +296,8 @@ class ElasticRouter:
                 if flit.is_head and flit.message.trace is not None:
                     # Pending wait + credit stalls up to buffer entry.
                     flit.message.trace.tap(_STAGE_ER_INGRESS, now)
-                if flit.is_tail and not done.triggered:
-                    done.succeed()
+                if flit.is_tail and on_sent is not None:
+                    self.env.call_later(0.0, on_sent)
             else:
                 self.stats.injection_stall_cycles += 1
 

@@ -5,30 +5,25 @@ Quick example::
     from repro.sim import Environment
 
     env = Environment()
+    pongs = []
 
     def pinger(env):
         yield env.timeout(1.0)
-        return "pong"
+        pongs.append(env.now)
 
-    proc = env.process(pinger(env))
+    env.process(pinger(env))
+    env.call_later(2.0, pongs.append, "done")
     env.run()
-    assert proc.value == "pong"
+    assert pongs == [1.0, "done"]
 """
 
-from .events import Event, Process, SimulationError, Timeout
 from .kernel import Environment
 from .randomness import RandomStreams, percentile
 from .pool import Pool
-from . import units
 
 __all__ = [
     "Environment",
-    "Event",
-    "Process",
     "Pool",
     "RandomStreams",
-    "SimulationError",
-    "Timeout",
     "percentile",
-    "units",
 ]

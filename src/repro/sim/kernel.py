@@ -1,24 +1,28 @@
 """The discrete-event simulation environment.
 
-:class:`Environment` owns virtual time and the event schedule.  All
-simulated subsystems (network switches, LTL engines, FPGA roles, ranking
-servers) schedule work here.  Time units are **seconds** throughout the
-library; helpers for microseconds/nanoseconds live in
-:mod:`repro.sim.units`.
+:class:`Environment` owns virtual time and the schedule.  All simulated
+subsystems (network switches, LTL engines, FPGA roles, ranking servers)
+schedule work here.  Time is in **seconds** throughout the library.
 
 Scheduler
 ---------
-Every scheduled entry is a ``(time, seq, event)`` tuple, and entries
-dispatch in exactly that tuple order: earliest time first, then FIFO by
-``seq``.  (A caller placing late work where it would have stood if
-scheduled earlier gets a half-step ``seq`` from ``_call_at_before``.)
-The schedule has two parts:
+Every scheduled entry is a ``(time, seq, fn, args)`` tuple, and entries
+dispatch in ``(time, seq)`` order: earliest time first, then FIFO by
+``seq``.  Dispatching one calls ``fn(*args)``.  (A caller placing late
+work where it would have stood if scheduled earlier gets a half-step
+``seq`` from ``_call_at_before``.)  The schedule has two parts:
 
 * a one-entry **head slot** holding an entry that sorts before
-  everything else queued.  In chain-style workloads (an event's handler
-  schedules the very next event) pushes and pops never touch the heap:
+  everything else queued.  In chain-style workloads (a callback
+  schedules the very next entry) pushes and pops never touch the heap:
   arming the slot is one compare, popping it is one load.
 * one binary **heap** (:mod:`heapq`) for everything else.
+
+Work is scheduled with :meth:`Environment.call_later` and
+:meth:`Environment.call_at`.  A *process* (:meth:`Environment.process`)
+is a generator stepped on ``call_later``: it yields delays
+(:meth:`Environment.timeout`) and nothing else, so waiting costs one
+entry per delay and a finished process costs none.
 
 Determinism contract: a seeded run is bit-identical to itself — across
 repeated runs and across any split into bounded ``run(until=...)``
@@ -26,43 +30,17 @@ windows — and every EXPERIMENTS.md row holds within its tolerance.
 ``tests/sim/test_scheduler_determinism.py`` checks the dispatch order
 against a plain-``heapq`` reference scheduler.
 
-Performance
------------
 ``run()`` is the innermost loop of every experiment and the only way to
-advance time.  It binds its hot names locally and has two dispatch fast
-paths:
-
-* an event whose only waiter is a :class:`~repro.sim.events.Process` is
-  resumed inline (no bound-method allocation, no extra frame);
-* when the event a process just yielded is itself the next event due
-  (the common ``while True: yield timeout(d)`` shape), the loop chains
-  straight into the next resume without re-entering the generic
-  dispatcher.
-
-One-shot latency callbacks (apply delay *d*, then call ``fn``) should
-use :meth:`Environment.call_later` rather than spawning a process: a
-:class:`~repro.sim.events.Deferred` costs one schedule entry and no
-generator.
-
-Instrumentation reading ``env.now`` must never write back: trace taps
-(:mod:`repro.trace`) only record timestamps — they schedule no events
-and draw no randomness, so enabling them cannot perturb seeded runs.
+advance time.  Instrumentation reading ``env.now`` must never write
+back: trace taps (:mod:`repro.trace`) only record timestamps — they
+schedule nothing and draw no randomness, so enabling them cannot
+perturb seeded runs.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Optional, Tuple
-
-from .events import (
-    PENDING,
-    Deferred,
-    Event,
-    Process,
-    ProcessGenerator,
-    SimulationError,
-    Timeout,
-)
+from typing import Any, Callable, Generator, Optional, Tuple
 
 __all__ = ["Environment"]
 
@@ -81,11 +59,10 @@ class _StopRun(BaseException):
 class Environment:
     """Execution environment for a discrete-event simulation.
 
-    The schedule holds ``(time, seq, event)`` tuples in a head slot plus
-    one binary heap (see the module docstring).  ``seq`` is a
-    monotonically increasing tie-breaker so that events scheduled at the
-    same instant are processed in FIFO order, which keeps runs
-    deterministic.
+    The schedule holds ``(time, seq, fn, args)`` tuples in a head slot
+    plus one binary heap (see the module docstring).  ``seq`` is a
+    monotonically increasing tie-breaker so that entries scheduled for
+    the same instant run in FIFO order, which keeps runs deterministic.
     """
 
     def __init__(self, initial_time: float = 0.0):
@@ -119,8 +96,8 @@ class Environment:
 
     @property
     def events_processed(self) -> int:
-        """Total entries (events and deferred callbacks) dispatched so
-        far — the numerator of every events/sec benchmark.
+        """Total entries dispatched so far — the numerator of every
+        events/sec benchmark.
 
         Counted by sequence accounting rather than by an increment in
         the dispatch loop: every seq draw enters the schedule exactly
@@ -133,55 +110,38 @@ class Environment:
                 + (self._stop_token is not None))
 
     # ------------------------------------------------------------------
-    # Event creation
+    # Processes
     # ------------------------------------------------------------------
-    def event(self) -> Event:
-        """Create an untriggered event owned by this environment."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that succeeds ``delay`` seconds from now."""
+    def timeout(self, delay: float) -> float:
+        """What a process yields to wait ``delay`` seconds."""
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
-        # Slots filled and push inlined here: timeouts are the single
-        # most created object in any simulation.
-        t = Timeout.__new__(Timeout)
-        t.env = self
-        t.callbacks = []
-        t._value = value
-        t._ok = True
-        t._defused = False
-        t.delay = delay
-        seq = self._seq
-        self._seq = seq + 1
-        entry = (self._now + delay, seq, t)
-        head = self._head
-        if head is None:
-            heap = self._heap
-            if not heap or entry < heap[0]:
-                self._head = entry
-                return t
-        elif entry < head:
-            heappush(self._heap, head)
-            self._head = entry
-            return t
-        heappush(self._heap, entry)
-        return t
+        return delay
 
-    def process(self, generator: ProcessGenerator,
-                name: Optional[str] = None) -> Process:
-        """Start a new process from a generator of events."""
-        return Process(self, generator, name=name)
+    def process(self, generator: Generator[float, None, Any]) -> None:
+        """Step ``generator`` now, in FIFO turn, and again each time a
+        delay it yields has passed.  It may yield only delays; an
+        exception it raises leaves :meth:`run` at once."""
+        if not hasattr(generator, "send"):
+            raise TypeError(f"{generator!r} is not a generator")
+        self.call_later(0.0, self._step, generator.send)
+
+    def _step(self, send: Callable[[None], float]) -> None:
+        """Resume a process; schedule its next step after the delay it
+        yields, or nothing once it returns."""
+        try:
+            delay = send(None)
+        except StopIteration:
+            return
+        try:
+            self.call_later(delay, self._step, send)
+        except TypeError:
+            raise TypeError(f"{send.__self__!r} yielded {delay!r}, "
+                            "not a delay") from None
 
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
-    def _push(self, when: float, event: Any) -> None:
-        """Schedule ``event`` at absolute time ``when`` (no validation)."""
-        seq = self._seq
-        self._seq = seq + 1
-        self._insert((when, seq, event))
-
     def _insert(self, entry: Tuple) -> None:
         """Place ``entry`` in the head slot or the heap."""
         head = self._head
@@ -210,7 +170,7 @@ class Environment:
         :attr:`events_processed` stays exact.
         """
         self._seq += 1
-        self._insert((when, seq - 0.5, Deferred(fn, args)))
+        self._insert((when, seq - 0.5, fn, args))
 
     def _remove_entry(self, entry: Tuple) -> None:
         """Remove a specific queued ``entry``.
@@ -228,17 +188,14 @@ class Environment:
                    *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` seconds of virtual time.
 
-        The fast path for one-shot latency modeling: one slotted
-        schedule entry, no :class:`Event` machinery, nothing to wait on.
-        Use a process (or ``timeout``) when something must be able to
-        wait on the result.  (``_push`` is inlined: this is the kernel's
-        most-trafficked insert path.)
+        (``_insert`` is inlined: this is the kernel's most-trafficked
+        insert path.)
         """
         if delay < 0:
             raise ValueError(f"negative call_later delay: {delay}")
         seq = self._seq
         self._seq = seq + 1
-        entry = (self._now + delay, seq, Deferred(fn, args))
+        entry = (self._now + delay, seq, fn, args)
         head = self._head
         if head is None:
             heap = self._heap
@@ -255,7 +212,7 @@ class Environment:
                 *args: Any) -> None:
         """Run ``fn(*args)`` at absolute virtual time ``when``.
 
-        (``_push`` is inlined, as in :meth:`call_later`: every port
+        (``_insert`` is inlined, as in :meth:`call_later`: every port
         arrival and every streamed router exit is scheduled here.)
         """
         if when < self._now:
@@ -263,7 +220,7 @@ class Environment:
                 f"call_at({when}) is in the past (now={self._now})")
         seq = self._seq
         self._seq = seq + 1
-        entry = (when, seq, Deferred(fn, args))
+        entry = (when, seq, fn, args)
         head = self._head
         if head is None:
             heap = self._heap
@@ -281,7 +238,7 @@ class Environment:
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None) -> None:
         """Run the simulation: to exhaustion when ``until`` is None,
-        else through every event due at or before time ``until``, ending
+        else through every entry due at or before time ``until``, ending
         with the clock at ``until``."""
         if until is None:
             stop_time = _INF
@@ -292,30 +249,25 @@ class Environment:
                     f"until ({stop_time}) is in the past (now={self._now})")
 
         heap = self._heap
-        push = self._push
         # No dispatch counter here: ``events_processed`` is derived
         # from the seq accounting, saving an interpreted increment per
-        # event in the hottest loop of the repo.
+        # entry in the hottest loop of the repo.
         sentinel: Optional[Tuple] = None
         if stop_time != _INF:
             # Bounded run.  Comparing ``entry[0] > stop_time`` on every
             # pop costs ~40% of loop throughput, so instead a sentinel is
             # scheduled *at* the stop time, keyed with an infinite seq so
-            # it sorts after every simulation event due at that instant;
-            # dispatching it raises :class:`_StopRun`, ending the run.
-            # The head-slot invariant (head <= heap min) guarantees the
-            # chain fast path below can never overtake the sentinel.  A
-            # run that terminates with an exception removes its own
-            # sentinel in the ``finally`` below — left behind, it would
-            # be a phantom entry (``len`` would count a nonexistent
-            # event at ``stop_time``) that the next bounded run would pop
-            # and miscount.  It draws no seq, and ``events_processed``
-            # discounts it while the token is set.  The identity token
-            # additionally keeps any stale sentinel from stopping a
-            # later run.
+            # it sorts after every entry due at that instant; dispatching
+            # it raises :class:`_StopRun`, ending the run.  A run that
+            # terminates with an exception removes its own sentinel in
+            # the ``finally`` below — left behind, it would be a phantom
+            # entry (``len`` would count it) that the next bounded run
+            # would pop and miscount.  It draws no seq, and
+            # ``events_processed`` discounts it while the token is set.
+            # The identity token additionally keeps any stale sentinel
+            # from stopping a later run.
             token = self._stop_token = object()
-            sentinel = (stop_time, _INF,
-                        Deferred(self._raise_stop, (token,)))
+            sentinel = (stop_time, _INF, self._raise_stop, (token,))
             self._insert(sentinel)
         consumed = False
         try:
@@ -328,68 +280,7 @@ class Environment:
                 else:
                     break
                 self._now = entry[0]
-                event = entry[2]
-                if event.__class__ is Deferred:
-                    event.fn(*event.args)
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                if len(callbacks) == 1 and \
-                        (proc := callbacks[0]).__class__ is Process:
-                    # Inlined Process._resume (keep in sync with
-                    # events.Process._resume): resuming a process is
-                    # the second-hottest operation after Deferred
-                    # dispatch, and the inline saves a bound-method
-                    # allocation plus a frame per event.
-                    while True:
-                        try:
-                            if event._ok:
-                                result = proc._send(event._value)
-                            else:
-                                event._defused = True
-                                result = proc.generator.throw(
-                                    event._value)
-                        except StopIteration as stop:
-                            proc._ok = True
-                            proc._value = stop.value
-                            push(self._now, proc)
-                            break
-                        except BaseException as exc:
-                            proc._ok = False
-                            proc._value = exc
-                            push(self._now, proc)
-                            break
-                        try:
-                            rcb = result.callbacks
-                        except AttributeError:
-                            raise SimulationError(
-                                f"process {proc.name!r} yielded "
-                                f"non-event {result!r}") from None
-                        if rcb is None:
-                            proc._continue_processed(result)
-                            break
-                        sole = not rcb
-                        rcb.append(proc)
-                        if not result._ok and \
-                                result._value is not PENDING:
-                            result._defused = True
-                        # Chain: if the event the process just
-                        # yielded is itself the next event due (and
-                        # has no other waiter), dispatch it without
-                        # re-entering the generic loop.
-                        head = self._head
-                        if head is None or head[2] is not result \
-                                or not sole:
-                            break
-                        self._head = None
-                        self._now = head[0]
-                        result.callbacks = None
-                        event = result
-                    continue
-                for callback in callbacks:
-                    callback(event)
-                if not event._ok and not event._defused:
-                    raise event._value
+                entry[2](*entry[3])
         except _StopRun:
             consumed = True
         finally:

@@ -8,7 +8,6 @@ from repro.crypto import (
     EncryptionTap,
     FlowKey,
     FlowTable,
-    FpgaCryptoEngine,
     GcmContext,
 )
 from repro.net.packet import make_udp_packet

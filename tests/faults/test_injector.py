@@ -54,7 +54,7 @@ def drive(cloud, service, client, seconds, period=0.02):
                 pass
             yield env.timeout(period)
 
-    cloud.env.process(driver(cloud.env), name="test-driver")
+    cloud.env.process(driver(cloud.env))
     return sent
 
 

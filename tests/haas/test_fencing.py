@@ -52,7 +52,7 @@ class TestFpgaManagerFence:
         fm = rm.manager(0)
         fm.install_fence(5)
         before = fm.configurations
-        env.process(fm.configure(IMAGE, fence=4), name="stale-config")
+        env.process(fm.configure(IMAGE, fence=4))
         env.run(until=env.now + 5.0)
         assert fm.configurations == before
         assert fm.fence_rejections == 1

@@ -10,7 +10,6 @@ from repro.haas import (
     FpgaManager,
     LeaseState,
     Locality,
-    ResourceManager,
     ServiceManager,
     select_hosts,
 )

@@ -1,11 +1,14 @@
-"""Every ``def`` and ``class`` in ``src/repro`` is reached from outside
-itself.
+"""Every module, ``def`` and ``class`` in ``src/repro`` is reached from
+outside itself.
 
 A name is reached when it occurs as a word in ``src/``, ``benchmarks/``,
 ``examples/`` or ``perfbench/`` anywhere but the lines of its own
 definition and the package ``__init__`` files that re-export it.  Code
 in ``src`` that only tests call fails here unless :data:`ALLOWED` names
-it with the reason it is kept.
+it with the reason it is kept.  A module (apart from ``__init__`` and
+``__main__``) is reached when a file in those trees other than a package
+``__init__`` imports it or a name from it, directly or through the
+``__init__`` files that re-export it.
 """
 
 import ast
@@ -18,13 +21,6 @@ SEARCHED = ("src", "benchmarks", "examples", "perfbench")
 
 #: Names only tests reach, each with the reason it stays.
 ALLOWED = {
-    "RingNetwork":
-        "test_router_differential checks the streamed ER through rings",
-    "MeshNetwork":
-        "test_router_differential checks the streamed ER through meshes",
-    "set_local_handler":
-        "the composed networks' delivery hook, used by the ring and mesh "
-        "checks",
     "gcm_encrypt": "one-shot reference the GcmContext fast path is "
                    "checked against",
     "gcm_decrypt": "one-shot reference the GcmContext fast path is "
@@ -82,3 +78,53 @@ def unreached():
 def test_every_definition_is_reached_or_allowed():
     # Equality also catches a stale allowlist entry.
     assert set(unreached()) == set(ALLOWED)
+
+
+def modules():
+    """Dotted name of every module in ``src/repro`` but the package
+    ``__init__`` and ``__main__`` files."""
+    for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
+        if path.name not in ("__init__.py", "__main__.py"):
+            yield ".".join(path.relative_to(ROOT / "src").with_suffix("")
+                           .parts)
+
+
+def imports(path, package):
+    """(local name, dotted name) of every name ``path``, a file of
+    ``package``, imports."""
+    parts = package.split(".")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name, alias.name
+        elif isinstance(node, ast.ImportFrom):
+            base = parts[:len(parts) + 1 - node.level] if node.level else []
+            module = ".".join(base + [node.module] if node.module else base)
+            for alias in node.names:
+                yield alias.asname or alias.name, f"{module}.{alias.name}"
+
+
+def imported():
+    """Every module the searched trees import, or import a name from,
+    following package ``__init__`` re-exports to where a name is
+    defined.  A re-export alone reaches nothing."""
+    exports, names = {}, []
+    for top in SEARCHED:
+        base = ROOT / "src" if top == "src" else ROOT
+        for path in sorted((ROOT / top).rglob("*.py")):
+            package = ".".join(path.relative_to(base).parent.parts)
+            for local, name in imports(path, package):
+                if path.name == "__init__.py":
+                    exports[f"{package}.{local}"] = name
+                else:
+                    names.append(name)
+    found = set()
+    for name in names:
+        while exports.get(name, name) != name:
+            name = exports[name]
+        found.update((name, name.rpartition(".")[0]))
+    return found
+
+
+def test_every_module_is_imported():
+    assert sorted(set(modules()) - imported()) == []

@@ -4,7 +4,6 @@ import pytest
 
 from repro.net import (
     DatacenterFabric,
-    LatencyModel,
     PfcConfig,
     TopologyConfig,
     TrafficClass,

@@ -204,7 +204,7 @@ def test_er_no_loss_and_per_flow_order(traffic):
     for src, dst, vc, size in traffic:
         key = (src, dst, vc)
         sequence[key] = sequence.get(key, 0)
-        router.inject(src, dst, (src, sequence[key]), size, vc=vc)
+        router.send(src, dst, (src, sequence[key]), size, vc=vc)
         sequence[key] += 1
     env.run()
     delivered = sum(len(v) for v in received.values())

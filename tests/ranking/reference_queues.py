@@ -2,9 +2,10 @@
 
 The oracle for the callback query chains of :mod:`repro.ranking.service`,
 :mod:`repro.ranking.consolidation` and :mod:`repro.dnn.pool`.  Every query,
-pool request and feature extraction here is its own process, and every
-core, FPGA slot and accelerator queue is a counted :class:`Resource`
-whose grant is an event at the instant it is made.
+pool request and feature extraction here is its own process (run by
+:func:`tests.sim.reference_events.process`), and every core, FPGA slot
+and accelerator queue is a counted :class:`Resource` whose grant is an
+event at the instant it is made.
 The subclasses share configuration, counters and helpers with the code
 under test and replace only the query path.
 """
@@ -21,8 +22,8 @@ from repro.ranking.ffu import FfuDpfRole, QueryWork
 from repro.ranking.service import AccelerationMode, LoadResult, \
     RankingServer
 from repro.sim import Environment, RandomStreams
-from repro.sim.events import Event
 from repro.trace.stages import Stage
+from tests.sim.reference_events import Event, process
 
 
 class ResourceRequest(Event):
@@ -147,10 +148,10 @@ def run_open_loop(config, arrival_rate_qps, num_queries=2000, seed=0,
 
     def generator(env):
         for _ in range(num_queries):
-            env.process(server.handle_query())
+            process(env, server.handle_query())
             yield env.timeout(rng.expovariate(arrival_rate_qps))
 
-    env.process(generator(env))
+    process(env, generator(env))
     env.run()
     warmup = int(num_queries * warmup_fraction)
     recorder = LatencyRecorder("steady-state")
@@ -166,10 +167,10 @@ def saturation_qps(config, seed=0, num_queries=1500):
 
     def closed_loop(env):
         for _ in range(num_queries):
-            env.process(server.handle_query())
+            process(env, server.handle_query())
         yield env.timeout(0)
 
-    env.process(closed_loop(env))
+    process(env, closed_loop(env))
     env.run()
     return server.completed / env.now
 
@@ -228,11 +229,11 @@ def run_oversubscription_point(num_clients, num_fpgas, remote=None,
     def client(client_id):
         rng = streams.stream(f"client-{client_id}")
         for _ in range(requests_per_client):
-            env.process(pool.request())
+            process(env, pool.request())
             yield env.timeout(rng.expovariate(client_rate))
 
     for cid in range(num_clients):
-        env.process(client(cid), name=f"client-{cid}")
+        process(env, client(cid))
     env.run()
     recorder = LatencyRecorder("steady")
     warmup = int(0.05 * len(pool.latency.samples))
@@ -298,7 +299,7 @@ def run_consolidation_point(config: Optional[ConsolidationConfig] = None,
         with server_cores.request() as core:
             yield core
             yield env.timeout(software.pre_time(work))
-        yield env.process(pool.extract(work))
+        yield process(env, pool.extract(work))
         with server_cores.request() as core:
             yield core
             yield env.timeout(software.post_time(work))
@@ -310,11 +311,11 @@ def run_consolidation_point(config: Optional[ConsolidationConfig] = None,
         cores = Resource(env, capacity=config.cores_per_server)
         for _ in range(queries_per_server):
             work = config.workload.sample(rng)
-            env.process(query(cores, work))
+            process(env, query(cores, work))
             yield env.timeout(rng.expovariate(per_server_qps))
 
     for index in range(config.num_servers):
-        env.process(server(index), name=f"server-{index}")
+        process(env, server(index))
     env.run()
     utilization = pool.busy_time / (env.now * config.num_fpgas) \
         if env.now > 0 else 0.0

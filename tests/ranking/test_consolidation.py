@@ -1,7 +1,5 @@
 """Tests for the FPGA consolidation study."""
 
-import pytest
-
 from repro.ranking import (
     ConsolidationConfig,
     consolidation_sweep,

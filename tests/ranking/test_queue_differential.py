@@ -37,6 +37,7 @@ from repro.ranking.consolidation import ConsolidationConfig, \
     run_consolidation_point
 from repro.sim import Environment
 from repro.trace import TraceContext
+from tests.sim.reference_events import process
 
 from . import reference_queues as ref
 
@@ -81,7 +82,7 @@ def run_ranking(program, reference):
 
     def submit(work, i):
         if reference:
-            env.process(one_query(work, i))
+            process(env, one_query(work, i))
         else:
             server.submit(work, lambda latency: records.append(
                 (i, latency, env.now)))
@@ -204,7 +205,7 @@ def run_pool(program, reference):
         # The callback pool has already started the request; the
         # reference returned its process body.
         if reference:
-            env.process(call)
+            process(env, call)
 
     def arrive(left):
         if left:

@@ -6,6 +6,8 @@ then switches at most one flit per input and per output port, choosing
 round-robin among the (input, VC) pairs whose head flit may proceed
 under the wormhole locks.  A flit sent at instant T is admitted no
 earlier than the first cycle edge strictly after T (the latch rule).
+A send completes with an event that succeeds when its tail flit is
+admitted; ``on_sent`` runs in that event's dispatch.
 """
 
 from collections import deque
@@ -13,6 +15,7 @@ from collections import deque
 from repro.router import RouterStats, make_credit_pool, packetize
 from repro.router.flit import Message
 from repro.trace.stages import Stage
+from tests.sim.reference_events import Event
 
 
 class ReferenceRouter:
@@ -42,25 +45,20 @@ class ReferenceRouter:
         self._endpoints[port] = deliver
 
     def send(self, src_port, dst_port, payload, length_bytes, vc=0,
-             trace=None):
+             trace=None, on_sent=None):
         message = Message(src_port=src_port, dst_port=dst_port, vc=vc,
                           payload=payload, length_bytes=length_bytes,
                           injected_at=self.env.now, trace=trace)
-        done = self.env.event()
+        done = Event(self.env)
+        if on_sent is not None:
+            done.callbacks.append(lambda _event: on_sent())
         for flit in packetize(message, self.flit_bytes):
             self._pending[src_port].append((flit, done))
         self.stats.messages_injected += 1
         if not self._running:
             self._running = True
             self.env.call_later(self.cycle_time, self._tick)
-        return done
-
-    def inject(self, src_port, dst_port, payload, length_bytes, vc=0,
-               trace=None):
-        event = self.send(src_port, dst_port, payload, length_bytes, vc,
-                          trace=trace)
-        event._defused = True
-        return self._pending[src_port][-1][0].message
+        return message
 
     def _tick(self):
         self.stats.cycles += 1

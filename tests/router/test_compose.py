@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.router import MeshNetwork, RingNetwork
 from repro.sim import Environment
+
+from .compose import MeshNetwork, RingNetwork
 
 
 class TestRing:

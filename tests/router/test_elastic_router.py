@@ -70,8 +70,8 @@ class TestDelivery:
         for src in range(4):
             for dst in range(4):
                 for i in range(5):
-                    router.inject(src, dst, f"{src}->{dst}#{i}", 96,
-                                  vc=i % 2)
+                    router.send(src, dst, f"{src}->{dst}#{i}", 96,
+                                vc=i % 2)
                     count += 1
         env.run()
         assert len(got) == count
@@ -84,7 +84,7 @@ class TestDelivery:
         got = []
         router.set_endpoint(3, lambda m: got.append(m.payload))
         for i in range(10):
-            router.inject(1, 3, i, 64, vc=0)
+            router.send(1, 3, i, 64, vc=0)
         env.run()
         assert got == list(range(10))
 
@@ -96,8 +96,8 @@ class TestDelivery:
         got = []
         router.set_endpoint(0, lambda m: got.append(m.payload))
         # Two big messages race from different inputs to the same output/VC.
-        router.inject(1, 0, "from-1", 320, vc=0)
-        router.inject(2, 0, "from-2", 320, vc=0)
+        router.send(1, 0, "from-1", 320, vc=0)
+        router.send(2, 0, "from-2", 320, vc=0)
         env.run()
         assert sorted(got) == ["from-1", "from-2"]
 
@@ -106,8 +106,8 @@ class TestDelivery:
         router = make_router(env)
         got = []
         router.set_endpoint(0, lambda m: got.append((m.vc, m.payload)))
-        router.inject(1, 0, "vc0", 160, vc=0)
-        router.inject(2, 0, "vc1", 160, vc=1)
+        router.send(1, 0, "vc0", 160, vc=0)
+        router.send(2, 0, "vc1", 160, vc=1)
         env.run()
         assert sorted(got) == [(0, "vc0"), (1, "vc1")]
 
@@ -116,12 +116,8 @@ class TestDelivery:
         router = make_router(env)
         router.set_endpoint(1, lambda m: None)
         done_at = []
-
-        def sender(env):
-            yield router.send(0, 1, "payload", 64)
-            done_at.append(env.now)
-
-        env.process(sender(env))
+        router.send(0, 1, "payload", 64,
+                    on_sent=lambda: done_at.append(env.now))
         env.run()
         assert done_at and done_at[0] > 0
 
@@ -131,7 +127,7 @@ class TestDelivery:
             router = make_router(env, credits_per_port=64)
             times = []
             router.set_endpoint(1, lambda m: times.append(env.now))
-            router.inject(0, 1, "x", length)
+            router.send(0, 1, "x", length)
             env.run()
             return times[0]
 
@@ -162,7 +158,7 @@ class TestFairnessAndStats:
             m.src_port, got[m.src_port] + 1))
         for i in range(20):
             for src in (1, 2, 3):
-                router.inject(src, 0, i, 32, vc=0)
+                router.send(src, 0, i, 32, vc=0)
         env.run()
         assert all(v == 20 for v in got.values())
 
@@ -170,7 +166,7 @@ class TestFairnessAndStats:
         env = Environment()
         router = make_router(env)
         router.set_endpoint(1, lambda m: None)
-        router.inject(0, 1, "x", 96)  # 3 flits at 32 B
+        router.send(0, 1, "x", 96)  # 3 flits at 32 B
         env.run()
         assert router.stats.flits_switched == 3
         assert router.stats.messages_injected == 1
@@ -181,7 +177,7 @@ class TestFairnessAndStats:
         router = make_router(env)
         router.set_endpoint(1, lambda m: None)
         for _ in range(4):
-            router.inject(0, 1, "x", 128)
+            router.send(0, 1, "x", 128)
         env.run()
         assert router.stats.peak_buffer_occupancy > 0
 
@@ -193,7 +189,7 @@ class TestFairnessAndStats:
         router.set_endpoint(3, lambda m: None)
         for _ in range(10):
             for src in (0, 1, 2):
-                router.inject(src, 3, "x", 256, vc=0)
+                router.send(src, 3, "x", 256, vc=0)
         env.run()
         assert router.stats.injection_stall_cycles > 0
         assert router.stats.messages_delivered == 30
@@ -208,16 +204,19 @@ class TestCreditPolicyAblation:
         router.set_endpoint(3, lambda m: None)
         # Competing senders keep output 3 busy so input 0's flits queue.
         for _ in range(num_messages):
-            router.inject(1, 3, "bg", 128, vc=1)
-            router.inject(2, 3, "bg", 128, vc=2)
+            router.send(1, 3, "bg", 128, vc=1)
+            router.send(2, 3, "bg", 128, vc=2)
         done_times = []
 
-        def hot_sender(env):
-            for _ in range(num_messages):
-                yield router.send(0, 3, "hot", 128, vc=0)
-                done_times.append(env.now)
+        def hot_sender():
+            router.send(0, 3, "hot", 128, vc=0, on_sent=sent)
 
-        env.process(hot_sender(env))
+        def sent():
+            done_times.append(env.now)
+            if len(done_times) < num_messages:
+                hot_sender()
+
+        env.call_later(0.0, hot_sender)
         env.run()
         return done_times, router.stats
 
@@ -250,9 +249,9 @@ class TestStreamAndHandover:
         router = router_cls(env, num_ports=4, num_vcs=2, credits_per_port=8)
         got = []
         router.set_endpoint(2, lambda m: got.append((m.payload, env.now)))
-        router.inject(0, 2, "long", 320, vc=0)   # 10 flits of 32 B
+        router.send(0, 2, "long", 320, vc=0)   # 10 flits of 32 B
         # A second port cuts in at 4.5 cycles, to the same output and VC.
-        env.call_at(4.5 * self.CYCLE, router.inject, 1, 2, "cut-in", 64, 0)
+        env.call_at(4.5 * self.CYCLE, router.send, 1, 2, "cut-in", 64, 0)
         env.run()
         return got, router.stats, router._rr
 
@@ -271,15 +270,17 @@ class TestStreamAndHandover:
         for port in (2, 3):
             router.set_endpoint(
                 port, lambda m: got.__setitem__(m.payload, env.now))
-        router.inject(0, 2, "long", 320)  # keeps the clock running
+        router.send(0, 2, "long", 320)  # keeps the clock running
 
-        def chained(env):
-            yield router.send(1, 3, "a", 32)              # done at edge 1
-            yield env.timeout(2 * self.CYCLE)             # wakes on edge 3
+        def send_b():                                     # on edge 3
             assert env.now == self.edge(3)
-            router.inject(1, 3, "b", 32)
+            router.send(1, 3, "b", 32)
 
-        env.process(chained(env))
+        def chained():                                    # sent at edge 1
+            router.send(1, 3, "a", 32, on_sent=lambda: env.call_later(
+                2 * self.CYCLE, send_b))
+
+        env.call_later(0.0, chained)
         env.run()
         return got
 
@@ -295,8 +296,8 @@ class TestStreamAndHandover:
         env = Environment()
         router = make_router(env)
         router.set_endpoint(2, lambda m: None)
-        streamed = router.inject(0, 2, "streamed", 96)
-        clocked = router.inject(1, 2, "clocked", 96)  # hands over
+        streamed = router.send(0, 2, "streamed", 96)
+        clocked = router.send(1, 2, "clocked", 96)  # hands over
         assert (streamed.payload, streamed.src_port) == ("streamed", 0)
         assert (clocked.payload, clocked.src_port) == ("clocked", 1)
         env.run()
@@ -307,11 +308,11 @@ class TestStreamAndHandover:
         router = make_router(env)
         router.set_endpoint(1, lambda m: None)
         for _ in range(5):
-            router.inject(0, 1, "x", 320)
+            router.send(0, 1, "x", 320)
         env.run()
         # Per message: the exit, armed on the edge before it (every
-        # message here is 10 flits long), and the send() completion.
-        assert env.events_processed == 15
+        # message here is 10 flits long).  No on_sent, no entry for it.
+        assert env.events_processed == 10
         assert router.stats.cycles == router.stats.flits_switched == 50
         assert router.stats.peak_buffer_occupancy == 1
         assert env.now == self.edge(50)

@@ -4,11 +4,11 @@ reference (:mod:`tests.router.reference_router`).
 Random injection programs run on both routers: 1-5 ports, 1-3 VCs, both
 credit policies, 1-400-B messages and trace contexts.  Sends
 land at continuous times, at the same instant as the previous send, on a
-clock's edge grid, from delivery callbacks, and from chained senders that
-``yield send()`` and then wait a whole number of cycles.  A single router
-must match the reference in delivery order and times, ``send()``
-completion order and times, every trace mark, every ``RouterStats`` field
-and the round-robin pointers.
+clock's edge grid, from delivery callbacks, and from chained senders
+that send again a whole number of cycles after ``on_sent``.  A single
+router must match the reference in delivery order and times, ``on_sent``
+order and times, every trace mark, every ``RouterStats`` field and the
+round-robin pointers.
 
 Ring and mesh networks compare the set of events at each instant instead
 of their order: several routers dispatching at one instant may do so in
@@ -22,12 +22,12 @@ from unittest import mock
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.router import (DEFAULT_FREQ_HZ, ElasticRouter, MeshNetwork,
-                          RingNetwork, compose)
+from repro.router import DEFAULT_FREQ_HZ, ElasticRouter
 from repro.sim import Environment
 from repro.trace import TraceContext
 from repro.trace.stages import Stage
 
+from . import compose
 from .reference_router import ReferenceRouter
 
 CYCLE = 1.0 / DEFAULT_FREQ_HZ
@@ -89,15 +89,18 @@ def run_router(router_cls, program):
     router = router_cls(env, **config)
     delivered, completed, contexts, echoes = [], [], {}, {}
 
-    def submit(ident, spec, src=None):
+    def submit(ident, spec, src=None, then=None):
         if spec["echo"] is not None:
             echoes[ident] = spec["echo"]
-        done = router.send(spec["src"] if src is None else src, spec["dst"],
-                           ident, spec["size"], vc=spec["vc"],
-                           trace=contexts.get(ident))
-        done.callbacks.append(
-            lambda _event: completed.append((env.now, ident)))
-        return done
+
+        def sent():
+            completed.append((env.now, ident))
+            if then is not None:
+                then()
+
+        router.send(spec["src"] if src is None else src, spec["dst"],
+                    ident, spec["size"], vc=spec["vc"],
+                    trace=contexts.get(ident), on_sent=sent)
 
     def endpoint(port):
         def on_message(message):
@@ -129,11 +132,19 @@ def run_router(router_cls, program):
         at = at if when is None else when
         env.call_at(at, submit, ("fired", i), spec)
 
+    def send_chained(i, src, messages, j=0):
+        spec, k = messages[j]
+
+        def then():
+            if j + 1 < len(messages):
+                env.call_later(k * CYCLE, send_chained, i, src, messages,
+                               j + 1)
+
+        submit(("chained", i, j), spec, src, then)
+
     def sender(i, start, src, messages):
         yield env.timeout(start)
-        for j, (spec, k) in enumerate(messages):
-            yield submit(("chained", i, j), spec, src)
-            yield env.timeout(k * CYCLE)
+        send_chained(i, src, messages)
 
     for i, (start, src, messages) in enumerate(chained):
         env.process(sender(i, start, src, messages))
@@ -202,20 +213,23 @@ def run_network(router_cls, program):
     env = Environment()
     with mock.patch.object(compose, "ElasticRouter", router_cls):
         if shape[0] == "ring":
-            network = RingNetwork(env, shape[1], **kwargs)
+            network = compose.RingNetwork(env, shape[1], **kwargs)
         else:
-            network = MeshNetwork(env, shape[1], shape[2], **kwargs)
+            network = compose.MeshNetwork(env, shape[1], shape[2], **kwargs)
     delivered, completed, echoes = defaultdict(list), defaultdict(list), {}
 
-    def submit(ident, message, src=None):
+    def submit(ident, message, src=None, then=None):
         src_node, dst_node, vc, size, echo = message
         if echo is not None:
             echoes[ident] = echo
-        done = network.send(src_node if src is None else src, dst_node,
-                            ident, size, vc=vc)
-        done.callbacks.append(
-            lambda _event: completed[env.now].append(ident))
-        return done
+
+        def sent():
+            completed[env.now].append(ident)
+            if then is not None:
+                then()
+
+        network.send(src_node if src is None else src, dst_node, ident,
+                     size, vc=vc, on_sent=sent)
 
     def local(node, ident):
         delivered[env.now].append((node, ident))
@@ -232,11 +246,19 @@ def run_network(router_cls, program):
         at = at if when is None else when
         env.call_at(at, submit, ("fired", i), message)
 
+    def send_chained(i, src, messages, j=0):
+        message, k = messages[j]
+
+        def then():
+            if j + 1 < len(messages):
+                env.call_later(k * CYCLE, send_chained, i, src, messages,
+                               j + 1)
+
+        submit(("chained", i, j), message, src, then)
+
     def sender(i, start, src, messages):
         yield env.timeout(start)
-        for j, (message, k) in enumerate(messages):
-            yield submit(("chained", i, j), message, src)
-            yield env.timeout(k * CYCLE)
+        send_chained(i, src, messages)
 
     for i, (start, src, messages) in enumerate(chained):
         env.process(sender(i, start, src, messages))

@@ -1,4 +1,4 @@
-"""Regressions for the kernel fast path: deferred callbacks and the
+"""Regressions for the kernel fast path: scheduled callbacks and the
 events-processed counter."""
 
 import pytest
@@ -19,9 +19,13 @@ class TestCallLater:
     def test_same_instant_fifo_with_events(self):
         env = Environment()
         order = []
+
+        def proc(env):
+            yield env.timeout(1.0)
+            order.append("timeout")
+
         env.call_later(1.0, order.append, "deferred")
-        timeout = env.timeout(1.0)
-        timeout.callbacks.append(lambda ev: order.append("timeout"))
+        env.process(proc(env))
         env.run()
         assert order == ["deferred", "timeout"]
 
@@ -61,7 +65,7 @@ class TestEventsProcessedCounter:
         env = Environment()
         for _ in range(3):
             env.call_later(0.0, lambda: None)
-        env.timeout(1.0)
+        env.call_at(1.0, lambda: None)
         env.run()
         assert env.events_processed == 4
 

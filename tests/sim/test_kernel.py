@@ -1,8 +1,8 @@
-"""Tests for the discrete-event kernel (Environment, run)."""
+"""Tests for the discrete-event kernel (Environment, run, processes)."""
 
 import pytest
 
-from repro.sim import Environment, SimulationError
+from repro.sim import Environment
 
 
 class TestEnvironmentBasics:
@@ -20,7 +20,11 @@ class TestEnvironmentBasics:
 
     def test_timeout_advances_time(self):
         env = Environment()
-        env.timeout(2.5)
+
+        def proc(env):
+            yield env.timeout(2.5)
+
+        env.process(proc(env))
         env.run()
         assert env.now == 2.5
 
@@ -31,13 +35,13 @@ class TestEnvironmentBasics:
 
     def test_run_until_time_stops_exactly(self):
         env = Environment()
-        env.timeout(10.0)
+        env.call_later(10.0, lambda: None)
         env.run(until=4.0)
-        assert env.now == 4.0
+        assert env.now == 4.0 and len(env) == 1
 
     def test_run_until_past_raises(self):
         env = Environment()
-        env.timeout(1.0)
+        env.call_later(1.0, lambda: None)
         env.run()
         with pytest.raises(ValueError):
             env.run(until=0.5)
@@ -48,9 +52,10 @@ class TestEnvironmentBasics:
         def proc(env):
             yield env.timeout(1.0)
 
-        process = env.process(proc(env))
+        generator = proc(env)
+        env.process(generator)
         with pytest.raises(TypeError):
-            env.run(until=process)
+            env.run(until=generator)
         assert env.now == 0.0 and len(env) == 1
 
     def test_events_at_same_time_fifo(self):
@@ -95,18 +100,6 @@ class TestSeqAccounting:
 
 
 class TestProcesses:
-    def test_process_return_value(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(0.5)
-            return 42
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 42
-        assert not p.is_alive
-
     def test_sequential_timeouts_accumulate(self):
         env = Environment()
         times = []
@@ -120,37 +113,18 @@ class TestProcesses:
         env.run()
         assert times == [1.0, 2.0, 3.0]
 
-    def test_process_waits_on_process(self):
+    def test_a_process_costs_its_start_and_one_entry_per_delay(self):
         env = Environment()
 
-        def child(env):
-            yield env.timeout(2.0)
-            return "child-done"
-
-        def parent(env):
-            result = yield env.process(child(env))
-            return (env.now, result)
-
-        p = env.process(parent(env))
-        env.run()
-        assert p.value == (2.0, "child-done")
-
-    def test_exception_propagates_to_waiter(self):
-        env = Environment()
-
-        def failing(env):
+        def proc(env):
             yield env.timeout(1.0)
-            raise RuntimeError("boom")
+            yield env.timeout(0)
+            return "ignored"
 
-        def waiter(env):
-            try:
-                yield env.process(failing(env))
-            except RuntimeError as exc:
-                return str(exc)
-
-        p = env.process(waiter(env))
+        env.process(proc(env))
         env.run()
-        assert p.value == "boom"
+        # Its return draws no entry.
+        assert env.events_processed == 3 and len(env) == 0
 
     def test_unhandled_process_exception_surfaces(self):
         env = Environment()
@@ -167,32 +141,53 @@ class TestProcesses:
         env = Environment()
 
         def bad(env):
-            yield 42
+            yield object()
 
         env.process(bad(env))
-        with pytest.raises(SimulationError):
+        with pytest.raises(TypeError, match="not a delay"):
             env.run()
+
+    @pytest.mark.parametrize("value", [None, "1.0", [1.0], object()])
+    def test_yielding_anything_but_a_delay_raises_at_once(self, value):
+        env = Environment()
+        seen = []
+
+        def bad(env):
+            yield env.timeout(1.0)
+            yield value
+
+        env.process(bad(env))
+        env.run(until=0.5)
+        env.call_at(1.0, seen.append, "after")
+        with pytest.raises(TypeError, match="not a delay"):
+            env.run()
+        # Raised in the step that yielded it: the entry due after it at
+        # the same instant has not run, and nothing was scheduled.
+        assert env.now == 1.0 and seen == [] and len(env) == 1
+
+    def test_exception_leaves_run_with_no_stale_sentinel(self):
+        env = Environment()
+        seen = []
+
+        def failing(env):
+            yield env.timeout(1.0)
+            raise RuntimeError("boom")
+
+        env.process(failing(env))
+        env.run(until=0.5)
+        env.call_at(1.0, seen.append, "after")
+        with pytest.raises(RuntimeError, match="boom"):
+            env.run(until=5.0)
+        # The exception left in the failing step: the later entry at 1.0
+        # is the only one queued (no sentinel, no termination entry),
+        # and the count holds the start and the one step.
+        assert env.now == 1.0 and seen == [] and len(env) == 1
+        assert env.events_processed == 2
+        env.run(until=5.0)
+        assert seen == ["after"] and env.now == 5.0 and len(env) == 0
+        assert env.events_processed == 3
 
     def test_process_non_generator_rejected(self):
         env = Environment()
         with pytest.raises(TypeError):
             env.process(lambda: None)
-
-    def test_waiting_on_already_processed_event(self):
-        env = Environment()
-        results = []
-
-        def early(env):
-            yield env.timeout(1.0)
-            return "early"
-
-        child = env.process(early(env))
-
-        def late(env):
-            yield env.timeout(5.0)
-            value = yield child  # long since completed
-            results.append((env.now, value))
-
-        env.process(late(env))
-        env.run()
-        assert results == [(5.0, "early")]

@@ -8,6 +8,7 @@ import pytest
 
 from repro.sim import Environment
 from tests.ranking.reference_queues import Resource
+from tests.sim.reference_events import process
 
 
 class TestResource:
@@ -26,7 +27,7 @@ class TestResource:
                 active.pop()
 
         for _ in range(5):
-            env.process(user(env))
+            process(env, user(env))
         env.run()
         assert max(peak) == 2
 
@@ -42,7 +43,7 @@ class TestResource:
                 yield env.timeout(1.0)
 
         for tag in "abc":
-            env.process(user(env, tag))
+            process(env, user(env, tag))
         env.run()
         assert order == ["a", "b", "c"]
 
@@ -56,7 +57,7 @@ class TestResource:
             req.release()
             req.release()  # second release is a no-op
 
-        env.process(user(env))
+        process(env, user(env))
         env.run()
         assert resource.count == 0
 
@@ -73,7 +74,7 @@ class TestResource:
             yield req
             yield env.timeout(10.0)
 
-        env.process(holder(env))
-        env.process(holder(env))
+        process(env, holder(env))
+        process(env, holder(env))
         env.run(until=1.0)
         assert resource.count == 2

@@ -77,12 +77,12 @@ class _Node:
 
     def __init__(self, ident, kind, delays, children):
         self.ident = ident
-        self.kind = kind        # later | timeout | proc
+        self.kind = kind        # later | proc
         self.delays = delays    # proc: one delay per step, else one
         self.children = children
 
 
-_KINDS = st.sampled_from(["later", "timeout", "proc"])
+_KINDS = st.sampled_from(["later", "proc"])
 _DELAYS = st.lists(st.integers(0, 3), min_size=1, max_size=4)
 _TREES = st.recursive(
     st.tuples(_KINDS, _DELAYS, st.just(())),
@@ -119,13 +119,8 @@ class _EnvDriver:
         env = self.env
         if node.kind == "later":
             env.call_later(node.delays[0], self.fire, node)
-        elif node.kind == "timeout":
-            env.timeout(node.delays[0]).callbacks.append(
-                lambda _e: self.fire(node))
         else:
-            proc = env.process(self._steps(node))
-            proc.callbacks.append(
-                lambda _e: self.log.append((env.now, node.ident, "done")))
+            env.process(self._steps(node))
 
     def _steps(self, node):
         env = self.env
@@ -147,17 +142,15 @@ class _EnvDriver:
             raise Bomb()
 
         if in_process:
-            proc = env.process(failing(env))
-            proc.callbacks.append(
-                lambda _e: self.log.append((env.now, "bomb", "done")))
+            env.process(failing(env))
         else:
             env.call_later(delay, explode)
 
 
 class _RefDriver:
     """Interprets the same program on the reference scheduler, drawing
-    one entry wherever the kernel draws one: a process is its bootstrap,
-    one entry per timeout, and its termination event."""
+    one entry wherever the kernel draws one: a process is its start and
+    one entry per delay; its return draws none."""
 
     def __init__(self, log):
         self.ref = self.sched = ReferenceScheduler()
@@ -186,8 +179,6 @@ class _RefDriver:
             return
         for child in node.children:
             self.start(child)
-        ref.push(0.0, lambda: self.log.append(
-            (ref.now, node.ident, "done")))
 
     def bomb(self, in_process, delay):
         ref = self.ref
@@ -195,20 +186,10 @@ class _RefDriver:
         def explode():
             raise Bomb()
 
-        # The failing process: bootstrap, one timeout, then its failed
-        # termination event, which runs its callback and raises.
-        def boot():
-            ref.push(delay, resume)
-
-        def resume():
-            ref.push(0.0, fail)
-
-        def fail():
-            self.log.append((ref.now, "bomb", "done"))
-            raise Bomb()
-
+        # The failing process: its start, then one delay, whose step
+        # raises.
         if in_process:
-            ref.push(0.0, boot)
+            ref.push(0.0, ref.push, delay, explode)
         else:
             ref.push(delay, explode)
 
@@ -245,7 +226,7 @@ def _execute(driver, roots, bomb, windows):
 @settings(max_examples=200, deadline=None)
 def test_dispatch_order_matches_reference(trees, bomb, windows):
     """Random programs — zero and tied delays, nested scheduling, process
-    timeout chains, bounded windows, one bomb that aborts the window it
+    delay chains, bounded windows, one bomb that aborts the window it
     fires in — dispatch identically on the kernel and on the reference
     heap."""
     windows = [w * DT for w in sorted(set(windows))]

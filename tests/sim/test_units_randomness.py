@@ -1,23 +1,8 @@
-"""Tests for unit helpers and deterministic random streams."""
+"""Tests for deterministic random streams and percentiles."""
 
 import pytest
 
 from repro.sim import RandomStreams, percentile
-from repro.sim.units import (
-    GB,
-    Gbps,
-    KB,
-    MB,
-    US,
-)
-
-
-class TestUnits:
-    def test_size_constants(self):
-        assert KB == 1024 and MB == KB ** 2 and GB == KB ** 3
-
-    def test_rate_constants(self):
-        assert Gbps == 1e9 and US == 1e-6
 
 
 class TestRandomStreams:

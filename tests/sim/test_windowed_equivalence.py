@@ -52,9 +52,7 @@ def _kernel_digest(windows):
         for i in range(40):
             yield env.timeout(5e-6)
             env.call_later(0.0, log.append, (env.now, "cb", i))
-            ev = env.event()
-            ev.callbacks.append(lambda e: log.append((env.now, "ev", 0)))
-            ev.succeed()
+            env.call_later(0.0, lambda: log.append((env.now, "late", 0)))
 
     env.process(ticker(env, "a", 1e-6))
     env.process(ticker(env, "b", 1e-6))
@@ -91,9 +89,12 @@ class TestWindowedEquivalence:
             fired.append("deferred")
             env.call_later(0.0, fired.append, "chained")
 
+        def proc(env):
+            yield env.timeout(10e-6)
+            fired.append("timeout")
+
         env.call_later(10e-6, at_boundary)
-        env.timeout(10e-6).callbacks.append(
-            lambda e: fired.append("timeout"))
+        env.process(proc(env))
         env.run(until=10e-6)
         assert fired == ["deferred", "timeout", "chained"]
         assert len(env) == 0
@@ -115,7 +116,7 @@ class TestWindowedEquivalence:
                     shell_c.remote_send(40, b"\x01" * 64, 64)
                     yield env.timeout(50e-6)
 
-            cloud.env.process(driver(cloud.env), name="drv")
+            cloud.env.process(driver(cloud.env))
             horizon = 30 * 50e-6 + 5e-3
             if windows is None:
                 cloud.env.run(until=horizon)
@@ -161,10 +162,11 @@ class TestStopSentinelCleanup:
 
     @staticmethod
     def _assert_only_drip_queued(env):
-        """The drip's next timeout at 6 DT is the one queued entry."""
+        """The drip's step at 5 DT is the one queued entry: the bomb's
+        step, due before it, raised at once."""
         assert len(env) == 1
         processed = env.events_processed
-        env.run(until=6 * DT)
+        env.run(until=5 * DT)
         assert env.events_processed == processed + 1
         assert len(env) == 1
 
@@ -183,8 +185,8 @@ class TestStopSentinelCleanup:
         # Resume with a fresh window: the stale sentinel (pre-fix) was
         # popped here and silently counted as a simulation event.
         env.run(until=100 * DT)
-        # drip fires at 6..100 DT inclusive: 95 events, nothing more.
-        assert env.events_processed - processed == 95
+        # drip steps at 5..100 DT inclusive: 96 entries, nothing more.
+        assert env.events_processed - processed == 96
 
     def test_exception_far_before_horizon_overflow_sentinel(self):
         """A sentinel far beyond the pending events lives in the heap,

@@ -48,7 +48,7 @@ def _run_with_drops(drop_first_n: int, messages: int = 5):
             shell_a.remote_send(1, ctx, 128, trace=ctx)
             yield env.timeout(200e-6)   # > retransmit timeout (50 us)
 
-    env.process(driver(env), name="driver")
+    env.process(driver(env))
     env.run(until=env.now + messages * 200e-6 + 5e-3)
     return cloud, recorder.report()
 
