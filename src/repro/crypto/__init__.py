@@ -33,9 +33,6 @@ from .modes import (
     cbc_encrypt,
     cbc_hmac_decrypt,
     cbc_hmac_encrypt,
-    ctr_crypt,
-    gcm_decrypt,
-    gcm_encrypt,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -66,9 +63,6 @@ __all__ = [
     "cbc_encrypt",
     "cbc_hmac_decrypt",
     "cbc_hmac_encrypt",
-    "ctr_crypt",
-    "gcm_decrypt",
-    "gcm_encrypt",
     "gf_mult",
     "ghash",
     "hmac_sha1",

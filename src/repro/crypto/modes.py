@@ -7,9 +7,9 @@ needs 33-packet interleaving in hardware).
 
 :class:`GcmContext` holds everything that depends only on the key (the
 AES key schedule, the hash key H and its GHASH table), so a flow that
-encrypts many packets under one key builds them once; the one-shot GCM
-functions build a context per call.  Keystreams, tags and MACs are XORed
-as whole integers, and tags and MACs are compared in constant time.
+encrypts many packets under one key builds them once.  Keystreams, tags
+and MACs are XORed as whole integers, and tags and MACs are compared in
+constant time.
 """
 
 from __future__ import annotations
@@ -99,11 +99,6 @@ def _ctr_keystream(cipher: AES, initial_counter_block: bytes,
         for i in range(-(-nbytes // BLOCK_BYTES))])
 
 
-def ctr_crypt(key: bytes, counter_block: bytes, data: bytes) -> bytes:
-    """AES-CTR: encryption and decryption are the same operation."""
-    return _xor(data, _ctr_keystream(AES(key), counter_block, len(data)))
-
-
 # ---------------------------------------------------------------------------
 # GCM
 # ---------------------------------------------------------------------------
@@ -158,21 +153,6 @@ class GcmContext:
         if not hmac.compare_digest(self._tag(nonce, aad, ciphertext), tag):
             raise AuthenticationError("GCM tag mismatch")
         return self._crypt(nonce, ciphertext)
-
-
-def gcm_encrypt(key: bytes, nonce: bytes, plaintext: bytes,
-                aad: bytes = b"") -> Tuple[bytes, bytes]:
-    """AES-GCM encrypt; returns ``(ciphertext, 16-byte tag)``.
-
-    Nonce must be 12 bytes (the standard fast path: J0 = nonce || 1).
-    """
-    return GcmContext(key).encrypt(nonce, plaintext, aad)
-
-
-def gcm_decrypt(key: bytes, nonce: bytes, ciphertext: bytes, tag: bytes,
-                aad: bytes = b"") -> bytes:
-    """AES-GCM decrypt+verify; raises :class:`AuthenticationError`."""
-    return GcmContext(key).decrypt(nonce, ciphertext, tag, aad)
 
 
 # ---------------------------------------------------------------------------

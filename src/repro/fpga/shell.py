@@ -66,7 +66,7 @@ class ShellConfig:
     ltl_traffic_class: int = TrafficClass.LOSSLESS
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteEnvelope:
     """ER message bound for another FPGA through the Remote (LTL) port."""
 
@@ -76,7 +76,7 @@ class RemoteEnvelope:
     trace: Any = None
 
 
-@dataclass
+@dataclass(slots=True)
 class RemoteMessage:
     """What actually rides the LTL connection between two shells."""
 

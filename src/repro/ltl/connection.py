@@ -23,7 +23,7 @@ class ConnectionError_(Exception):
     """Raised for connection-table misuse (unknown/duplicate ids)."""
 
 
-@dataclass
+@dataclass(slots=True)
 class UnackedFrame:
     """A transmitted DATA frame awaiting acknowledgement."""
 
@@ -104,7 +104,7 @@ class SendConnectionState:
         return freed
 
 
-@dataclass
+@dataclass(slots=True)
 class PendingMessage:
     """Reassembly state for a fragmented incoming message."""
 

@@ -505,20 +505,30 @@ class LtlEngine:
     def _accept_data(self, state: ReceiveConnectionState,
                      frame: LtlFrame) -> None:
         state.expected_seq = frame.seq + 1
-        pending = state.reassembly.setdefault(
-            frame.message_id, PendingMessage(
-                total_fragments=frame.total_fragments))
-        pending.fragments[frame.fragment] = (
-            frame.payload, frame.payload_bytes)
-        if pending.complete:
+        if frame.total_fragments == 1:
+            # Nothing to reassemble; what PendingMessage.assemble()
+            # returns for one fragment.
+            payload = frame.payload
+            if isinstance(payload, bytearray):
+                payload = bytes(payload)
+            total_bytes = frame.payload_bytes
+        else:
+            pending = state.reassembly.get(frame.message_id)
+            if pending is None:
+                pending = state.reassembly[frame.message_id] = \
+                    PendingMessage(total_fragments=frame.total_fragments)
+            pending.fragments[frame.fragment] = (
+                frame.payload, frame.payload_bytes)
+            if not pending.complete:
+                return
             del state.reassembly[frame.message_id]
             payload, total_bytes = pending.assemble()
-            if frame.trace is not None:
-                # Reassembled delivery: rx pipeline + reassembly wait.
-                frame.trace.tap(_STAGE_LTL_RX, self.env.now)
-            self.stats.messages_delivered += 1
-            if self.on_message is not None:
-                self.on_message(state.connection_id, payload, total_bytes)
+        if frame.trace is not None:
+            # Reassembled delivery: rx pipeline + reassembly wait.
+            frame.trace.tap(_STAGE_LTL_RX, self.env.now)
+        self.stats.messages_delivered += 1
+        if self.on_message is not None:
+            self.on_message(state.connection_id, payload, total_bytes)
 
     def _send_ack(self, state: ReceiveConnectionState,
                   congestion: bool) -> None:

@@ -38,12 +38,12 @@ FLAG_CONGESTION = 1 << 2  # DC-QCN CNP piggybacked on an ACK
 
 # magic, type, flags, connection, seq, message, fragment, fragments,
 # payload bytes, ack seq, a reserved word (always 0), checksum.
-_HEADER_FMT = "!HBBIIIHHHIII"
+_HEADER = struct.Struct("!HBBIIIHHHIII")
 #: Size of the LTL header on the wire.
-LTL_HEADER_BYTES = struct.calcsize(_HEADER_FMT)
+LTL_HEADER_BYTES = _HEADER.size
 
 
-@dataclass
+@dataclass(slots=True)
 class LtlFrame:
     """One LTL protocol data unit.
 
@@ -111,14 +111,14 @@ class LtlFrame:
         Opaque (non-bytes) payloads ride by reference in the simulation,
         so they are covered through their wire length in the header only.
         """
-        head = struct.pack(
-            _HEADER_FMT, MAGIC, self.frame_type, self.flags,
+        crc = zlib.crc32(_HEADER.pack(
+            MAGIC, self.frame_type, self.flags,
             self.connection_id, self.seq, self.message_id, self.fragment,
             self.total_fragments, self.payload_bytes & 0xFFFF,
-            self.ack_seq, 0, 0)  # reserved word, zeroed checksum
-        crc = zlib.crc32(head)
-        if isinstance(self.payload, (bytes, bytearray)):
-            crc = zlib.crc32(bytes(self.payload), crc)
+            self.ack_seq, 0, 0))  # reserved word, zeroed checksum
+        payload = self.payload
+        if isinstance(payload, (bytes, bytearray)):
+            crc = zlib.crc32(payload, crc)
         return crc & 0xFFFFFFFF
 
     def verify_checksum(self) -> bool:

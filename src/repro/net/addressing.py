@@ -2,9 +2,9 @@
 
 Hosts are identified by a dense integer index.  The topology maps an index
 to its (pod, tor, slot) coordinates, and to IPv4/MAC addresses used in
-packet headers.  Address formats follow common datacenter conventions:
-a 10.pod.tor.slot scheme for IP and a locally-administered MAC carrying the
-host index.
+packet headers.  Both addresses carry the host index, so every host has
+its own: the low 24 bits of a 10.0.0.0/8 IP and the low 40 bits of a
+locally-administered MAC.
 """
 
 from __future__ import annotations
@@ -38,9 +38,11 @@ def host_index_to_coords(index: int, hosts_per_tor: int,
     return HostCoordinates(pod=pod, tor=tor, slot=slot)
 
 
-def ip_address(coords: HostCoordinates) -> str:
-    """Dotted-quad IP for a host: ``10.pod.tor.slot`` (mod 256 per octet)."""
-    return f"10.{coords.pod % 256}.{coords.tor % 256}.{coords.slot % 256}"
+def ip_address(index: int) -> str:
+    """Dotted-quad IP in 10.0.0.0/8 embedding the host index."""
+    if not 0 <= index < 2 ** 24:
+        raise ValueError(f"host index out of IP range: {index}")
+    return f"10.{index >> 16}.{(index >> 8) & 0xFF}.{index & 0xFF}"
 
 
 def mac_address(index: int) -> str:

@@ -49,7 +49,7 @@ class TrafficClass:
         return tc == cls.LOSSLESS
 
 
-@dataclass
+@dataclass(slots=True)
 class EthernetHeader:
     """Destination/source MAC plus EtherType and 802.1p priority."""
 
@@ -59,7 +59,7 @@ class EthernetHeader:
     priority: int = TrafficClass.BEST_EFFORT
 
 
-@dataclass
+@dataclass(slots=True)
 class Ipv4Header:
     """The subset of IPv4 the fabric and LTL need."""
 
@@ -70,7 +70,7 @@ class Ipv4Header:
     ecn: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class UdpHeader:
     """UDP ports (length and checksum are implied by the packet)."""
 
@@ -81,7 +81,7 @@ class UdpHeader:
 _packet_ids = count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A frame in flight through the simulated fabric.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Set, Tuple
 
 from ..sim import Environment
 from ..trace.stages import SWITCH_STAGE_BY_TIER, Stage
@@ -27,6 +27,8 @@ from .packet import Packet, TrafficClass
 
 # Hoisted Stage member for the per-packet ingress tap.
 _STAGE_LINK_WIRE = Stage.LINK_WIRE
+#: The one class PFC protects.
+_LOSSLESS = TrafficClass.LOSSLESS
 
 
 @dataclass
@@ -76,9 +78,13 @@ class Switch:
 
     Ports are registered under hashable keys (e.g. a host index or the
     string ``"uplink"``).  Routing is a callable, installed by the topology
-    builder, mapping a packet to an output-port key.  Upstream transmit
-    ports register for PFC so the switch can push back on senders of
-    lossless traffic.
+    builder, mapping a destination MAC to an output-port key.  The switch
+    keeps what it resolves in a forwarding table, MAC -> (key, port), so
+    each destination asks the router once; the table is cleared whenever
+    a port or the router changes.  A route to a key with no port is not
+    kept: it counts a routing failure on every packet until the port is
+    added.  Upstream transmit ports register for PFC so the switch can
+    push back on senders of lossless traffic.
     """
 
     def __init__(self, env: Environment, name: str, tier: str,
@@ -107,11 +113,13 @@ class Switch:
         #: unknown tiers still fail at forward time, as before).
         self._jitter: Optional[JitterStream] = None
         self.ports: Dict[object, Port] = {}
-        self._router: Optional[Callable[["Switch", Packet], object]] = None
+        self._router: Optional[Callable[[str], object]] = None
+        #: Forwarding table: destination MAC -> (port key, port).
+        self._table: Dict[str, Tuple[object, Port]] = {}
         #: Upstream transmit ports to pause/resume, keyed by neighbor name.
         self._upstream: Dict[str, Port] = {}
-        #: (port_key, tc) pairs currently holding upstreams paused.
-        self._pausing: Dict[Tuple[object, int], bool] = {}
+        #: Keys of the ports whose lossless queue holds upstreams paused.
+        self._pausing: Set[object] = set()
 
     # ------------------------------------------------------------------
     # Wiring (used by the topology builder)
@@ -120,6 +128,7 @@ class Switch:
         if key in self.ports:
             raise ValueError(f"duplicate port key {key!r} on {self.name}")
         self.ports[key] = port
+        self._table.clear()
 
     def remove_port(self, key: object) -> Port:
         """Take the port under ``key`` out of the switch.
@@ -130,17 +139,22 @@ class Switch:
         queued.
         """
         port = self.ports.pop(key)
+        self._table.clear()
         port.on_transmit = None
-        tc = TrafficClass.LOSSLESS
-        if self._pausing.pop((key, tc), False):
+        if key in self._pausing:
+            self._pausing.discard(key)
             self.stats.pfc_resume_sent += 1
-            if not any(self._pausing.values()):
+            if not self._pausing:
                 for upstream in self._upstream.values():
-                    upstream.resume(tc)
+                    upstream.resume(_LOSSLESS)
         return port
 
-    def set_router(self, router: Callable[["Switch", Packet], object]) -> None:
+    def set_router(self, router: Callable[[str], object]) -> None:
+        """Route by ``router(dst_mac) -> port key``.  The router must
+        answer a MAC the same way every time, since the switch asks it
+        once per destination."""
         self._router = router
+        self._table.clear()
 
     def register_upstream(self, neighbor_name: str, tx_port: Port) -> None:
         """Register a neighbor's transmit port for PFC pushback."""
@@ -170,27 +184,52 @@ class Switch:
         self.env.call_later(delay, self._forward, packet)
 
     def _forward(self, packet: Packet) -> None:
-        if packet.trace is not None and self._trace_stage is not None:
+        trace = packet.trace
+        if trace is not None and self._trace_stage is not None:
             # Forwarding latency + background-traffic jitter for this tier.
-            packet.trace.tap(self._trace_stage, self.env.now)
-        if self._router is None:
-            self.stats.routing_failures += 1
-            return
-        key = self._router(self, packet)
-        port = self.ports.get(key)
-        if port is None:
-            self.stats.routing_failures += 1
-            return
-        self._maybe_mark_ecn(port, packet)
+            trace.tap(self._trace_stage, self.env.now)
+        eth = packet.eth
+        route = self._table.get(eth.dst_mac)
+        if route is None:
+            route = self._resolve(eth.dst_mac)
+            if route is None:
+                self.stats.routing_failures += 1
+                return
+        key, port = route
+        tc = eth.priority
+        depth = port.queued_bytes(tc)
+        # At or below kmin the marking probability is 0 and nothing is
+        # drawn.
+        if depth > self.ecn.kmin_bytes and packet.ip is not None:
+            self._mark_ecn(packet, depth)
         if port.enqueue(packet):
             self.stats.forwarded += 1
-        self._update_pfc(key, port)
+        if tc == _LOSSLESS:
+            # A lossless packet is never dropped: the enqueue added
+            # exactly its wire size to the depth read above.
+            depth += packet.wire_bytes
+        else:
+            depth = port.queued_bytes(_LOSSLESS)
+        # _update_pfc acts only to assert a pause above xoff or to
+        # withdraw one this port holds.
+        if key in self._pausing or depth > self.pfc.xoff_bytes:
+            self._update_pfc(key, port)
 
-    def _maybe_mark_ecn(self, port: Port, packet: Packet) -> None:
-        if packet.ip is None:
-            return
-        prob = self.ecn.mark_probability(
-            port.queued_bytes(packet.traffic_class))
+    def _resolve(self, dst_mac: str) -> Optional[Tuple[object, Port]]:
+        """Ask the router for ``dst_mac``'s port and keep the answer;
+        ``None`` (and nothing kept) if there is no router or no port
+        under the key it names."""
+        if self._router is None:
+            return None
+        key = self._router(dst_mac)
+        port = self.ports.get(key)
+        if port is None:
+            return None
+        route = self._table[dst_mac] = (key, port)
+        return route
+
+    def _mark_ecn(self, packet: Packet, depth: int) -> None:
+        prob = self.ecn.mark_probability(depth)
         if prob > 0 and self.rng.random() < prob:
             packet.ecn_marked = True
             packet.ip.ecn = 0b11  # Congestion Experienced
@@ -204,23 +243,22 @@ class Switch:
         holds on the upstreams.  While it is asserted, the port reports
         each transmit completion back here, since only a draining queue
         can withdraw it."""
-        tc = TrafficClass.LOSSLESS
-        occupancy = port.queued_bytes(tc)
-        paused = self._pausing.get((key, tc), False)
+        occupancy = port.queued_bytes(_LOSSLESS)
+        paused = key in self._pausing
         if not paused and occupancy > self.pfc.xoff_bytes:
-            self._pausing[(key, tc)] = True
+            self._pausing.add(key)
             self.stats.pfc_pause_sent += 1
             port.on_transmit = \
                 lambda _packet: self._update_pfc(key, port)
             for upstream in self._upstream.values():
-                upstream.pause(tc)
+                upstream.pause(_LOSSLESS)
         elif paused and occupancy < self.pfc.xon_bytes:
-            self._pausing[(key, tc)] = False
+            self._pausing.discard(key)
             self.stats.pfc_resume_sent += 1
             port.on_transmit = None
-            if not any(self._pausing.values()):
+            if not self._pausing:
                 for upstream in self._upstream.values():
-                    upstream.resume(tc)
+                    upstream.resume(_LOSSLESS)
 
     def __repr__(self) -> str:
         return f"<Switch {self.name} tier={self.tier}>"

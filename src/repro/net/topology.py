@@ -14,7 +14,7 @@ latency variation exactly as the paper observes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from ..sim import Environment, RandomStreams
 from ..sim.randomness import _derive_seed
@@ -23,10 +23,10 @@ from .addressing import (
     host_index_to_coords,
     ip_address,
     mac_address,
+    mac_to_host_index,
 )
 from .latency import BackgroundTrafficModel, LatencyModel
 from .links import Port
-from .packet import Packet
 from .switch import EcnConfig, PfcConfig, Switch
 
 
@@ -84,10 +84,6 @@ class ThreeTierTopology:
         self._tors: Dict[Tuple[int, int], Switch] = {}
         self._l1s: Dict[int, Switch] = {}
         self._l2: Optional[Switch] = None
-        # Routing memoization (pure address arithmetic; see router methods).
-        self._mac_cache: Dict[str, int] = {}
-        self._coords_cache: Dict[int, HostCoordinates] = {}
-        self._switch_pos: Dict[str, Tuple[int, int]] = {}
         # Address strings per host index: every packet header carries
         # both, and each is rebuilt by string formatting.
         self._ip_by_host: Dict[int, str] = {}
@@ -120,9 +116,8 @@ class ThreeTierTopology:
     def ip_of(self, host_index: int) -> str:
         ip = self._ip_by_host.get(host_index)
         if ip is None:
-            # The first call validates the index (coords raises).
-            ip = self._ip_by_host[host_index] = \
-                ip_address(self.coords(host_index))
+            self.coords(host_index)  # raises for a host outside the fabric
+            ip = self._ip_by_host[host_index] = ip_address(host_index)
         return ip
 
     def mac_of(self, host_index: int) -> str:
@@ -146,7 +141,7 @@ class ThreeTierTopology:
         if key not in self._tors:
             switch = self._make_switch(
                 f"tor-{pod}-{tor}", "tor", self.config.latency.tor_latency)
-            switch.set_router(self._route_tor)
+            switch.set_router(self._tor_router(pod, tor))
             self._tors[key] = switch
             self._wire_tor_to_l1(switch, pod, tor)
         return self._tors[key]
@@ -155,7 +150,7 @@ class ThreeTierTopology:
         if pod not in self._l1s:
             switch = self._make_switch(
                 f"l1-{pod}", "l1", self.config.latency.l1_latency)
-            switch.set_router(self._route_l1)
+            switch.set_router(self._l1_router(pod))
             self._l1s[pod] = switch
             self._wire_l1_to_l2(switch, pod)
         return self._l1s[pod]
@@ -204,53 +199,26 @@ class ThreeTierTopology:
         l1_switch.register_upstream(l2_switch.name, down)
 
     # ------------------------------------------------------------------
-    # Routing (installed on switches; destination from the packet MAC)
+    # Routing: each switch asks its router once per destination MAC and
+    # keeps the answer (Switch's forwarding table), so a router is plain
+    # address arithmetic with the switch's own (pod, tor) bound in.
     # ------------------------------------------------------------------
-    # Per-packet routing is pure address arithmetic, so everything
-    # reusable is memoized: the MAC-string parse and the coordinate
-    # split are cached per destination, and each switch's own position
-    # is bound into its router closure instead of being re-parsed from
-    # the switch name on every packet.
-    def _dst_index(self, packet: Packet) -> int:
-        mac = packet.eth.dst_mac
-        dst = self._mac_cache.get(mac)
-        if dst is None:
-            from .addressing import mac_to_host_index
-            dst = self._mac_cache[mac] = mac_to_host_index(mac)
-        return dst
+    def _tor_router(self, pod: int, tor: int) -> Callable[[str], object]:
+        def route(dst_mac: str) -> object:
+            dst = mac_to_host_index(dst_mac)
+            coords = self.coords(dst)
+            if coords.pod == pod and coords.tor == tor:
+                return dst  # host-facing port keyed by host index
+            return "uplink"
+        return route
 
-    def _coords_cached(self, host_index: int) -> "HostCoordinates":
-        coords = self._coords_cache.get(host_index)
-        if coords is None:
-            coords = self._coords_cache[host_index] = self.coords(host_index)
-        return coords
+    def _l1_router(self, pod: int) -> Callable[[str], object]:
+        def route(dst_mac: str) -> object:
+            coords = self.coords(mac_to_host_index(dst_mac))
+            if coords.pod == pod:
+                return ("tor", coords.tor)
+            return "uplink"
+        return route
 
-    def _route_tor(self, switch: Switch, packet: Packet) -> object:
-        dst = self._dst_index(packet)
-        coords = self._coords_cached(dst)
-        my_pod, my_tor = self._switch_coords(switch)
-        if coords.pod == my_pod and coords.tor == my_tor:
-            return dst  # host-facing port keyed by host index
-        return "uplink"
-
-    def _route_l1(self, switch: Switch, packet: Packet) -> object:
-        dst = self._dst_index(packet)
-        coords = self._coords_cached(dst)
-        my_pod, _ = self._switch_coords(switch)
-        if coords.pod == my_pod:
-            return ("tor", coords.tor)
-        return "uplink"
-
-    def _route_l2(self, _switch: Switch, packet: Packet) -> object:
-        dst = self._dst_index(packet)
-        return ("pod", self._coords_cached(dst).pod)
-
-    def _switch_coords(self, switch: Switch) -> Tuple[int, int]:
-        """(pod, tor) of a tor/l1 switch, parsed from its name once."""
-        pos = self._switch_pos.get(switch.name)
-        if pos is None:
-            parts = switch.name.split("-")
-            pod = int(parts[1])
-            tor = int(parts[2]) if len(parts) > 2 else -1
-            pos = self._switch_pos[switch.name] = (pod, tor)
-        return pos
+    def _route_l2(self, dst_mac: str) -> object:
+        return ("pod", self.coords(mac_to_host_index(dst_mac)).pod)

@@ -16,7 +16,7 @@ from typing import Any, List
 _message_ids = count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A variable-length payload crossing the ER between two ports."""
 

@@ -9,13 +9,12 @@ from repro.crypto.modes import (
     cbc_encrypt,
     cbc_hmac_decrypt,
     cbc_hmac_encrypt,
-    ctr_crypt,
-    gcm_decrypt,
-    gcm_encrypt,
     pkcs7_pad,
     pkcs7_unpad,
 )
 from repro.crypto.sha1 import hmac_sha1, sha1
+
+from .oneshot import ctr_crypt, gcm_decrypt, gcm_encrypt
 
 KEY = bytes.fromhex("2b7e151628aed2a6abf7158809cf4f3c")
 IV = bytes.fromhex("000102030405060708090a0b0c0d0e0f")

@@ -11,14 +11,10 @@ import pytest
 
 from repro.crypto.aes import AES
 from repro.crypto.gf128 import GHashKey, gf_mult
-from repro.crypto.modes import (
-    cbc_decrypt,
-    cbc_encrypt,
-    ctr_crypt,
-    gcm_decrypt,
-    gcm_encrypt,
-)
+from repro.crypto.modes import cbc_decrypt, cbc_encrypt
 from repro.crypto.sha1 import hmac_sha1, sha1
+
+from .oneshot import ctr_crypt, gcm_decrypt, gcm_encrypt
 
 KEY_BYTES = (16, 24, 32)
 #: Plaintext sizes up to a full 1500-B frame, on and off block multiples.

@@ -21,12 +21,6 @@ SEARCHED = ("src", "benchmarks", "examples", "perfbench")
 
 #: Names only tests reach, each with the reason it stays.
 ALLOWED = {
-    "gcm_encrypt": "one-shot reference the GcmContext fast path is "
-                   "checked against",
-    "gcm_decrypt": "one-shot reference the GcmContext fast path is "
-                   "checked against",
-    "ctr_crypt": "one-shot reference the GcmContext fast path is "
-                 "checked against",
     "max_hops": "the torus diameter that bounds its routes in the torus "
                 "tests",
     "shared_in_use": "credit-pool accessor the ER credit tests read",

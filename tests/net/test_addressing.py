@@ -46,8 +46,12 @@ class TestCoordinates:
 
 class TestAddresses:
     def test_ip_format(self):
-        coords = HostCoordinates(pod=3, tor=7, slot=11)
-        assert ip_address(coords) == "10.3.7.11"
+        assert ip_address(0x030711) == "10.3.7.17"
+
+    def test_ip_rejects_out_of_range(self):
+        for index in (-1, 2 ** 24):
+            with pytest.raises(ValueError):
+                ip_address(index)
 
     def test_mac_roundtrip(self):
         for index in (0, 1, 255, 256, 123456, 250_000):

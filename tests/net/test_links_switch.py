@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net.addressing import mac_address
 from repro.net.latency import idle
 from repro.net.links import Port, propagation_delay
 from repro.net.packet import (
@@ -16,7 +17,6 @@ from repro.sim import Environment, RandomStreams
 
 def make_packet(payload_bytes=100, tc=TrafficClass.BEST_EFFORT,
                 dst_index=0, with_ip=False):
-    from repro.net.addressing import mac_address
     eth = EthernetHeader(dst_mac=mac_address(dst_index),
                          src_mac=mac_address(999), priority=tc)
     ip = Ipv4Header(src_ip="10.0.0.1", dst_ip="10.0.0.2") if with_ip \
@@ -143,7 +143,7 @@ class TestSwitch:
         port = Port(env, "out", rate_bps=40e9, distance_m=0.0,
                     deliver=lambda p: got.append(p))
         switch.add_port("out", port)
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         switch.receive(make_packet())
         env.run()
         assert len(got) == 1
@@ -156,7 +156,7 @@ class TestSwitch:
         port = Port(env, "out", rate_bps=40e9, distance_m=0.0,
                     deliver=lambda p: got.append(env.now))
         switch.add_port("out", port)
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         packet = make_packet()
         switch.receive(packet)
         env.run()
@@ -166,10 +166,46 @@ class TestSwitch:
     def test_routing_failure_counted(self):
         env = Environment()
         switch = self._switch(env)
-        switch.set_router(lambda sw, pkt: "nonexistent")
+        switch.set_router(lambda mac: "nonexistent")
         switch.receive(make_packet())
         env.run()
         assert switch.stats.routing_failures == 1
+
+    def test_route_to_a_missing_port_fails_until_the_port_is_added(self):
+        """A route naming a key with no port is not kept: every packet
+        counts a failure, and the first packet after add_port goes
+        out."""
+        env = Environment()
+        switch = self._switch(env)
+        switch.set_router(lambda mac: "out")
+        for _ in range(3):
+            switch.receive(make_packet())
+        env.run()
+        assert switch.stats.routing_failures == 3
+        got = []
+        switch.add_port("out", Port(env, "out", rate_bps=40e9,
+                                    distance_m=0.0, deliver=got.append))
+        switch.receive(make_packet())
+        env.run()
+        assert len(got) == 1
+        assert switch.stats.routing_failures == 3
+        assert switch.stats.forwarded == 1
+
+    def test_set_router_drops_cached_routes(self):
+        env = Environment()
+        switch = self._switch(env)
+        got = {"a": [], "b": []}
+        for key in got:
+            switch.add_port(key, Port(env, key, rate_bps=40e9,
+                                      distance_m=0.0,
+                                      deliver=got[key].append))
+        switch.set_router(lambda mac: "a")
+        switch.receive(make_packet())
+        env.run()
+        switch.set_router(lambda mac: "b")
+        switch.receive(make_packet())
+        env.run()
+        assert (len(got["a"]), len(got["b"])) == (1, 1)
 
     def test_no_router_counted(self):
         env = Environment()
@@ -181,7 +217,7 @@ class TestSwitch:
     def test_hop_count_incremented(self):
         env = Environment()
         switch = self._switch(env)
-        switch.set_router(lambda sw, pkt: None)
+        switch.set_router(lambda mac: None)
         packet = make_packet()
         switch.receive(packet)
         env.run()
@@ -203,7 +239,7 @@ class TestSwitch:
         port = Port(env, "out", rate_bps=1e6, distance_m=0.0,
                     deliver=lambda p: None)
         switch.add_port("out", port)
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         for _ in range(40):
             switch.receive(make_packet(payload_bytes=500,
                                        tc=TrafficClass.LOSSLESS,
@@ -218,7 +254,7 @@ class TestSwitch:
         slow = Port(env, "out", rate_bps=1e6, distance_m=0.0,
                     deliver=lambda p: None)
         switch.add_port("out", slow)
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         upstream = Port(env, "up", rate_bps=40e9, distance_m=0.0,
                         deliver=switch.receive)
         switch.register_upstream("neighbor", upstream)
@@ -240,15 +276,16 @@ class TestSwitch:
         for key in ("a", "b"):
             switch.add_port(key, Port(env, key, rate_bps=1e6,
                                       distance_m=0.0))
-        switch.set_router(lambda sw, pkt: pkt.payload)
+        # Destination hosts 1 and 2 leave through ports "a" and "b".
+        key_of = {mac_address(1): "a", mac_address(2): "b"}
+        switch.set_router(key_of.get)
         upstream = Port(env, "up", rate_bps=40e9)
         switch.register_upstream("neighbor", upstream)
-        for key in ("a", "b"):
+        for dst in (1, 2):
             for _ in range(3):
-                packet = make_packet(payload_bytes=1000,
-                                     tc=TrafficClass.LOSSLESS)
-                packet.payload = key
-                switch.receive(packet)
+                switch.receive(make_packet(payload_bytes=1000,
+                                           tc=TrafficClass.LOSSLESS,
+                                           dst_index=dst))
         env.run(until=1e-5)
         assert switch.stats.pfc_pause_sent == 2
         removed = switch.remove_port("a")
@@ -257,6 +294,30 @@ class TestSwitch:
         switch.remove_port("b")
         assert switch.stats.pfc_resume_sent == 2
         assert not upstream.is_paused(TrafficClass.LOSSLESS)
+
+    def test_best_effort_packet_reasserts_a_readded_ports_pause(self):
+        """A port removed while its lossless queue holds a pause comes
+        back still above xoff: the next packet through it, of any class,
+        asserts the pause again."""
+        env = Environment()
+        switch = self._switch(
+            env, pfc=PfcConfig(xoff_bytes=2000, xon_bytes=500))
+        port = Port(env, "out", rate_bps=1e6, distance_m=0.0)
+        switch.add_port("out", port)
+        switch.set_router(lambda mac: "out")
+        upstream = Port(env, "up", rate_bps=40e9)
+        switch.register_upstream("neighbor", upstream)
+        for _ in range(3):
+            switch.receive(make_packet(payload_bytes=1000,
+                                       tc=TrafficClass.LOSSLESS))
+        env.run(until=1e-5)
+        switch.remove_port("out")
+        switch.add_port("out", port)
+        assert not upstream.is_paused(TrafficClass.LOSSLESS)
+        switch.receive(make_packet(payload_bytes=100))
+        env.run(until=2e-5)
+        assert switch.stats.pfc_pause_sent == 2
+        assert upstream.is_paused(TrafficClass.LOSSLESS)
 
 
 class TestQueuedBytesAccounting:

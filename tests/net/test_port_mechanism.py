@@ -97,7 +97,7 @@ class TestPfcWithdrawal:
         got = []
         switch.add_port("out", port_cls(env, "out", rate_bps=40e9,
                                         deliver=got.append))
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         upstream = port_cls(env, "up", rate_bps=40e9)
         switch.register_upstream("n", upstream)
         switch.receive(make_packet(payload_bytes=1500,

@@ -33,7 +33,7 @@ class TestLosslessOverflow:
         slow = Port(env, "out", rate_bps=1e3, distance_m=0.0,
                     deliver=lambda p: None, queue_capacity_bytes=100)
         switch.add_port("out", slow)
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         for _ in range(5):
             switch.receive(make_packet(payload_bytes=200,
                                        tc=TrafficClass.LOSSLESS))
@@ -49,7 +49,7 @@ class TestLosslessOverflow:
         slow = Port(env, "out", rate_bps=1e3, distance_m=0.0,
                     deliver=lambda p: None)
         switch.add_port("out", slow)
-        switch.set_router(lambda sw, pkt: "out")
+        switch.set_router(lambda mac: "out")
         upstreams = [Port(env, f"up{i}", rate_bps=40e9)
                      for i in range(3)]
         for i, port in enumerate(upstreams):

@@ -72,6 +72,11 @@ class TestThreeTierTopology:
         assert topo.ip_of(0) == "10.0.0.0"
         assert topo.mac_of(5).startswith("02:")
 
+    def test_every_host_gets_its_own_ip(self):
+        topo = self._topo()
+        hosts = topo.config.total_hosts
+        assert len({topo.ip_of(host) for host in range(hosts)}) == hosts
+
     def test_address_strings_cached_per_host(self):
         topo = self._topo()
         assert topo.ip_of(30) is topo.ip_of(30)
@@ -177,6 +182,24 @@ class TestFabric:
                                  traffic_class=TrafficClass.LOSSLESS))
         env.run(until=1e-3)
         assert len(got) == 5
+
+    def test_reattach_delivers_through_a_cached_route(self):
+        """The TOR has cached host 1's route when the host detaches and
+        comes back on the same port: packets reach it again."""
+        env, fabric = self._fabric()
+        got = []
+        a = fabric.attach(0, lambda p: None)
+        fabric.attach(1, got.append)
+        a.send(a.make_packet(1, b"before"))
+        env.run()
+        fabric.detach(1)
+        a.send(a.make_packet(1, b"detached"))
+        env.run()
+        fabric.reattach(1)
+        a.send(a.make_packet(1, b"after"))
+        env.run()
+        assert [p.payload for p in got] == [b"before", b"after"]
+        assert fabric.topology.tor(0, 0).stats.routing_failures == 1
 
     def test_detach_unknown_raises(self):
         env, fabric = self._fabric()

@@ -9,9 +9,6 @@ from repro.crypto.aes import AES
 from repro.crypto.modes import (
     cbc_decrypt,
     cbc_encrypt,
-    ctr_crypt,
-    gcm_decrypt,
-    gcm_encrypt,
     pkcs7_pad,
     pkcs7_unpad,
 )
@@ -25,6 +22,7 @@ from repro.ranking.dpf import (
 from repro.ranking.fsm import AhoCorasick
 from repro.sim import Environment
 from repro.sim.randomness import percentile
+from tests.crypto.oneshot import ctr_crypt, gcm_decrypt, gcm_encrypt
 
 
 # ---------------------------------------------------------------------------
