@@ -81,7 +81,8 @@ class Port:
       head slot and the heap top are later) and no other port launched
       in this event.  Only its arrival is scheduled.  The launch stays
       provisional while the launching event runs, which the port reads
-      from :attr:`Environment.events_processed` and the clock (both
+      from the count :attr:`Environment.events_processed` gives (computed
+      in place, without the property call) and the clock (both
       unchanged).  Meanwhile the packet still counts in
       :meth:`queued_bytes`, :attr:`queued_bytes_total` and the capacity
       check, as it would while a kick is pending.  An enqueue, pause or
@@ -284,13 +285,18 @@ class Port:
         queue and a kick decides."""
         env = self.env
         now = env._now
-        top = env._head
-        if top is None and env._heap:
-            top = env._heap[0]
+        head = top = env._head
+        heap = env._heap
+        if top is None and heap:
+            top = heap[0]
         # The bounded-run sentinel (seq +inf) sorts after every entry at
         # its instant, so it does not count as due.
         if top is None or top[0] != now or top[1] == _INF:
-            mark = env.events_processed
+            # Environment.events_processed, read without a call: the
+            # stop sentinel is discounted while armed, so a launch in a
+            # window's last instant stays undoable after the window.
+            mark = (env._seq - len(heap) - (head is not None)
+                    + (env._stop_token is not None))
             last = env._port_launch
             # A second launch in one event would draw its entries before
             # the first port's restart, should that launch be undone;
@@ -315,7 +321,11 @@ class Port:
         launch is final and its packet leaves the queue counters."""
         when, mark, tc, size, _cell = self._launch
         env = self.env
-        if env._now == when and env.events_processed == mark:
+        # The launch's mark against Environment.events_processed, read
+        # as in _launch_or_kick.
+        if env._now == when and mark == (
+                env._seq - len(env._heap) - (env._head is not None)
+                + (env._stop_token is not None)):
             return True
         self._launch = None
         self._queued_bytes[tc] -= size

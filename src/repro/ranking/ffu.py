@@ -15,16 +15,16 @@ accelerates, it does not change the math).  The value here is the
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
+from math import exp, log
 from typing import Any, List, Optional, Sequence
 
 from .corpus import Document, Query
 from .features import FeatureExtractor, FeatureVector
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryWork:
     """The size of one query's feature-extraction job."""
 
@@ -56,15 +56,25 @@ class WorkloadModel:
     mean_query_terms: float = 3.2
 
     def sample(self, rng: random.Random) -> QueryWork:
-        num_docs = max(10, int(rng.lognormvariate(
-            math.log(self.mean_docs), self.docs_sigma)))
-        terms_per_doc = max(30, rng.lognormvariate(
-            math.log(self.mean_terms_per_doc), self.terms_sigma))
-        query_terms = max(2, min(8, int(rng.gauss(
-            self.mean_query_terms, 0.9))))
-        return QueryWork(num_docs=num_docs,
-                         total_terms=int(num_docs * terms_per_doc),
-                         query_terms=query_terms)
+        """Draw one query's work: two lognormals (``exp`` of a normal,
+        which is how ``rng.lognormvariate`` draws one) and one
+        ``rng.gauss``, in that order, each clamped to its floor.
+        ``tests/ranking/test_sampler_reference.py`` holds the
+        ``max``/``min`` form as the reference."""
+        num_docs = int(exp(rng.normalvariate(log(self.mean_docs),
+                                             self.docs_sigma)))
+        if num_docs < 10:
+            num_docs = 10
+        terms_per_doc = exp(rng.normalvariate(log(self.mean_terms_per_doc),
+                                              self.terms_sigma))
+        if terms_per_doc < 30:
+            terms_per_doc = 30
+        query_terms = int(rng.gauss(self.mean_query_terms, 0.9))
+        if query_terms < 2:
+            query_terms = 2
+        elif query_terms > 8:
+            query_terms = 8
+        return QueryWork(num_docs, int(num_docs * terms_per_doc), query_terms)
 
 
 @dataclass

@@ -90,19 +90,30 @@ class RankingServer:
         #: FPGA fails" (§II-B).
         self.fpga_available = True
         self.software_fallbacks = 0
-        #: A query's stages in order: the pool it holds a server of, the
-        #: stage tapped when it is granted one, the stage tapped when it
-        #: is done, and its hold time.
-        self._software_plan = ((self.cores, Stage.CORE_QUEUE,
-                                Stage.CORE_SOFTWARE, self._software_time),)
-        self._accelerated_plan = (
-            (self.cores, Stage.CORE_QUEUE, Stage.SW_PRE,
-             config.software.pre_time),
+        #: A query's stages, each a tuple: the pool it holds a server
+        #: of, the stage tapped when it is granted one, the stage tapped
+        #: when it is done, its hold time, and the stage after it (None
+        #: for the last).  The mode is fixed, so each hold time is bound
+        #: here once; ``fpga_available`` picks the plan per query.
+        software = config.software
+        self._software_plan = (self.cores, Stage.CORE_QUEUE,
+                               Stage.CORE_SOFTWARE, self._software_time,
+                               None)
+        if config.mode is AccelerationMode.SOFTWARE:
+            self._feature_time = software.feature_time
+            self._plan = self._software_plan
+        else:
+            if config.mode is AccelerationMode.LOCAL_FPGA:
+                self._feature_time = self.role.local_service_time
+            else:
+                self._feature_time = self._remote_feature_time
+            post = (self.cores, Stage.POST_QUEUE, Stage.SW_POST,
+                    software.post_time, None)
             # Core released while the FPGA does the heavy lifting.
-            (self.fpga_slots, Stage.FPGA_QUEUE, Stage.ROLE_SERVICE,
-             self.feature_stage_time),
-            (self.cores, Stage.POST_QUEUE, Stage.SW_POST,
-             config.software.post_time))
+            features = (self.fpga_slots, Stage.FPGA_QUEUE,
+                        Stage.ROLE_SERVICE, self._feature_time, post)
+            self._plan = (self.cores, Stage.CORE_QUEUE, Stage.SW_PRE,
+                          software.pre_time, features)
 
     # ------------------------------------------------------------------
     def fail_fpga(self) -> None:
@@ -133,11 +144,10 @@ class RankingServer:
     # ------------------------------------------------------------------
     def feature_stage_time(self, work: QueryWork) -> float:
         """Feature-extraction service time in the configured mode."""
-        mode = self.config.mode
-        if mode is AccelerationMode.SOFTWARE:
-            return self.config.software.feature_time(work)
-        if mode is AccelerationMode.LOCAL_FPGA:
-            return self.role.local_service_time(work)
+        return self._feature_time(work)
+
+    def _remote_feature_time(self, work: QueryWork) -> float:
+        """Remote FPGA: the LTL call's network share, then the role."""
         network = self.config.remote.network_time(work.document_bytes)
         return network + self.role.compute_time(work)
 
@@ -156,14 +166,11 @@ class RankingServer:
         """
         if work is None:
             work = self.config.workload.sample(self.rng)
-        if self.config.mode is AccelerationMode.SOFTWARE:
-            plan = self._software_plan
-        elif self.fpga_available:
-            plan = self._accelerated_plan
-        else:
+        stage = self._plan
+        if not self.fpga_available and stage is not self._software_plan:
             self.software_fallbacks += 1
-            plan = self._software_plan
-        plan[0][0].acquire(self._serve, plan, 0, work, self.env.now, done)
+            stage = self._software_plan
+        stage[0].acquire(self._serve, stage, work, self.env._now, done)
 
     def _software_time(self, work: QueryWork) -> float:
         """The owning thread runs all stages back to back on one core."""
@@ -171,29 +178,31 @@ class RankingServer:
         return (software.pre_time(work) + software.feature_time(work)
                 + software.post_time(work))
 
-    def _serve(self, plan, i, work, arrival, done) -> None:
-        """Stage ``i`` was granted its server: hold it."""
-        _, queued, _, hold_time = plan[i]
+    def _serve(self, stage, work, arrival, done) -> None:
+        """``stage`` was granted its server: hold it."""
+        env = self.env
         if work.trace is not None:
-            work.trace.tap(queued, self.env.now)
-        self.env.call_later(hold_time(work), self._served, plan, i, work,
-                            arrival, done)
+            work.trace.tap(stage[1], env._now)
+        env.call_later(stage[3](work), self._served, stage, work, arrival,
+                       done)
 
-    def _served(self, plan, i, work, arrival, done) -> None:
-        pool, _, served, _ = plan[i]
-        now = self.env.now
+    def _served(self, stage, work, arrival, done) -> None:
+        """``stage``'s hold is over: its server goes back, and the query
+        queues for the next stage or completes."""
+        now = self.env._now
         if work.trace is not None:
-            work.trace.tap(served, now)
-        if i + 1 < len(plan):
-            pool.release()
-            plan[i + 1][0].acquire(self._serve, plan, i + 1, work, arrival,
-                                   done)
+            work.trace.tap(stage[2], now)
+        following = stage[4]
+        if following is not None:
+            stage[0].release()
+            following[0].acquire(self._serve, following, work, arrival,
+                                 done)
             return
         self.completed += 1
         latency = now - arrival
         self.latency.record(latency)
         done(latency)
-        pool.release()
+        stage[0].release()
 
 
 @dataclass

@@ -45,6 +45,8 @@ from typing import Any, Callable, Generator, Optional, Tuple
 __all__ = ["Environment"]
 
 _INF = float("inf")
+#: What ``next`` returns for a process that has returned.
+_DONE = object()
 
 
 class _StopRun(BaseException):
@@ -104,7 +106,8 @@ class Environment:
         once, so dispatches = draws - entries still queued.  The
         bounded-run sentinel draws no seq; while it is armed it is
         discounted.  The value is live: it also advances inside a run,
-        once per dispatched entry.
+        once per dispatched entry.  (:class:`repro.net.links.Port`
+        computes the same four terms in place.)
         """
         return (self._seq - len(self._heap) - (self._head is not None)
                 + (self._stop_token is not None))
@@ -124,19 +127,19 @@ class Environment:
         exception it raises leaves :meth:`run` at once."""
         if not hasattr(generator, "send"):
             raise TypeError(f"{generator!r} is not a generator")
-        self.call_later(0.0, self._step, generator.send)
+        self.call_later(0.0, self._step, generator)
 
-    def _step(self, send: Callable[[None], float]) -> None:
+    def _step(self, generator: Generator[float, None, Any]) -> None:
         """Resume a process; schedule its next step after the delay it
-        yields, or nothing once it returns."""
-        try:
-            delay = send(None)
-        except StopIteration:
+        yields, or nothing once it returns.  (``next`` with a default
+        ends a process without raising StopIteration.)"""
+        delay = next(generator, _DONE)
+        if delay is _DONE:
             return
         try:
-            self.call_later(delay, self._step, send)
+            self.call_later(delay, self._step, generator)
         except TypeError:
-            raise TypeError(f"{send.__self__!r} yielded {delay!r}, "
+            raise TypeError(f"{generator!r} yielded {delay!r}, "
                             "not a delay") from None
 
     # ------------------------------------------------------------------

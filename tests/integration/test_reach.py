@@ -31,6 +31,9 @@ ALLOWED = {
     "is_first_fragment": "fragment predicate the frame tests read",
     "is_last_fragment": "fragment predicate the frame tests read",
     "in_quarantine": "RM accessor the quarantine tests read",
+    "feature_stage_time": "the feature stage's hold time in the server's "
+                          "mode, through which the queue differential's "
+                          "process reference computes it",
 }
 
 _WORD = re.compile(r"[A-Za-z_]\w*")

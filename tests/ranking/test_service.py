@@ -1,13 +1,17 @@
 """Tests for the ranking-service queueing simulation (Figs. 6-8, 11)."""
 
+import random
+
 import pytest
 
 from repro.ranking.service import (
     AccelerationMode,
+    RankingServer,
     RankingServiceConfig,
     run_open_loop,
     saturation_qps,
 )
+from repro.sim import Environment
 
 
 def config(mode):
@@ -100,3 +104,85 @@ class TestSweep:
         fp = run_open_loop(fp_cfg, 1.8 * target_rate, num_queries=1000,
                            seed=4)
         assert fp.latency.p99 <= latency_target
+
+
+class TestQueryPaths:
+    """The two ways a driver starts a query, and what a query costs the
+    kernel."""
+
+    QUERIES = 400
+
+    @pytest.mark.parametrize("mode", list(AccelerationMode))
+    def test_process_path_matches_submit(self, mode):
+        """A process running ``handle_query()`` per arrival (how
+        perfbench drives Fig. 11) and ``submit()`` called at the same
+        instants give the same queries, counters and final time."""
+        cfg = config(mode)
+        rate = 0.9 * saturation_qps(cfg, num_queries=400)
+
+        def drive(by_process):
+            env = Environment()
+            server = RankingServer(env, cfg, rng=random.Random(6))
+            arrivals = random.Random(5)
+            if mode is not AccelerationMode.SOFTWARE:
+                # A window with the FPGA lost, scheduled before the
+                # arrivals: those queries fall back to software.
+                end = self.QUERIES / rate
+                env.call_at(0.4 * end, server.fail_fpga)
+                env.call_at(0.6 * end, server.restore_fpga)
+
+            def load(env):
+                for _ in range(self.QUERIES):
+                    env.process(server.handle_query())
+                    yield env.timeout(arrivals.expovariate(rate))
+
+            def arrive(left):
+                if left:
+                    server.submit()
+                    env.call_later(arrivals.expovariate(rate), arrive,
+                                   left - 1)
+
+            if by_process:
+                env.process(load(env))
+            else:
+                arrive(self.QUERIES)
+            env.run()
+            return {"samples": server.latency.samples,
+                    "completed": server.completed,
+                    "fallbacks": server.software_fallbacks,
+                    "now": env.now}
+
+        by_process, submitted = drive(True), drive(False)
+        assert by_process == submitted
+        assert submitted["completed"] == self.QUERIES
+        if mode is not AccelerationMode.SOFTWARE:
+            assert 0 < submitted["fallbacks"] < self.QUERIES
+
+    @pytest.mark.parametrize("mode,entries", [
+        (AccelerationMode.SOFTWARE, 1),
+        (AccelerationMode.LOCAL_FPGA, 3),
+        (AccelerationMode.REMOTE_FPGA, 3),
+    ])
+    def test_kernel_entries_per_query(self, mode, entries):
+        """One entry per stage end: pre, features and post when
+        accelerated, one software stage otherwise.  More queries than
+        cores and slots, so waiting in a pool costs no entry either."""
+        env = Environment()
+        server = RankingServer(env, config(mode), rng=random.Random(1))
+        for _ in range(self.QUERIES):
+            server.submit()
+        env.run()
+        assert server.completed == self.QUERIES
+        assert env.events_processed == entries * self.QUERIES
+
+    @pytest.mark.parametrize("mode", [AccelerationMode.LOCAL_FPGA,
+                                      AccelerationMode.REMOTE_FPGA])
+    def test_fallback_query_is_one_entry(self, mode):
+        env = Environment()
+        server = RankingServer(env, config(mode), rng=random.Random(1))
+        server.fail_fpga()
+        for _ in range(self.QUERIES):
+            server.submit()
+        env.run()
+        assert server.software_fallbacks == server.completed == self.QUERIES
+        assert env.events_processed == self.QUERIES
