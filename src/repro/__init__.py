@@ -24,42 +24,58 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results of every figure and table.
 """
 
-from .core.cloud import ConfigurableCloud
-from .core.metrics import LatencyRecorder
-from .core.server import Server
-from .faults import (CampaignConfig, FaultEvent, FaultInjector, FaultKind,
-                     generate_campaign)
-from .fpga.shell import Shell, ShellConfig
-from .ltl.engine import LtlConfig, LtlEngine, connect_pair
-from .net.fabric import DatacenterFabric
-from .net.topology import TopologyConfig
-from .router.elastic_router import ElasticRouter
-from .sim.kernel import Environment
-from .trace import Stage, TraceContext, TraceRecorder, TraceReport
+from importlib import import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CampaignConfig",
-    "ConfigurableCloud",
-    "DatacenterFabric",
-    "ElasticRouter",
-    "Environment",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "LatencyRecorder",
-    "LtlConfig",
-    "LtlEngine",
-    "Server",
-    "Shell",
-    "ShellConfig",
-    "Stage",
-    "TopologyConfig",
-    "TraceContext",
-    "TraceRecorder",
-    "TraceReport",
-    "connect_pair",
-    "generate_campaign",
-    "__version__",
-]
+
+def _lazy_exports(namespace, table):
+    """PEP 562 exports of a ``repro`` package: ``(__all__, __getattr__,
+    __dir__)`` for the package whose globals are ``namespace``, from
+    ``table``, which maps each submodule (relative to the package) to
+    the public names it defines.
+
+    Importing the package loads none of its submodules, so a run loads
+    only the modules whose names it uses.  ``__getattr__`` imports a
+    name's submodule when the name is first looked up and binds the name
+    in ``namespace``, where later lookups find it; any other name raises
+    :class:`AttributeError`.  ``__dir__`` lists the public names whether
+    or not they are loaded yet.
+    """
+    package = namespace["__name__"]
+    home = {name: module for module, names in table.items()
+            for name in names}
+
+    def __getattr__(name):
+        module = home.get(name)
+        if module is None:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        value = namespace[name] = getattr(
+            import_module(f".{module}", package), name)
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | home.keys())
+
+    return sorted(home), __getattr__, __dir__
+
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "core.cloud": ("ConfigurableCloud",),
+    "core.metrics": ("LatencyRecorder",),
+    "core.server": ("Server",),
+    "faults.campaign": ("CampaignConfig", "FaultEvent", "FaultKind",
+                        "generate_campaign"),
+    "faults.injector": ("FaultInjector",),
+    "fpga.shell": ("Shell", "ShellConfig"),
+    "ltl.engine": ("LtlConfig", "LtlEngine", "connect_pair"),
+    "net.fabric": ("DatacenterFabric",),
+    "net.topology": ("TopologyConfig",),
+    "router.elastic_router": ("ElasticRouter",),
+    "sim.kernel": ("Environment",),
+    "trace.context": ("TraceContext",),
+    "trace.recorder": ("TraceRecorder", "TraceReport"),
+    "trace.stages": ("Stage",),
+})
+__all__.append("__version__")

@@ -1,13 +1,10 @@
 """Core facade: the Configurable Cloud itself."""
 
-from .cloud import ConfigurableCloud
-from .metrics import LatencyRecorder
-from .server import Server
-from .service import HardwareService
+from .. import _lazy_exports
 
-__all__ = [
-    "ConfigurableCloud",
-    "HardwareService",
-    "LatencyRecorder",
-    "Server",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "cloud": ("ConfigurableCloud",),
+    "metrics": ("LatencyRecorder",),
+    "server": ("Server",),
+    "service": ("HardwareService",),
+})

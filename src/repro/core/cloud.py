@@ -18,15 +18,16 @@ Quickstart::
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from ..fpga.shell import Shell, ShellConfig
-from ..haas.fpga_manager import FpgaManager
-from ..haas.resource_manager import ResourceManager
 from ..net.fabric import DatacenterFabric
 from ..net.topology import TopologyConfig
 from ..sim import Environment, RandomStreams
 from .server import Server
+
+if TYPE_CHECKING:
+    from ..haas.resource_manager import ResourceManager
 
 
 class ConfigurableCloud:
@@ -58,6 +59,7 @@ class ConfigurableCloud:
             self.env, host_index, self.fabric, shell_config=shell_config)
         self.servers[host_index] = server
         if enroll:
+            from ..haas.fpga_manager import FpgaManager
             self.resource_manager.register(
                 FpgaManager(self.env, server.shell))
         return server
@@ -78,6 +80,7 @@ class ConfigurableCloud:
     def resource_manager(self) -> ResourceManager:
         """The datacenter's (lazily created) Resource Manager."""
         if self._rm is None:
+            from ..haas.resource_manager import ResourceManager
             self._rm = ResourceManager(self.env, self.fabric.topology)
         return self._rm
 

@@ -10,63 +10,22 @@
   encryption tap installed in the bump-in-the-wire bridge.
 """
 
-from .aes import AES, BLOCK_BYTES, INV_SBOX, SBOX
-from .engine import (
-    AES_BLOCK_BYTES,
-    CBC_INTERLEAVE_PACKETS,
-    FpgaCryptoConfig,
-    FpgaCryptoEngine,
-)
-from .flows import (
-    EncryptedPayload,
-    EncryptionTap,
-    FlowEntry,
-    FlowKey,
-    FlowTable,
-)
-from .gf128 import gf_mult, ghash
-from .modes import (
-    AuthenticationError,
-    GcmContext,
-    PaddingError,
-    cbc_decrypt,
-    cbc_encrypt,
-    cbc_hmac_decrypt,
-    cbc_hmac_encrypt,
-    pkcs7_pad,
-    pkcs7_unpad,
-)
-from .sha1 import hmac_sha1, sha1
-from .swmodel import HASWELL_SUITES, CipherSuite, SoftwareCryptoModel
+from .. import _lazy_exports
 
-__all__ = [
-    "AES",
-    "AES_BLOCK_BYTES",
-    "AuthenticationError",
-    "BLOCK_BYTES",
-    "CBC_INTERLEAVE_PACKETS",
-    "CipherSuite",
-    "EncryptedPayload",
-    "EncryptionTap",
-    "FlowEntry",
-    "FlowKey",
-    "FlowTable",
-    "FpgaCryptoConfig",
-    "FpgaCryptoEngine",
-    "GcmContext",
-    "HASWELL_SUITES",
-    "INV_SBOX",
-    "PaddingError",
-    "SBOX",
-    "SoftwareCryptoModel",
-    "cbc_decrypt",
-    "cbc_encrypt",
-    "cbc_hmac_decrypt",
-    "cbc_hmac_encrypt",
-    "gf_mult",
-    "ghash",
-    "hmac_sha1",
-    "pkcs7_pad",
-    "pkcs7_unpad",
-    "sha1",
-]
+# Bound here, not on first lookup: loading the submodule of the same
+# name binds the module to ``sha1``, and a lookup would find that.
+from .sha1 import sha1
+
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "aes": ("AES", "BLOCK_BYTES", "INV_SBOX", "SBOX"),
+    "engine": ("AES_BLOCK_BYTES", "CBC_INTERLEAVE_PACKETS", "FpgaCryptoConfig",
+               "FpgaCryptoEngine"),
+    "flows": ("EncryptedPayload", "EncryptionTap", "FlowEntry", "FlowKey",
+              "FlowTable"),
+    "gf128": ("gf_mult", "ghash"),
+    "modes": ("AuthenticationError", "GcmContext", "PaddingError",
+              "cbc_decrypt", "cbc_encrypt", "cbc_hmac_decrypt",
+              "cbc_hmac_encrypt", "pkcs7_pad", "pkcs7_unpad"),
+    "sha1": ("hmac_sha1", "sha1"),
+    "swmodel": ("HASWELL_SUITES", "CipherSuite", "SoftwareCryptoModel"),
+})

@@ -1,24 +1,10 @@
 """Deployment study: the 5,760-server bed and its reliability (§II-B)."""
 
-from .failures import (
-    FLEET_SIZE,
-    OBSERVATION_DAYS,
-    RANKING_SERVERS,
-    DeploymentReport,
-    FailureRates,
-    MirroredTrafficStudy,
-    expected_report,
-)
-from .fleet import BurnInResult, Fleet
+from .. import _lazy_exports
 
-__all__ = [
-    "BurnInResult",
-    "DeploymentReport",
-    "FLEET_SIZE",
-    "FailureRates",
-    "Fleet",
-    "MirroredTrafficStudy",
-    "OBSERVATION_DAYS",
-    "RANKING_SERVERS",
-    "expected_report",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "failures": ("FLEET_SIZE", "OBSERVATION_DAYS", "RANKING_SERVERS",
+                 "DeploymentReport", "FailureRates", "MirroredTrafficStudy",
+                 "expected_report"),
+    "fleet": ("BurnInResult", "Fleet"),
+})

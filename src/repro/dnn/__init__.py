@@ -1,32 +1,12 @@
 """Pooled DNN acceleration and the oversubscription study (paper §V-D/E)."""
 
-from .accelerator import DnnAccelerator, DnnAcceleratorConfig
-from .distributed import DistributedMlp, split_layers
-from .mlp import Mlp, relu, softmax, synthetic_classification
-from .pool import (
-    STRESS_RATE_MULTIPLIER,
-    SUSTAINABLE_CLIENTS_PER_FPGA,
-    DnnPool,
-    OversubscriptionResult,
-    RemoteNetworkModel,
-    oversubscription_sweep,
-    run_oversubscription_point,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DnnAccelerator",
-    "DnnAcceleratorConfig",
-    "DistributedMlp",
-    "DnnPool",
-    "Mlp",
-    "OversubscriptionResult",
-    "RemoteNetworkModel",
-    "STRESS_RATE_MULTIPLIER",
-    "SUSTAINABLE_CLIENTS_PER_FPGA",
-    "oversubscription_sweep",
-    "relu",
-    "run_oversubscription_point",
-    "softmax",
-    "split_layers",
-    "synthetic_classification",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "accelerator": ("DnnAccelerator", "DnnAcceleratorConfig"),
+    "distributed": ("DistributedMlp", "split_layers"),
+    "mlp": ("Mlp", "relu", "softmax", "synthetic_classification"),
+    "pool": ("STRESS_RATE_MULTIPLIER", "SUSTAINABLE_CLIENTS_PER_FPGA",
+             "DnnPool", "OversubscriptionResult", "RemoteNetworkModel",
+             "oversubscription_sweep", "run_oversubscription_point"),
+})

@@ -21,7 +21,6 @@ from typing import Dict, List, Tuple
 
 from ..core.cloud import ConfigurableCloud
 from ..sim.randomness import percentile
-from ..torus import TorusLatencyModel, TorusTopology
 from .harness import Table, approx, claim, fmt
 
 TITLE = "Fig. 10 — LTL round-trip latency per tier"
@@ -58,6 +57,7 @@ class Fig10Result:
 def run(tier_pairs: Dict[str, Tuple[int, List[Tuple[int, int]]]]
         = None, messages_per_pair: int = 60) -> Fig10Result:
     """Measure idle LTL RTT per tier plus the torus baseline."""
+    from ..torus import TorusLatencyModel, TorusTopology
     tier_pairs = tier_pairs or DEFAULT_TIER_PAIRS
     cloud = ConfigurableCloud(seed=SEED)
     tiers: Dict[str, TierStats] = {}

@@ -8,20 +8,11 @@ FPGA Manager health monitoring, RM quarantine + lease expiry, SM
 replacement retry).
 """
 
-from .campaign import (CONTROL_PLANE_KINDS, CampaignConfig, FaultEvent,
-                       FaultKind, SECONDS_PER_DAY, TRANSIENT_KINDS,
-                       generate_campaign)
-from .injector import FaultInjector, InjectionRecord, InjectorStats
+from .. import _lazy_exports
 
-__all__ = [
-    "CONTROL_PLANE_KINDS",
-    "CampaignConfig",
-    "FaultEvent",
-    "FaultInjector",
-    "FaultKind",
-    "InjectionRecord",
-    "InjectorStats",
-    "SECONDS_PER_DAY",
-    "TRANSIENT_KINDS",
-    "generate_campaign",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "campaign": ("CONTROL_PLANE_KINDS", "CampaignConfig", "FaultEvent",
+                 "FaultKind", "SECONDS_PER_DAY", "TRANSIENT_KINDS",
+                 "generate_campaign"),
+    "injector": ("FaultInjector", "InjectionRecord", "InjectorStats"),
+})

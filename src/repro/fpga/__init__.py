@@ -6,77 +6,20 @@ SEU scrubber; the other modules model the board
 itself, its area/power budgets, and its failure modes.
 """
 
-from .area import PRODUCTION_IMAGE, TOTAL_ALMS, AreaBudget, AreaEntry
-from .board import Board, BoardHealth, BoardSpec
-from .bridge import BRIDGE_LATENCY_SECONDS, Bridge, BridgeStats
-from .power import (
-    POWER_VIRUS_UTILIZATION,
-    RANKING_ROLE_UTILIZATION,
-    PowerModel,
-    ThermalConditions,
-    power_virus_power_w,
-    validate_envelope,
-)
-from .reconfig import (
-    GOLDEN_IMAGE,
-    PARTIAL_RECONFIG_SECONDS,
-    ConfigurationError,
-    ConfigurationManager,
-    Image,
-)
-from .seu import (
-    MEAN_SECONDS_BETWEEN_FLIPS,
-    SCRUB_PERIOD_SECONDS,
-    SeuEvent,
-    SeuScrubber,
-    SeuStats,
-)
-from .shell import (
-    ER_PORT_DMA,
-    ER_PORT_DRAM,
-    ER_PORT_REMOTE,
-    ER_PORT_ROLE,
-    FabricLtlTransport,
-    RemoteEnvelope,
-    RemoteMessage,
-    Shell,
-    ShellConfig,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AreaBudget",
-    "AreaEntry",
-    "BRIDGE_LATENCY_SECONDS",
-    "Board",
-    "BoardHealth",
-    "BoardSpec",
-    "Bridge",
-    "BridgeStats",
-    "ConfigurationError",
-    "ConfigurationManager",
-    "ER_PORT_DMA",
-    "ER_PORT_DRAM",
-    "ER_PORT_REMOTE",
-    "ER_PORT_ROLE",
-    "FabricLtlTransport",
-    "GOLDEN_IMAGE",
-    "Image",
-    "MEAN_SECONDS_BETWEEN_FLIPS",
-    "PARTIAL_RECONFIG_SECONDS",
-    "POWER_VIRUS_UTILIZATION",
-    "PRODUCTION_IMAGE",
-    "PowerModel",
-    "RANKING_ROLE_UTILIZATION",
-    "RemoteEnvelope",
-    "RemoteMessage",
-    "SCRUB_PERIOD_SECONDS",
-    "SeuEvent",
-    "SeuScrubber",
-    "SeuStats",
-    "Shell",
-    "ShellConfig",
-    "ThermalConditions",
-    "TOTAL_ALMS",
-    "power_virus_power_w",
-    "validate_envelope",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "area": ("PRODUCTION_IMAGE", "TOTAL_ALMS", "AreaBudget", "AreaEntry"),
+    "board": ("Board", "BoardHealth", "BoardSpec"),
+    "bridge": ("BRIDGE_LATENCY_SECONDS", "Bridge", "BridgeStats"),
+    "power": ("POWER_VIRUS_UTILIZATION", "RANKING_ROLE_UTILIZATION",
+              "PowerModel", "ThermalConditions", "power_virus_power_w",
+              "validate_envelope"),
+    "reconfig": ("GOLDEN_IMAGE", "PARTIAL_RECONFIG_SECONDS",
+                 "ConfigurationError", "ConfigurationManager", "Image"),
+    "seu": ("MEAN_SECONDS_BETWEEN_FLIPS", "SCRUB_PERIOD_SECONDS", "SeuEvent",
+            "SeuScrubber", "SeuStats"),
+    "shell": ("ER_PORT_DMA", "ER_PORT_DRAM", "ER_PORT_REMOTE", "ER_PORT_ROLE",
+              "FabricLtlTransport", "RemoteEnvelope", "RemoteMessage",
+              "Shell", "ShellConfig"),
+})

@@ -21,7 +21,7 @@ in :mod:`repro.deployment.failures` and :class:`repro.ranking.FfuConfig`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..ltl.engine import LtlConfig, LtlEngine, connect_pair
 from ..ltl.frames import LTL_UDP_PORT, LtlFrame
@@ -33,7 +33,9 @@ from ..trace.stages import Stage
 from .board import Board
 from .bridge import Bridge
 from .reconfig import ConfigurationManager
-from .seu import SeuScrubber
+
+if TYPE_CHECKING:
+    from .seu import SeuScrubber
 
 # Elastic Router port map for the example single-role deployment (§V-B):
 # "the ER is instantiated with 4 ports: (1) PCIe DMA, (2) Role, (3) DRAM,

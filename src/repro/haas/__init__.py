@@ -1,55 +1,16 @@
 """Hardware-as-a-Service: RM / SM / FM control plane (paper §V-F)."""
 
-from .audit import AuditReport, AuditViolation, audit_journal
-from .constraints import Constraints, Locality, group_key, select_hosts
-from .fpga_manager import FpgaHealth, FpgaManager
-from .journal import Journal, JournalRecord, RecoveredState
-from .leases import EPOCH_STRIDE, Lease, LeaseState, lease_id_for
-from .resource_manager import (
-    DEFAULT_LEASE_SECONDS,
-    AllocationError,
-    LeaseExpired,
-    ResourceManager,
-    RmStats,
-)
-from .rpc import (
-    RpcChannel,
-    RpcConfig,
-    RpcError,
-    RpcStats,
-    RpcTimeout,
-    ServerUnavailable,
-)
-from .service_manager import ServiceManager, SmStats
+from .. import _lazy_exports
 
-__all__ = [
-    "AllocationError",
-    "AuditReport",
-    "AuditViolation",
-    "Constraints",
-    "DEFAULT_LEASE_SECONDS",
-    "EPOCH_STRIDE",
-    "FpgaHealth",
-    "FpgaManager",
-    "Journal",
-    "JournalRecord",
-    "Lease",
-    "LeaseExpired",
-    "LeaseState",
-    "Locality",
-    "RecoveredState",
-    "ResourceManager",
-    "RmStats",
-    "RpcChannel",
-    "RpcConfig",
-    "RpcError",
-    "RpcStats",
-    "RpcTimeout",
-    "ServerUnavailable",
-    "ServiceManager",
-    "SmStats",
-    "audit_journal",
-    "group_key",
-    "lease_id_for",
-    "select_hosts",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "audit": ("AuditReport", "AuditViolation", "audit_journal"),
+    "constraints": ("Constraints", "Locality", "group_key", "select_hosts"),
+    "fpga_manager": ("FpgaHealth", "FpgaManager"),
+    "journal": ("Journal", "JournalRecord", "RecoveredState"),
+    "leases": ("EPOCH_STRIDE", "Lease", "LeaseState", "lease_id_for"),
+    "resource_manager": ("DEFAULT_LEASE_SECONDS", "AllocationError",
+                         "LeaseExpired", "ResourceManager", "RmStats"),
+    "rpc": ("RpcChannel", "RpcConfig", "RpcError", "RpcStats", "RpcTimeout",
+            "ServerUnavailable"),
+    "service_manager": ("ServiceManager", "SmStats"),
+})

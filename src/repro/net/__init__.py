@@ -12,55 +12,18 @@ datacenter's standard Ethernet.  This package simulates that Ethernet:
 * :mod:`repro.net.dcqcn` — the DC-QCN congestion-control state machines.
 """
 
-from .addressing import (
-    HostCoordinates,
-    host_index_to_coords,
-    ip_address,
-    mac_address,
-    mac_to_host_index,
-)
-from .dcqcn import CnpGenerator, DcqcnConfig, DcqcnRateController
-from .fabric import Attachment, DatacenterFabric
-from .latency import BackgroundTrafficModel, LatencyModel, TierJitter, idle
-from .links import Port, PortStats, propagation_delay
-from .packet import (
-    EthernetHeader,
-    Ipv4Header,
-    Packet,
-    TrafficClass,
-    UdpHeader,
-    make_udp_packet,
-)
-from .switch import EcnConfig, PfcConfig, Switch
-from .topology import ThreeTierTopology, TopologyConfig
+from .. import _lazy_exports
 
-__all__ = [
-    "Attachment",
-    "BackgroundTrafficModel",
-    "CnpGenerator",
-    "DatacenterFabric",
-    "DcqcnConfig",
-    "DcqcnRateController",
-    "EcnConfig",
-    "EthernetHeader",
-    "HostCoordinates",
-    "Ipv4Header",
-    "LatencyModel",
-    "Packet",
-    "PfcConfig",
-    "Port",
-    "PortStats",
-    "Switch",
-    "ThreeTierTopology",
-    "TierJitter",
-    "TopologyConfig",
-    "TrafficClass",
-    "UdpHeader",
-    "host_index_to_coords",
-    "idle",
-    "ip_address",
-    "mac_address",
-    "mac_to_host_index",
-    "make_udp_packet",
-    "propagation_delay",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "addressing": ("HostCoordinates", "host_index_to_coords", "ip_address",
+                   "mac_address", "mac_to_host_index"),
+    "dcqcn": ("CnpGenerator", "DcqcnConfig", "DcqcnRateController"),
+    "fabric": ("Attachment", "DatacenterFabric"),
+    "latency": ("BackgroundTrafficModel", "LatencyModel", "TierJitter",
+                "idle"),
+    "links": ("Port", "PortStats", "propagation_delay"),
+    "packet": ("EthernetHeader", "Ipv4Header", "Packet", "TrafficClass",
+               "UdpHeader", "make_udp_packet"),
+    "switch": ("EcnConfig", "PfcConfig", "Switch"),
+    "topology": ("ThreeTierTopology", "TopologyConfig"),
+})

@@ -81,15 +81,20 @@ class Port:
       head slot and the heap top are later) and no other port launched
       in this event.  Only its arrival is scheduled.  The launch stays
       provisional while the launching event runs, which the port reads
-      from the count :attr:`Environment.events_processed` gives (computed
-      in place, without the property call) and the clock (both
-      unchanged).  Meanwhile the packet still counts in
-      :meth:`queued_bytes`, :attr:`queued_bytes_total` and the capacity
-      check, as it would while a kick is pending.  An enqueue, pause or
-      resume on the port during that time undoes the launch: the arrival
-      is voided, the packet returns to the head of its queue and a kick
-      takes over, in the place among same-instant entries that the
-      launching enqueue would have given it.
+      from a mark and the clock (both unchanged).  The mark counts
+      dispatched entries, the bounded-run stop sentinel's included (the
+      kernel's seq draws minus its queued entries, computed in place).
+      Arming a sentinel does not move it and dispatching one does, so a
+      launch in a bounded window's last instant is final once the
+      window ends, and a launch between windows is final once the next
+      window dispatches anything, as on the reference, whose kick ran
+      first.  Meanwhile the packet still counts in :meth:`queued_bytes`,
+      :attr:`queued_bytes_total` and the capacity check, as it would
+      while a kick is pending.  An enqueue, pause or resume on the port
+      during that time undoes the launch: the arrival is voided, the
+      packet returns to the head of its queue and a kick takes over, in
+      the place among same-instant entries that the launching enqueue
+      would have given it.
     * **Kick.** Otherwise a zero-delay kick is scheduled, so every
       enqueue at this instant is visible before the port picks a packet
       and strict priority is decided over the whole batch.
@@ -118,8 +123,13 @@ class Port:
     while one is pending.
 
     Edge: a launch made outside a run stays provisional until an entry
-    is dispatched or the clock moves, so a bounded run that ends at the
-    launch instant without dispatching anything leaves it undoable.
+    is dispatched or the clock moves, so an unbounded
+    :meth:`Environment.run` that finds nothing to dispatch (the launch
+    scheduled nothing, as on a port without a deliver target, and
+    nothing else is queued) leaves it undoable, where the reference's
+    kick would have run.  (Every bounded run dispatches at least its
+    sentinel.)  ``tests/net/test_port_launch_mark.py`` names this as
+    the limit of its between-window differential.
     """
 
     def __init__(self, env: Environment, name: str, rate_bps: float,
@@ -159,7 +169,7 @@ class Port:
         #: True while a zero-delay kick is scheduled.
         self._kick_pending = False
         #: The provisional launch (of the packet on the wire): (time,
-        #: events_processed, class, size, deliver cell), or None.
+        #: launch mark, class, size, deliver cell), or None.
         #: Setting the cell's only item to None voids its arrival.
         self._launch: Optional[Tuple] = None
         self._on_transmit: Optional[Callable[[Packet], None]] = None
@@ -292,11 +302,11 @@ class Port:
         # The bounded-run sentinel (seq +inf) sorts after every entry at
         # its instant, so it does not count as due.
         if top is None or top[0] != now or top[1] == _INF:
-            # Environment.events_processed, read without a call: the
-            # stop sentinel is discounted while armed, so a launch in a
-            # window's last instant stays undoable after the window.
-            mark = (env._seq - len(heap) - (head is not None)
-                    + (env._stop_token is not None))
+            # Dispatches so far, stop sentinels included: seq draws
+            # minus queued entries (Environment.events_processed without
+            # its spent-sentinel term).  A window's end moves it; the
+            # next window's start does not.
+            mark = env._seq - len(heap) - (head is not None)
             last = env._port_launch
             # A second launch in one event would draw its entries before
             # the first port's restart, should that launch be undone;
@@ -321,11 +331,9 @@ class Port:
         launch is final and its packet leaves the queue counters."""
         when, mark, tc, size, _cell = self._launch
         env = self.env
-        # The launch's mark against Environment.events_processed, read
-        # as in _launch_or_kick.
+        # The launch's mark, read as in _launch_or_kick.
         if env._now == when and mark == (
-                env._seq - len(env._heap) - (env._head is not None)
-                + (env._stop_token is not None)):
+                env._seq - len(env._heap) - (env._head is not None)):
             return True
         self._launch = None
         self._queued_bytes[tc] -= size

@@ -18,10 +18,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import exp, log
-from typing import Any, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, List, Optional, Sequence
 
-from .corpus import Document, Query
-from .features import FeatureExtractor, FeatureVector
+if TYPE_CHECKING:
+    from .corpus import Document, Query
+    from .features import FeatureVector
 
 
 @dataclass(slots=True)
@@ -123,6 +124,7 @@ class FfuDpfRole:
     def extract(self, query: Query,
                 documents: Sequence[Document]) -> List[FeatureVector]:
         """Bit-accurate output: same features software would compute."""
+        from .features import FeatureExtractor
         self.queries_processed += 1
         extractor = FeatureExtractor(query)
         return extractor.extract_all(documents)

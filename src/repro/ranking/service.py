@@ -22,14 +22,16 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from ..core.metrics import LatencyRecorder
-from ..haas.fpga_manager import FpgaHealth, FpgaManager
 from ..sim import Environment, Pool
 from ..trace.stages import Stage
 from .ffu import FfuConfig, FfuDpfRole, QueryWork, SoftwareTimingModel, \
     WorkloadModel
+
+if TYPE_CHECKING:
+    from ..haas.fpga_manager import FpgaManager
 
 
 class AccelerationMode(enum.Enum):
@@ -127,6 +129,7 @@ class RankingServer:
     def bind_fpga_health(self, manager: FpgaManager) -> None:
         """Follow an FPGA Manager's health: degrade to software whenever
         the board leaves HEALTHY, restore when it returns."""
+        from ..haas.fpga_manager import FpgaHealth
         previous = manager.on_health_change
 
         def chained(fm, old, new, reason):

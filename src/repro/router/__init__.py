@@ -5,26 +5,11 @@ PCIe DMA, Role, DRAM, and Remote (to LTL) — which is exactly how
 :mod:`repro.fpga.shell` wires it.
 """
 
-from .credits import (
-    CreditError,
-    CreditPool,
-    ElasticCreditPool,
-    StaticCreditPool,
-    make_credit_pool,
-)
-from .elastic_router import DEFAULT_FREQ_HZ, ElasticRouter, RouterStats
-from .flit import Flit, Message, packetize
+from .. import _lazy_exports
 
-__all__ = [
-    "CreditError",
-    "CreditPool",
-    "DEFAULT_FREQ_HZ",
-    "ElasticCreditPool",
-    "ElasticRouter",
-    "Flit",
-    "Message",
-    "RouterStats",
-    "StaticCreditPool",
-    "make_credit_pool",
-    "packetize",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "credits": ("CreditError", "CreditPool", "ElasticCreditPool",
+                "StaticCreditPool", "make_credit_pool"),
+    "elastic_router": ("DEFAULT_FREQ_HZ", "ElasticRouter", "RouterStats"),
+    "flit": ("Flit", "Message", "packetize"),
+})

@@ -17,13 +17,10 @@ Quick example::
     assert pongs == [1.0, "done"]
 """
 
-from .kernel import Environment
-from .randomness import RandomStreams, percentile
-from .pool import Pool
+from .. import _lazy_exports
 
-__all__ = [
-    "Environment",
-    "Pool",
-    "RandomStreams",
-    "percentile",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "kernel": ("Environment",),
+    "pool": ("Pool",),
+    "randomness": ("RandomStreams", "percentile"),
+})

@@ -79,9 +79,12 @@ class Environment:
         #: (None outside a bounded run).  A sentinel left behind by a
         #: run that terminated with an exception no-ops on mismatch.
         self._stop_token: Optional[object] = None
-        #: ``(events_processed, now)`` of the latest launch by a
-        #: transmit port (see :class:`repro.net.links.Port`): at most
-        #: one port launches per event.
+        #: Bounded-run sentinels spent (dispatched or removed): each drew
+        #: a seq but is not a dispatched entry.
+        self._stops = 0
+        #: ``(launch mark, now)`` of the latest launch by a transmit
+        #: port (see :class:`repro.net.links.Port`): at most one port
+        #: launches per event.
         self._port_launch: Optional[Tuple[int, float]] = None
 
     # ------------------------------------------------------------------
@@ -103,14 +106,15 @@ class Environment:
 
         Counted by sequence accounting rather than by an increment in
         the dispatch loop: every seq draw enters the schedule exactly
-        once, so dispatches = draws - entries still queued.  The
-        bounded-run sentinel draws no seq; while it is armed it is
-        discounted.  The value is live: it also advances inside a run,
-        once per dispatched entry.  (:class:`repro.net.links.Port`
-        computes the same four terms in place.)
+        once, so dispatches = draws - entries still queued - spent
+        bounded-run sentinels (each draws a seq too).  The value is
+        live: it also advances inside a run, once per dispatched entry.
+        (:class:`repro.net.links.Port` computes the first three terms in
+        place, as its launch mark: that count also moves when a
+        sentinel is dispatched, and does not move when one is armed.)
         """
         return (self._seq - len(self._heap) - (self._head is not None)
-                + (self._stop_token is not None))
+                - self._stops)
 
     # ------------------------------------------------------------------
     # Processes
@@ -265,12 +269,15 @@ class Environment:
             # terminates with an exception removes its own sentinel in
             # the ``finally`` below — left behind, it would be a phantom
             # entry (``len`` would count it) that the next bounded run
-            # would pop and miscount.  It draws no seq, and
-            # ``events_processed`` discounts it while the token is set.
-            # The identity token additionally keeps any stale sentinel
-            # from stopping a later run.
+            # would pop and miscount.  It draws a seq like any entry
+            # (its key keeps the infinite seq), so arming it leaves the
+            # draws-minus-queued count alone and spending it moves that
+            # count; ``events_processed`` subtracts the spent ones.  The
+            # identity token additionally keeps any stale sentinel from
+            # stopping a later run.
             token = self._stop_token = object()
             sentinel = (stop_time, _INF, self._raise_stop, (token,))
+            self._seq += 1
             self._insert(sentinel)
         consumed = False
         try:
@@ -288,11 +295,13 @@ class Environment:
             consumed = True
         finally:
             self._stop_token = None
-            if sentinel is not None and not consumed:
-                # An exception escaped mid-window: pull the unspent
-                # sentinel back out so repeated bounded runs stay
-                # exactly equivalent to one long run.
-                self._remove_entry(sentinel)
+            if sentinel is not None:
+                self._stops += 1
+                if not consumed:
+                    # An exception escaped mid-window: pull the unspent
+                    # sentinel back out so repeated bounded runs stay
+                    # exactly equivalent to one long run.
+                    self._remove_entry(sentinel)
         if stop_time != _INF:
             self._now = stop_time
 

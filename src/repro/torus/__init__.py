@@ -1,16 +1,9 @@
 """Catapult v1 6x8 torus baseline (paper §V-C / Fig. 10)."""
 
-from .network import (
-    HOP_JITTER_SECONDS,
-    HOP_LATENCY_SECONDS,
-    TorusLatencyModel,
-)
-from .topology import Coordinate, TorusTopology
+from .. import _lazy_exports
 
-__all__ = [
-    "Coordinate",
-    "HOP_JITTER_SECONDS",
-    "HOP_LATENCY_SECONDS",
-    "TorusLatencyModel",
-    "TorusTopology",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "network": ("HOP_JITTER_SECONDS", "HOP_LATENCY_SECONDS",
+                "TorusLatencyModel"),
+    "topology": ("Coordinate", "TorusTopology"),
+})

@@ -27,15 +27,10 @@ costs the datapath one ``is not None`` check per tap point and allocates
 nothing.
 """
 
-from .stages import SWITCH_STAGE_BY_TIER, Stage
-from .context import TraceContext
-from .recorder import SpanRecord, TraceRecorder, TraceReport
+from .. import _lazy_exports
 
-__all__ = [
-    "SWITCH_STAGE_BY_TIER",
-    "SpanRecord",
-    "Stage",
-    "TraceContext",
-    "TraceRecorder",
-    "TraceReport",
-]
+__all__, __getattr__, __dir__ = _lazy_exports(globals(), {
+    "context": ("TraceContext",),
+    "recorder": ("SpanRecord", "TraceRecorder", "TraceReport"),
+    "stages": ("SWITCH_STAGE_BY_TIER", "Stage"),
+})

@@ -1,14 +1,17 @@
 """Every module, ``def`` and ``class`` in ``src/repro`` is reached from
 outside itself.
 
+A package ``__init__`` lists its public names in an export table, which
+it passes to ``_lazy_exports``; a re-export alone reaches nothing.
+
 A name is reached when it occurs as a word in ``src/``, ``benchmarks/``,
 ``examples/`` or ``perfbench/`` anywhere but the lines of its own
-definition and the package ``__init__`` files that re-export it.  Code
-in ``src`` that only tests call fails here unless :data:`ALLOWED` names
-it with the reason it is kept.  A module (apart from ``__init__`` and
-``__main__``) is reached when a file in those trees other than a package
-``__init__`` imports it or a name from it, directly or through the
-``__init__`` files that re-export it.
+definition, or as a name the code of a package ``__init__`` uses (its
+docstring and export table do not count).  Code in ``src`` that only
+tests call fails here unless :data:`ALLOWED` names it with the reason it
+is kept.  A module (apart from ``__init__`` and ``__main__``) is reached
+when a file in those trees imports it or a name from it, directly or
+through the export tables that list the name.
 """
 
 import ast
@@ -51,14 +54,18 @@ def definitions():
 
 
 def occurrences():
-    """word -> [(path, line)] over the searched trees, minus __init__."""
+    """word -> [(path, line)] over the searched trees; in a package
+    ``__init__``, only the names its code uses."""
     found = defaultdict(list)
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
+            text = path.read_text()
             if path.name == "__init__.py":
+                for node in ast.walk(ast.parse(text)):
+                    if isinstance(node, ast.Name):
+                        found[node.id].append((path, node.lineno))
                 continue
-            for number, line in enumerate(
-                    path.read_text().splitlines(), 1):
+            for number, line in enumerate(text.splitlines(), 1):
                 for word in set(_WORD.findall(line)):
                     found[word].append((path, number))
     return found
@@ -86,35 +93,45 @@ def modules():
                            .parts)
 
 
-def imports(path, package):
-    """(local name, dotted name) of every name ``path``, a file of
-    ``package``, imports."""
+def imports(tree, package):
+    """Dotted name of every name ``tree``, a file of ``package``,
+    imports."""
     parts = package.split(".")
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                yield alias.asname or alias.name, alias.name
+                yield alias.name
         elif isinstance(node, ast.ImportFrom):
             base = parts[:len(parts) + 1 - node.level] if node.level else []
             module = ".".join(base + [node.module] if node.module else base)
             for alias in node.names:
-                yield alias.asname or alias.name, f"{module}.{alias.name}"
+                yield f"{module}.{alias.name}"
+
+
+def export_table(tree):
+    """The export table (submodule -> names) a package ``__init__``
+    passes to ``_lazy_exports``, or {}."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and \
+                getattr(node.func, "id", None) == "_lazy_exports":
+            return ast.literal_eval(node.args[1])
+    return {}
 
 
 def imported():
     """Every module the searched trees import, or import a name from,
-    following package ``__init__`` re-exports to where a name is
-    defined.  A re-export alone reaches nothing."""
+    following the export tables to where a name is defined."""
     exports, names = {}, []
     for top in SEARCHED:
         base = ROOT / "src" if top == "src" else ROOT
         for path in sorted((ROOT / top).rglob("*.py")):
             package = ".".join(path.relative_to(base).parent.parts)
-            for local, name in imports(path, package):
-                if path.name == "__init__.py":
-                    exports[f"{package}.{local}"] = name
-                else:
-                    names.append(name)
+            tree = ast.parse(path.read_text())
+            for module, listed in export_table(tree).items():
+                for name in listed:
+                    exports[f"{package}.{name}"] = \
+                        f"{package}.{module}.{name}"
+            names.extend(imports(tree, package))
     found = set()
     for name in names:
         while exports.get(name, name) != name:

@@ -3,9 +3,8 @@
 CI runs no linter, so this is the check: every name an ``import`` binds
 must occur in its module as a name, or in a string that parses as an
 expression (a string annotation, or a ``harness.claim`` that evaluates
-its text in the caller's scope).  Package ``__init__`` files, which
-import to re-export, and the names a module lists in ``__all__`` are
-exempt.
+its text in the caller's scope).  The names a module lists in
+``__all__`` are exempt.
 """
 
 import ast
@@ -52,8 +51,7 @@ def test_no_unused_imports():
     unused = {}
     for top in CHECKED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            if path.name != "__init__.py":
-                names = unused_imports(path)
-                if names:
-                    unused[str(path.relative_to(ROOT))] = names
+            names = unused_imports(path)
+            if names:
+                unused[str(path.relative_to(ROOT))] = names
     assert unused == {}
