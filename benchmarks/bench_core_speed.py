@@ -21,8 +21,9 @@ or compare a fresh result against the committed baseline (exits 1 on a
     PYTHONPATH=src python benchmarks/bench_core_speed.py \
         --check BENCH_core.ci.json --baseline BENCH_core.json
 
-``BENCH_core.json`` keeps a bounded ``history`` of prior runs so the
-performance trajectory across PRs stays in the repo, not in CI logs.
+``BENCH_core.json`` keeps a bounded ``history`` of prior runs (the
+newest :data:`HISTORY_LIMIT`) so the performance trajectory across PRs
+stays in the repo, not in CI logs.
 The regression gate guards kernel, Fig. 10 *and* LTL round-trip
 throughput, and takes each metric's baseline as the best full-mode
 value across that history — not just the latest run — so regenerating
@@ -47,13 +48,13 @@ from repro.core.cloud import ConfigurableCloud  # noqa: E402
 from repro.experiments.fig10 import DEFAULT_TIER_PAIRS  # noqa: E402
 from repro.sim import Environment  # noqa: E402
 
-from _harness import write_result  # noqa: E402
-
 #: Metrics guarded by ``--check`` (higher is better).  Fig. 10 is
 #: guarded by round trips, not events: its event count depends on how
 #: the datapath schedules work, so it is not a fixed unit of progress.
 GUARDED_METRICS = ("kernel_events_per_sec", "fig10_round_trips_per_sec",
                    "ltl_round_trips_per_sec")
+#: Prior runs a result file carries forward in its ``history``.
+HISTORY_LIMIT = 50
 
 
 # ----------------------------------------------------------------------
@@ -142,6 +143,24 @@ def run_suite(quick: bool) -> Dict[str, object]:
             "fig10_events_per_sec": round(fig10["events_per_sec"], 1),
         },
     }
+
+
+def write_result(result: Dict[str, object], path: Path) -> None:
+    """Write ``result`` to ``path``, carrying forward the run history."""
+    history: List[Dict[str, object]] = []
+    if path.exists():
+        try:
+            previous = json.loads(path.read_text())
+        except (OSError, ValueError):
+            previous = None
+        if isinstance(previous, dict) and "metrics" in previous:
+            history = list(previous.get("history", []))
+            history.append({k: previous[k] for k in
+                            ("quick", "python", "timestamp", "metrics")
+                            if k in previous})
+    result = dict(result)
+    result["history"] = history[-HISTORY_LIMIT:]
+    path.write_text(json.dumps(result, indent=1) + "\n")
 
 
 # ----------------------------------------------------------------------

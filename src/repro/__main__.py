@@ -20,8 +20,9 @@ from .experiments.table import TABLE
 def main(argv: list[str]) -> int:
     if not argv:
         print("Available experiments (see DESIGN.md / EXPERIMENTS.md):")
+        width = max(map(len, TABLE))
         for key, entry in TABLE.items():
-            print(f"  {key:>5}  {entry.TITLE}")
+            print(f"  {key:>{width}}  {entry.TITLE}")
         print("\nRun one with: python -m repro <id>")
         return 0
     unknown = [key for key in argv if key not in TABLE]

@@ -83,8 +83,8 @@ TRAFFIC_KINDS = (FaultKind.FRAME_CORRUPT, FaultKind.FRAME_DROP,
                  FaultKind.GRAY_NODE)
 
 #: The §II-B mix this soak runs (pinned): the control-plane resilience
-#: kinds (RM_CRASH, NETWORK_PARTITION) have their own soak in
-#: ``benchmarks/bench_control_plane_soak.py``, and excluding them here
+#: kinds (RM_CRASH, NETWORK_PARTITION) have their own soak, the
+#: ``control`` entry (:mod:`.control_soak`), and excluding them here
 #: keeps this soak's seeded campaign, and its availability claim, stable
 #: as the taxonomy grows.
 SOAK_KINDS = (FaultKind.FPGA_DEATH, FaultKind.LINK_FLAP,

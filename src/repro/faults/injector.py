@@ -54,7 +54,6 @@ from ..fpga.seu import SeuScrubber
 from ..haas.constraints import Constraints
 from ..haas.fpga_manager import FpgaHealth, FpgaManager
 from ..haas.resource_manager import AllocationError
-from ..haas.rpc import ServerUnavailable
 from ..haas.service_manager import ServiceManager
 from ..ltl.frames import LtlFrame
 from .campaign import FaultEvent, FaultKind
@@ -456,7 +455,8 @@ class FaultInjector:
         Recovery is stamped at the restarted RM's *first successful
         acquire* (an :class:`AllocationError` counts — the RM answered,
         the pool just happened to be full), i.e. crash -> journal replay
-        -> serving again.
+        -> serving again.  :meth:`ResourceManager.restart` replays the
+        journal synchronously, so the probe runs at the restart instant.
         """
         rm = self.cloud.resource_manager
         if rm.crashed:
@@ -470,25 +470,17 @@ class FaultInjector:
         record.note = (f"RM down {event.duration:.1f}s "
                        f"({held} hosts were leased)")
         yield self.env.timeout(event.duration)
-        restarted_at = self.env.now
         recovered = rm.restart()
-        probe_step = max(min(rm._sweep_period / 10.0, 0.1), 1e-3)
-        deadline = self.env.now + 120.0
-        while self.env.now < deadline:
-            try:
-                lease = rm.acquire("__rm-probe__", Constraints(count=1))
-            except AllocationError:
-                break  # RM is serving; the pool is just exhausted
-            except ServerUnavailable:
-                yield self.env.timeout(probe_step)
-                continue
+        try:
+            lease = rm.acquire("__rm-probe__", Constraints(count=1))
+        except AllocationError:
+            pass  # RM is serving; the pool is just exhausted
+        else:
             rm.release(lease)
-            break
         record.recovered_at = self.env.now
         record.note += (f"; replayed {len(rm.journal)} records, "
                         f"recovered {recovered} leases, serving again "
-                        f"+{self.env.now - restarted_at:.3f}s after "
-                        "restart")
+                        "at restart")
 
     def _do_network_partition(self, event: FaultEvent,
                               record: InjectionRecord):

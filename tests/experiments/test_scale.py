@@ -1,19 +1,22 @@
-"""The scale sweep's runner on the real fabric.
+"""The scale sweep's runner on the real fabric, and the sweep's workload.
 
 A fixed Fig. 10-style workload checks that every ping is answered, the
 tiers keep their order, and the sample digest is a pure function of
-(workload, seed).  Hypothesis draws ping workloads over L0, L1 and L2
-pairs (unique sources, 1-4 messages each) and checks the same runner
-on them: every ping is answered and a repeated run gives the same
-digest.
+(workload, seed).  The ``scale`` entry's 512-pair workload is checked
+without a simulation: each pair lies in the tier it is built for.
+Hypothesis draws ping workloads over L0, L1 and L2 pairs (unique
+sources, 1-4 messages each) and checks the same runner on them: every
+ping is answered and a repeated run gives the same digest.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments import scale
 from repro.experiments.scale import PingTask, run_pings, validate_workload
-from repro.net.topology import TopologyConfig
+from repro.net.topology import ThreeTierTopology, TopologyConfig
+from repro.sim.kernel import Environment
 
 CONFIG = TopologyConfig()
 #: A few pods, so tasks share pods and TORs.
@@ -74,6 +77,23 @@ def test_workload_validation_rejects_duplicate_sources():
     with pytest.raises(ValueError, match="only one PingTask"):
         validate_workload([PingTask(src=0, dst=30),
                            PingTask(src=0, dst=48)])
+
+
+def test_sweep_pairs_lie_in_their_tiers():
+    """The ``scale`` entry's workload, built but not run: its L0, L1 and
+    L2 pairs lie in those tiers, each source sends once, and the hosts
+    span the fabric from its first index to near its top."""
+    workload = scale.build_workload(CONFIG)
+    topology = ThreeTierTopology(Environment(), CONFIG)
+    assert [topology.tier_between(t.src, t.dst) for t in workload] == \
+        ["L0"] * scale.L0_PAIRS + ["L1"] * scale.L1_PAIRS + \
+        ["L2"] * scale.L2_PAIRS
+    sources = [t.src for t in workload]
+    assert len(set(sources)) == len(sources) == 512
+    hosts = set(sources) | {t.dst for t in workload}
+    assert (min(hosts), max(hosts), CONFIG.total_hosts) == \
+        (0, 253_353, 253_440)
+    assert {t.messages for t in workload} == {scale.MESSAGES}
 
 
 @st.composite

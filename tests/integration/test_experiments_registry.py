@@ -15,7 +15,7 @@ from repro.experiments.harness import ClaimFailed, approx, render
 from repro.experiments.table import TABLE
 
 PAPER_IDS = [f"E{i}" for i in range(1, 12)] + \
-    [f"A{i}" for i in range(1, 6)] + ["chaos"]
+    [f"A{i}" for i in range(1, 6)] + ["chaos", "control", "scale"]
 
 
 class TestRegistry:
