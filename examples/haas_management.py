@@ -49,6 +49,7 @@ def main() -> None:
 
     # Demand drops: ranking gives a component back to the pool.
     ranking.shrink(1)
+    cloud.run(until=cloud.env.now + 0.1)  # the release reaches the RM
     print(f"\nafter shrink: ranking hosts={ranking.hosts}, "
           f"free={sorted(rm.free_hosts())}")
 

@@ -31,6 +31,7 @@ class HardwareService:
                                  image, constraints)
         self.sm.on_component_replaced = self._on_replacement
         self.sm.grow(components)
+        self.sm.start_heartbeat()
         self._clients: Dict[int, Server] = {}
         self.requests_sent = 0
         self.failovers = 0

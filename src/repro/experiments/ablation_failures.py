@@ -66,6 +66,8 @@ def cloud_under_failures():
         while failed < failures:
             victim = rng.choice(sm.hosts)
             cloud.resource_manager.manager(victim).mark_failed()
+            # Let the replacement land before the next victim is drawn.
+            cloud.run(until=cloud.env.now)
             failed += 1
         cloud.run(until=cloud.env.now + 1.0)
         # Measure RTT to each serving FPGA from the client.

@@ -86,7 +86,9 @@ CAMPAIGN_SHAPES = dict(
     tor_outage_duration=3.0,
     control_stall_duration=20.0,     # > lease: forces real expiry
     rm_crash_duration=1.5,           # ~3 sweep periods of RM outage
-    partition_duration=8.0,          # < lease slack: fencing, not loss
+    # < the 15 s lease: renews fail but no lease expires, so nothing
+    # stale reaches a fence (the split-brain drill tests the fence).
+    partition_duration=8.0,
 )
 
 #: Each phase's table title, in :func:`run`'s order.
@@ -258,11 +260,9 @@ def run_split_brain() -> Dict[str, float]:
                           quarantine=1.0)
     env = cloud.env
     rm = cloud.resource_manager
-    # Simulated (non-inline) channels even though nothing is lost: the
-    # SMs must hold *copies* of their grants, as real processes would —
-    # an inline channel shares the RM's own Lease objects, so the RM's
-    # expiry would leak into A's local view and there would be no stale
-    # side left to fence off.
+    # Each SM holds *copies* of its grants, as a real process would: the
+    # RM's expiry of A's lease never reaches A's local view, which
+    # leaves a stale side for the fence to stop.
     drill_rpc = RpcConfig(delay=2e-4)
     sm_a = ServiceManager(env, "stranded", rm, IMAGE,
                           constraints=Constraints(count=1),

@@ -76,7 +76,8 @@ def claim(*claims: str) -> None:
 
     A false claim raises :class:`ClaimFailed` naming it and what it
     read: the values a comparison compared and the numbers among its
-    names, or else every name it read.
+    names, the one subscript or attribute a claim tests for truth (under
+    any ``not``), or else every name it read.
     """
     caller = sys._getframe(1)
     scope = {**caller.f_globals, **caller.f_locals}
@@ -84,10 +85,14 @@ def claim(*claims: str) -> None:
         if eval(text, scope):
             continue
         node = ast.parse(text, mode="eval").body
+        while isinstance(node, ast.UnaryOp):
+            node = node.operand
         parts = names = [name for name in ast.walk(node)
                          if isinstance(name, ast.Name) and name.id in scope
                          and not callable(scope[name.id])]
-        if isinstance(node, ast.Compare):
+        if isinstance(node, (ast.Subscript, ast.Attribute)) and names:
+            parts = [node]
+        elif isinstance(node, ast.Compare):
             parts = [part for part in (node.left, *node.comparators)
                      if any(sub in names for sub in ast.walk(part))]
             parts += [name for name in names

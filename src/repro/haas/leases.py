@@ -40,10 +40,10 @@ class LeaseState(enum.Enum):
 class Lease:
     """A grant of specific FPGAs to a service for a bounded time.
 
-    ``eq=False``: leases are identity objects.  Under a lossy RPC
-    channel the SM holds a *copy* of the RM's lease (the two sides of a
-    partition must be able to diverge); the ``lease_id`` is the only
-    cross-side name for a grant.
+    ``eq=False``: leases are identity objects.  A Service Manager holds
+    a *copy* of the RM's lease (the two sides of a partition must be
+    able to diverge); the ``lease_id`` is the only cross-side name for a
+    grant.
     """
 
     service: str

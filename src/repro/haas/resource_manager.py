@@ -230,8 +230,8 @@ class ResourceManager:
     def release(self, lease: Lease) -> None:
         if self._crashed:
             raise ServerUnavailable("resource manager is down")
-        # Look up our own record: under a lossy channel the caller holds
-        # a copy, and a duplicated release must be a no-op.
+        # Look up our own record: an SM holds a copy, and a duplicated
+        # release must be a no-op.
         mine = self._leases.get(lease.lease_id)
         if mine is None or mine.state is not LeaseState.ACTIVE:
             if lease.state is LeaseState.ACTIVE:
@@ -320,8 +320,6 @@ class ResourceManager:
             lease = self.acquire(payload["service"],
                                  payload["constraints"],
                                  on_revoked=handler, token=token)
-            if channel.inline:
-                return lease
             # The SM gets a *copy*: the two sides of a partition must
             # be able to diverge (that is what fencing defends against).
             return replace(lease, hosts=list(lease.hosts))
@@ -469,8 +467,8 @@ class ResourceManager:
     # Failure / expiry
     # ------------------------------------------------------------------
     def _on_node_failure(self, host: int) -> None:
-        # Quarantine first, evict second: the replacement acquire running
-        # inside the revocation handler must not pick the failed host.
+        # Quarantine first, evict second: a revocation handler may
+        # re-acquire at once and must not get the failed host back.
         until = self.env.now + self.quarantine_seconds
         self._quarantine_until[host] = until
         self.journal.record("quarantine", host=host, until=until)

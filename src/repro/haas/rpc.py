@@ -1,17 +1,13 @@
 """The control-plane RPC seam: a simulated, failure-injectable channel.
 
 All SM<->RM traffic flows through an :class:`RpcChannel` instead of
-plain method calls (an FM reports failures to the RM directly).  A
-channel has two operating modes:
-
-* **inline** (the default, when the config specifies no loss, no
-  duplication and no delay): every call executes the server handler
-  synchronously with zero simulation events and zero RNG draws, so a
-  lossless control plane behaves — and schedules — exactly like the
-  direct method calls it replaced (seeded digests are unchanged).
-* **simulated**: each call becomes request/response message legs over
-  an unreliable medium with configurable loss, duplication and delay,
-  a per-call timeout, and exponential-backoff-with-jitter retries.
+plain method calls (an FM reports failures to the RM directly).  Each
+call becomes request/response message legs over an unreliable medium
+with configurable loss, duplication and delay, a per-call timeout, and
+exponential-backoff-with-jitter retries.  The default config loses,
+duplicates and delays nothing, so a call's outcome lands in the same
+simulated instant — but always through its callbacks, never as a
+return value.
 
 Every call carries an **idempotency token**; the server deduplicates
 tokens (see :meth:`ResourceManager.rpc_dispatch`) so a retried or
@@ -74,13 +70,6 @@ class RpcConfig:
     #: Resend attempts for one-way pushes (server -> client notices).
     push_attempts: int = 3
 
-    @property
-    def inline(self) -> bool:
-        """Lossless + zero-delay: execute calls synchronously."""
-        return (self.loss_probability == 0.0
-                and self.duplicate_probability == 0.0
-                and self.delay == 0.0 and self.delay_jitter == 0.0)
-
 
 @dataclass
 class RpcStats:
@@ -133,8 +122,8 @@ class RpcChannel:
         self.config = config or RpcConfig()
         self.stats = RpcStats()
         self._token_seq = count(1)
-        # The RNG is only touched in simulated mode; a dedicated stream
-        # keeps channel noise out of every other seeded draw.
+        # A dedicated stream keeps channel noise out of every other
+        # seeded draw.
         self._rng = random.Random(seed if seed is not None
                                   else f"rpc-{name}")
         #: Both directions drop everything while ``now`` is before this.
@@ -150,10 +139,6 @@ class RpcChannel:
     # Partitioning
     # ------------------------------------------------------------------
     @property
-    def inline(self) -> bool:
-        return self.config.inline
-
-    @property
     def partitioned(self) -> bool:
         return self.env.now < self.partition_until
 
@@ -168,27 +153,21 @@ class RpcChannel:
     def call(self, method: str, payload: Optional[Dict[str, Any]] = None,
              on_result: Optional[Callable[[Any], None]] = None,
              on_error: Optional[Callable[[Exception], None]] = None,
-             token: Optional[str] = None) -> Any:
+             token: Optional[str] = None) -> None:
         """Issue one logical RPC.
 
-        Inline mode executes synchronously: the result is returned (and
-        ``on_result`` invoked, if given); application errors raise
-        unless ``on_error`` is given.  Simulated mode returns ``None``
-        immediately and delivers the outcome to the callbacks after the
-        message legs and retries play out.
+        Returns at once; the outcome reaches ``on_result`` or
+        ``on_error`` after the message legs and retries play out.  The
+        error is the server's application error, or :class:`RpcTimeout`
+        once every attempt went unanswered.
         """
         payload = dict(payload or {})
         if token is None:
             token = f"{self.name}:{next(self._token_seq)}"
         payload["token"] = token
         self.stats.calls += 1
-
-        if self.inline:
-            return self._call_inline(method, payload, on_result, on_error)
-
         call = _Call(method, payload, on_result, on_error)
         self.env.process(self._call_process(call))
-        return None
 
     def notify(self, method: str,
                payload: Optional[Dict[str, Any]] = None) -> None:
@@ -196,39 +175,6 @@ class RpcChannel:
         transport retries still apply)."""
         self.call(method, payload,
                   on_result=lambda _r: None, on_error=lambda _e: None)
-
-    def _call_inline(self, method, payload, on_result, on_error):
-        self.stats.requests_sent += 1
-        if self.partitioned:
-            self.stats.partition_drops += 1
-            self.stats.timeouts += 1
-            err: Exception = RpcTimeout(
-                f"{method}: partitioned from server")
-            if on_error is not None:
-                on_error(err)
-                return None
-            raise err
-        try:
-            result = self.server(self, method, payload)
-        except ServerUnavailable as exc:
-            self.stats.server_unavailable += 1
-            self.stats.timeouts += 1
-            err = RpcTimeout(f"{method}: {exc}")
-            if on_error is not None:
-                on_error(err)
-                return None
-            raise err from exc
-        except Exception as exc:
-            self.stats.failures += 1
-            if on_error is not None:
-                on_error(exc)
-                return None
-            raise
-        self.stats.responses_sent += 1
-        self._observe_epoch()
-        if on_result is not None:
-            on_result(result)
-        return result
 
     def _call_process(self, call: _Call):
         config = self.config
@@ -311,13 +257,6 @@ class RpcChannel:
         own recovery paths (renew errors, epoch resync) must cover it.
         """
         self.stats.pushes += 1
-        if self.inline:
-            if self.partitioned:
-                self.stats.partition_drops += 1
-                self.stats.pushes_lost += 1
-                return
-            fn(*args)
-            return
         self.env.process(self._push_process(fn, args))
 
     def _push_process(self, fn: Callable[..., None], args: tuple):
@@ -352,10 +291,7 @@ class RpcChannel:
 
     def _leg_delay(self) -> float:
         config = self.config
-        delay = config.delay
-        if config.delay_jitter > 0.0:
-            delay += self._rng.random() * config.delay_jitter
-        return delay
+        return config.delay + self._rng.random() * config.delay_jitter
 
     def _observe_epoch(self) -> None:
         if self.epoch_probe is None:

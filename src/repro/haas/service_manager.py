@@ -6,13 +6,15 @@ balancing, inter-component connectivity, and failure handling by
 requesting and releasing Component leases through RM.  A SM provides
 pointers to the hardware service to one or more end users."
 
-All SM<->RM traffic rides an :class:`~repro.haas.rpc.RpcChannel`.  With
-the default lossless config the channel is a synchronous pass-through
-(identical scheduling to the direct calls it replaced); under a lossy or
-partitioned config the SM holds *copies* of its leases, learns about
-revocations via best-effort pushes, discovers RM restarts through the
-epoch carried on every response (then re-attaches), and treats a renew
-rejected with ``KeyError`` as a lost component to replace.
+All SM<->RM traffic rides an :class:`~repro.haas.rpc.RpcChannel`, so
+every call is asynchronous: :meth:`ServiceManager.grow` returns at once
+and leases are adopted as their grants arrive.  The SM holds *copies*
+of its leases, learns about revocations via best-effort pushes,
+discovers RM restarts through the epoch carried on every response (then
+re-attaches), and treats a renew rejected with ``KeyError`` as a lost
+component to replace.  An acquire the RM refuses or never answers
+leaves the component pending; one retry at a time asks again, with
+exponential backoff.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from ..fpga.reconfig import Image
 from ..sim import Environment
 from .constraints import Constraints
 from .leases import Lease, LeaseState
-from .resource_manager import AllocationError, ResourceManager
-from .rpc import RpcChannel, RpcConfig, RpcError
+from .resource_manager import ResourceManager
+from .rpc import RpcChannel, RpcConfig
 
 
 @dataclass
@@ -56,13 +58,18 @@ class ServiceManager:
         self.stats = SmStats()
         self.leases: List[Lease] = []
         self._rr = 0
-        #: Components the SM has not yet managed to replace (pool
-        #: exhausted); a background loop keeps retrying with exponential
-        #: backoff until the pool frees up.
+        #: Components the SM has not yet managed to acquire (pool
+        #: exhausted, or the RM unreachable); a retry keeps asking until
+        #: the pool frees up.
         self.pending_replacements = 0
         self.retry_backoff = retry_backoff
         self.retry_backoff_max = retry_backoff_max
-        self._retry_loop_active = False
+        #: Wait before the next retry: doubled after each failed retry
+        #: (up to ``retry_backoff_max``), reset by a successful one.
+        self._retry_interval = retry_backoff
+        #: True while pending replacements have a retry armed or in
+        #: flight — only one at a time.
+        self._retrying = False
         #: Called with the replacement lease after a lost component is
         #: re-acquired — services hook this to rewire connectivity.
         self.on_component_replaced: Optional[Callable[[Lease], None]] = None
@@ -81,29 +88,14 @@ class ServiceManager:
     # ------------------------------------------------------------------
     # Capacity management
     # ------------------------------------------------------------------
-    def grow(self, components: int = 1) -> List[Lease]:
+    def grow(self, components: int = 1) -> None:
         """Acquire more components and deploy the service image on them.
 
-        Over a lossless channel this is synchronous: the leases are
-        returned and :class:`AllocationError` propagates.  Over a lossy
-        channel acquisition is asynchronous — the returned list is empty
-        and leases are adopted as their grants arrive; a grow the RM
-        cannot satisfy becomes a pending replacement the backoff loop
-        keeps retrying.
+        Returns at once: leases are adopted as their grants arrive, and
+        a grow the RM cannot satisfy becomes a pending replacement.
         """
-        acquired = []
         for _ in range(components):
-            if self.channel.inline:
-                lease = self.channel.call("acquire",
-                                          self._acquire_payload())
-                self._adopt_lease(lease)
-                acquired.append(lease)
-            else:
-                self.channel.call(
-                    "acquire", self._acquire_payload(),
-                    on_result=self._adopt_lease,
-                    on_error=self._acquire_failed)
-        return acquired
+            self._acquire(replacement=False)
 
     def shrink(self, components: int = 1) -> None:
         """Release components back to the global pool."""
@@ -114,7 +106,7 @@ class ServiceManager:
             # RM-side lease then just expires unrenewed).
             lease.state = LeaseState.RELEASED
 
-    def _adopt_lease(self, lease: Lease, replacement: bool = False) -> None:
+    def _adopt_lease(self, lease: Lease, replacement: bool) -> None:
         self.leases.append(lease)
         if replacement:
             self.stats.replacements += 1
@@ -126,9 +118,11 @@ class ServiceManager:
         if replacement and self.on_component_replaced is not None:
             self.on_component_replaced(lease)
 
-    def _acquire_failed(self, _exc: Exception) -> None:
-        self.pending_replacements += 1
-        self._ensure_retry_loop()
+    def _acquire(self, replacement: bool) -> None:
+        self.channel.call(
+            "acquire", self._acquire_payload(),
+            on_result=lambda lease: self._adopt_lease(lease, replacement),
+            on_error=self._acquire_failed)
 
     @property
     def hosts(self) -> List[int]:
@@ -178,47 +172,35 @@ class ServiceManager:
         if lease in self.leases:
             self.leases.remove(lease)
         self.stats.components_lost += 1
-        if not self._try_replace():
-            self.pending_replacements += 1
-            self._ensure_retry_loop()
+        self._acquire(replacement=True)
 
-    def _try_replace(self) -> bool:
-        if not self.channel.inline:
-            # Asynchronous: claim success now; a failed outcome re-pends
-            # itself, so nothing is lost — only retried later.
-            self.channel.call(
-                "acquire", self._acquire_payload(),
-                on_result=lambda lease: self._adopt_lease(
-                    lease, replacement=True),
-                on_error=self._acquire_failed)
-            return True
-        try:
-            replacement = self.channel.call("acquire",
-                                            self._acquire_payload())
-        except (AllocationError, RpcError):
-            return False
-        self._adopt_lease(replacement, replacement=True)
-        return True
+    def _acquire_failed(self, _exc: Exception) -> None:
+        """The RM refused an acquire (``AllocationError``) or never
+        answered it (``RpcTimeout``): the component goes pending, and a
+        retry is armed unless one already is."""
+        self.pending_replacements += 1
+        if not self._retrying:
+            self._retrying = True
+            self.env.call_later(self._retry_interval, self._retry)
 
-    def _ensure_retry_loop(self) -> None:
-        if self._retry_loop_active:
-            return
-        self._retry_loop_active = True
-        self.env.process(self._retry_replacements())
+    def _retry(self) -> None:
+        self.channel.call("acquire", self._acquire_payload(),
+                          on_result=self._retry_succeeded,
+                          on_error=self._retry_failed)
 
-    def _retry_replacements(self):
-        """Background exponential-backoff retry of pending replacements."""
-        backoff = self.retry_backoff
-        try:
-            while self.pending_replacements > 0:
-                yield self.env.timeout(backoff)
-                while self.pending_replacements > 0 and self._try_replace():
-                    self.pending_replacements -= 1
-                    backoff = self.retry_backoff
-                if self.pending_replacements > 0:
-                    backoff = min(backoff * 2, self.retry_backoff_max)
-        finally:
-            self._retry_loop_active = False
+    def _retry_succeeded(self, lease: Lease) -> None:
+        self.pending_replacements -= 1
+        self._retry_interval = self.retry_backoff
+        self._adopt_lease(lease, replacement=True)
+        if self.pending_replacements > 0:
+            self._retry()  # the pool had room: try the next one now
+        else:
+            self._retrying = False
+
+    def _retry_failed(self, _exc: Exception) -> None:
+        self._retry_interval = min(self._retry_interval * 2,
+                                   self.retry_backoff_max)
+        self.env.call_later(self._retry_interval, self._retry)
 
     # ------------------------------------------------------------------
     # Heartbeat / lease maintenance

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core import ConfigurableCloud, HardwareService
 from repro.fpga import Image, ShellConfig
-from repro.haas import Constraints
+from repro.haas import Constraints, ResourceManager
 from repro.ltl import LtlConfig
 from repro.net import TopologyConfig, idle
 
@@ -94,3 +94,25 @@ class TestHardwareService:
             service.request(client, b"post-failover", 32)
         cloud.run(until=cloud.env.now + 3e-3)
         assert b"post-failover" in got
+
+
+class TestLeaseHeartbeat:
+    def test_service_keeps_members_through_three_lease_lifetimes(self):
+        """The service heartbeats its own leases: none expires, so no
+        member is churned through a replacement."""
+        cloud = ConfigurableCloud(
+            topology=TopologyConfig(background=idle()), seed=8)
+        cloud._rm = ResourceManager(cloud.env, cloud.fabric.topology,
+                                    lease_duration=5.0, sweep_period=0.5)
+        rm = cloud.resource_manager
+        cloud.add_servers(list(range(4)),
+                          shell_config=ShellConfig(with_ltl=False))
+        service = HardwareService(cloud, "accel", Image("accel-v1", "r"),
+                                  Constraints(count=1), components=2)
+        cloud.run(until=cloud.env.now)  # the grants land
+        members = sorted(service.hosts)
+        assert len(members) == 2
+        cloud.run(until=3 * rm.lease_duration + 1.0)
+        assert rm.stats.expirations == 0
+        assert service.sm.stats.replacements == 0
+        assert sorted(service.hosts) == members

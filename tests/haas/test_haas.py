@@ -154,6 +154,7 @@ class TestServiceManager:
                             Image("dnn-v1", "dnn"),
                             Constraints(count=count))
         sm.grow(components)
+        cloud.run(until=cloud.env.now)  # the grants land
         return sm
 
     def test_grow_deploys_image(self):
@@ -184,6 +185,7 @@ class TestServiceManager:
         sm = self._sm(cloud, count=1)
         original = sm.hosts[0]
         cloud.resource_manager.manager(original).mark_failed()
+        cloud.run(until=cloud.env.now)  # the push and the new grant land
         assert sm.stats.components_lost == 1
         assert sm.stats.replacements == 1
         assert sm.hosts and sm.hosts[0] != original
@@ -192,6 +194,7 @@ class TestServiceManager:
         cloud = make_cloud(0)
         sm = self._sm(cloud, count=1)
         cloud.resource_manager.manager(sm.hosts[0]).mark_failed()
+        cloud.run(until=cloud.env.now)  # the push and the refusal land
         assert sm.pending_replacements == 1
         assert sm.hosts == []
 
@@ -200,8 +203,57 @@ class TestServiceManager:
         sm = self._sm(cloud, count=1, components=2)
         assert len(sm.hosts) == 2
         sm.shrink(1)
+        cloud.run(until=cloud.env.now)  # the release lands
         assert len(sm.hosts) == 1
         assert len(cloud.resource_manager.free_hosts()) == 1
+
+
+class TestLeaseCopies:
+    """The SM holds copies of its leases on every channel config: the
+    RM's own records change only RM-side, and reach the SM as pushes."""
+
+    def _grown(self, cloud):
+        sm = ServiceManager(cloud.env, "svc", cloud.resource_manager,
+                            Image("i", "r"), Constraints(count=1))
+        sm.grow(1)
+        cloud.run(until=cloud.env.now)  # the grant lands
+        return sm
+
+    def test_sm_lease_is_not_the_rm_object(self):
+        cloud = make_cloud(0, 1)
+        sm = self._grown(cloud)
+        mine = sm.leases[0]
+        theirs = cloud.resource_manager._leases[mine.lease_id]
+        assert mine is not theirs
+        assert mine.hosts == theirs.hosts
+        assert mine.hosts is not theirs.hosts
+        assert mine.fence == theirs.fence
+
+    def test_revocation_reaches_the_copy_only_through_the_push(self):
+        cloud = make_cloud(0, 1, 2)
+        sm = self._grown(cloud)
+        mine = sm.leases[0]
+        cloud.resource_manager.manager(mine.hosts[0]).mark_failed()
+        # The RM revoked its own record; the SM has not heard yet.
+        assert mine.state is LeaseState.ACTIVE
+        assert sm.stats.components_lost == 0
+        cloud.run(until=cloud.env.now)  # the push lands
+        assert mine.state is LeaseState.REVOKED
+        assert mine not in sm.leases
+        assert sm.stats.components_lost == 1
+
+    def test_lost_expiry_push_leaves_the_copy_active(self):
+        cloud = make_cloud(0, 1)
+        rm = cloud.resource_manager
+        rm.lease_duration = 100.0
+        sm = self._grown(cloud)
+        mine = sm.leases[0]
+        sm.channel.partition_for(1000.0)  # the expiry push is dropped
+        cloud.run(until=200.0)
+        assert rm.stats.expirations == 1
+        assert mine.state is LeaseState.ACTIVE
+        assert sm.channel.stats.pushes_lost == 1
+        assert sm.stats.components_lost == 0
 
 
 class TestHeartbeatKeepsService:

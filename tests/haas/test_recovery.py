@@ -83,12 +83,14 @@ class TestExpiryAndRenewal:
         victim = sm.leases[0]
         survivor = sm.leases[1]
         rm.manager(victim.hosts[0]).mark_failed("test kill")
+        env.run(until=env.now)  # the revocation push lands
         # The revoked lease object is gone from the SM (replaced), but
         # simulate the race where a stale reference lingers:
         sm.leases.append(victim)
         before = survivor.expires_at
         env.run(until=env.now + 1.0)
         sm.renew_all()  # must not raise
+        env.run(until=env.now)  # the renew's reply lands
         assert victim.state is LeaseState.REVOKED
         assert survivor.expires_at > before
         sm.leases.remove(victim)
@@ -97,7 +99,9 @@ class TestExpiryAndRenewal:
         cloud = make_cloud(0)
         rm = cloud.resource_manager
         sm = ServiceManager(cloud.env, "svc", rm, IMAGE)
-        lease = sm.grow(1)[0]
+        sm.grow(1)
+        cloud.env.run(until=cloud.env.now)  # the grant lands
+        lease = sm.leases[0]
         rm.release(lease)
         with pytest.raises(KeyError):
             rm.renew(lease)
@@ -160,9 +164,12 @@ class TestQuarantine:
         env, rm = cloud.env, cloud.resource_manager
         settle(cloud, 2.0)
         sm = ServiceManager(env, "svc", rm, IMAGE)
-        lease = sm.grow(1)[0]
+        sm.grow(1)
+        env.run(until=env.now)  # the grant lands
+        lease = sm.leases[0]
         victim = lease.hosts[0]
         rm.manager(victim).mark_failed("flaky link", hard=False)
+        env.run(until=env.now)  # the push and the new grant land
         # Replacement must not re-pick the victim...
         assert victim not in sm.hosts
         assert rm.in_quarantine(victim)
@@ -200,18 +207,21 @@ class TestQuarantine:
 class TestReplacementRetry:
     def test_pending_replacement_filled_when_pool_frees(self):
         """Pool exhausted at failure time: the component goes pending
-        and the background retry loop fills it once capacity appears."""
+        and the backoff retry fills it once capacity appears."""
         cloud = make_cloud(0, 1, lease=60.0, quarantine=2.0)
         env, rm = cloud.env, cloud.resource_manager
         settle(cloud, 2.0)
         sm_a = ServiceManager(env, "a", rm, IMAGE)
         sm_b = ServiceManager(env, "b", rm, IMAGE)
-        lease_a = sm_a.grow(1)[0]
+        sm_a.grow(1)
         sm_b.grow(1)  # pool now fully allocated
+        env.run(until=env.now)  # the grants land
+        lease_a = sm_a.leases[0]
         rm.manager(lease_a.hosts[0]).mark_failed("dead", hard=False)
+        env.run(until=env.now)  # the push and the refusal land
         assert sm_a.pending_replacements == 1
         assert sm_a.leases == []
-        # Competing service releases its component; the retry loop's
+        # Competing service releases its component; the retry's
         # exponential backoff picks it up.
         sm_b.shrink(1)
         env.run(until=env.now + 10.0)
@@ -224,9 +234,12 @@ class TestReplacementRetry:
         env, rm = cloud.env, cloud.resource_manager
         settle(cloud, 2.0)
         sm = ServiceManager(env, "svc", rm, IMAGE)
-        lease = sm.grow(1)[0]
+        sm.grow(1)
+        env.run(until=env.now)  # the grant lands
+        lease = sm.leases[0]
         rm.manager(lease.hosts[0]).mark_failed("dead", hard=False)
-        # Replacement happened synchronously inside the revocation.
+        env.run(until=env.now)
+        # Replacement happened in the same instant as the revocation.
         assert sm.pending_replacements == 0
         assert len(sm.leases) == 1
         assert sm.leases[0].hosts[0] != lease.hosts[0]
@@ -316,6 +329,7 @@ class TestRmCrashRecovery:
         settle(cloud, 2.0)
         sm = ServiceManager(env, "svc", rm, IMAGE)
         sm.grow(2)
+        env.run(until=env.now)  # the grants land
         held = sorted(sm.hosts)
         rm.crash()
         assert rm.crashed
@@ -339,7 +353,9 @@ class TestRmCrashRecovery:
         env, rm = cloud.env, cloud.resource_manager
         settle(cloud, 2.0)
         sm = ServiceManager(env, "svc", rm, IMAGE)
-        lease = sm.grow(1)[0]
+        sm.grow(1)
+        env.run(until=env.now)  # the grant lands
+        lease = sm.leases[0]
         victim = lease.hosts[0]
         rm.crash()
         cloud.fabric.detach(victim)  # the host dies during the outage

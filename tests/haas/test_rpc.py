@@ -1,7 +1,5 @@
 """Unit tests for the simulated control-plane RPC seam."""
 
-import pytest
-
 from repro.haas import RpcChannel, RpcConfig, RpcTimeout, ServerUnavailable
 from repro.sim import Environment
 
@@ -31,58 +29,61 @@ def make_channel(env=None, **config):
     return env, server, channel
 
 
-class TestInlineMode:
-    """The default lossless config: synchronous, zero sim events."""
+class TestDefaultConfig:
+    """The default config loses, duplicates and delays nothing, yet every
+    call is still a message: its outcome lands through the callbacks in
+    the same simulated instant, never as a return value."""
 
-    def test_default_config_is_inline(self):
-        assert RpcConfig().inline
-        assert not RpcConfig(loss_probability=0.1).inline
-        assert not RpcConfig(duplicate_probability=0.1).inline
-        assert not RpcConfig(delay=1e-3).inline
-
-    def test_call_executes_synchronously(self):
+    def test_call_returns_none_and_lands_in_the_same_instant(self):
         env, server, channel = make_channel()
-        result = channel.call("ping", {})
-        assert result == {"echo": "ping"}
+        results = []
+        assert channel.call("ping", {}, on_result=results.append) is None
+        assert server.calls == [] and results == []
+        env.run(until=0.0)
+        assert results == [{"echo": "ping"}]
         assert len(server.calls) == 1
-        # No events were scheduled: inline calls are invisible to the
-        # simulation clock (this is what keeps seeded digests stable).
-        assert len(env) == 0
 
     def test_tokens_stamped_into_payload(self):
-        _, server, channel = make_channel()
+        env, server, channel = make_channel()
         channel.call("acquire", {})
         channel.call("acquire", {})
+        env.run(until=0.0)
         tokens = [payload["token"] for _, payload in server.calls]
         assert len(set(tokens)) == 2
         assert all(token.startswith("test:") for token in tokens)
 
-    def test_application_error_raised(self):
-        _, server, channel = make_channel()
-        server.fail_with = KeyError("nope")
-        with pytest.raises(KeyError):
-            channel.call("renew", {})
-
     def test_application_error_delivered_to_on_error(self):
-        _, server, channel = make_channel()
+        env, server, channel = make_channel()
         server.fail_with = KeyError("nope")
         errors = []
         channel.call("renew", {}, on_error=errors.append)
+        env.run(until=0.0)
         assert len(errors) == 1
         assert isinstance(errors[0], KeyError)
+        assert channel.stats.failures == 1
 
     def test_server_unavailable_looks_like_timeout(self):
-        _, server, channel = make_channel()
-        server.down = True
-        with pytest.raises(RpcTimeout):
-            channel.call("ping", {})
-        assert channel.stats.server_unavailable == 1
-
-    def test_partitioned_inline_call_times_out(self):
         env, server, channel = make_channel()
-        channel.partition_for(5.0)
-        with pytest.raises(RpcTimeout):
-            channel.call("ping", {})
+        server.down = True
+        errors = []
+        channel.call("ping", {}, on_error=errors.append)
+        env.run(until=30.0)
+        assert len(errors) == 1
+        assert isinstance(errors[0], RpcTimeout)
+        # Every attempt reached a down server and went unanswered.
+        assert channel.stats.server_unavailable == \
+            channel.config.max_retries + 1
+        assert channel.stats.timeouts == 1
+
+    def test_partitioned_call_times_out(self):
+        env, server, channel = make_channel()
+        # Longer than every attempt and backoff of one call (< 6 s).
+        channel.partition_for(10.0)
+        errors = []
+        channel.call("ping", {}, on_error=errors.append)
+        env.run(until=10.0)
+        assert len(errors) == 1
+        assert isinstance(errors[0], RpcTimeout)
         assert server.calls == []
         assert channel.stats.partition_drops > 0
 
@@ -149,10 +150,12 @@ class TestSimulatedMode:
 
 
 class TestPush:
-    def test_inline_push_delivers(self):
+    def test_push_delivers_in_the_same_instant(self):
         env, server, channel = make_channel()
         got = []
         channel.push(got.append, 42)
+        assert got == []
+        env.run(until=0.0)
         assert got == [42]
         assert channel.stats.pushes == 1
 
@@ -161,6 +164,7 @@ class TestPush:
         channel.partition_for(10.0)
         got = []
         channel.push(got.append, 42)
+        env.run(until=10.0)
         assert got == []
         assert channel.stats.pushes_lost == 1
 

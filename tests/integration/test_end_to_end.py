@@ -96,6 +96,7 @@ class TestHaasDrivenRemoteService:
 
         # Kill the serving FPGA: SM replaces it from the pool.
         rm.manager(target).mark_failed()
+        cloud.run(until=cloud.env.now)  # the push and the new grant land
         assert sm.stats.replacements == 1
         replacement = sm.pick()
         assert replacement != target

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.experiments import fig06, fig07, fig10, fig12, sec4
-from repro.experiments.harness import ClaimFailed, approx, render
+from repro.experiments.harness import ClaimFailed, approx, claim, render
 from repro.experiments.table import TABLE
 
 PAPER_IDS = [f"E{i}" for i in range(1, 12)] + \
@@ -62,6 +62,17 @@ class TestRegistry:
         message = str(failure.value)
         assert 'envelope["power_virus_w"] == approx(29.2, abs=0.15)' in message
         assert 'envelope["power_virus_w"] = 31.0' in message
+        # A claim that tests one value for truth shows that value, under
+        # any ``not``, rather than the whole dict it was read from.
+        with pytest.raises(ClaimFailed) as failure:
+            TABLE["E10"].check((watts, dict(envelope, within_tdp=False)))
+        assert str(failure.value) == \
+            'envelope["within_tdp"]  [envelope["within_tdp"] = False]'
+        metrics = {"a": 1, "b": 2, "c": 3, "d": 4, "admitted": True}
+        with pytest.raises(ClaimFailed) as failure:
+            claim('not metrics["admitted"]')
+        assert str(failure.value) == \
+            'not metrics["admitted"]  [metrics["admitted"] = True]'
 
     def test_failed_claim_raises_under_python_O(self):
         code = (
